@@ -70,21 +70,36 @@ def deep_update(base: dict, extra: dict) -> dict:
     return base
 
 
+def _check_keys(extra, default, where: str = "") -> None:
+    """Raise ConfigError unless every key of extra names an entry of default
+    and every section of default is given a mapping."""
+    if not isinstance(extra, dict):
+        raise ConfigError(f"config section {where or '(top level)'!r} needs a mapping, "
+                          f"got {extra!r}")
+    for k, v in extra.items():
+        key = f"{where}.{k}" if where else str(k)
+        if not isinstance(default, dict) or k not in default:
+            raise ConfigError(f"unknown config key {key!r}")
+        if isinstance(default[k], dict) or isinstance(v, dict):
+            _check_keys(v, default[k], key)
+
+
 def load_config(path: str | None, overrides) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         with open(path, encoding="utf-8") as fh:
-            deep_update(cfg, yaml.safe_load(fh) or {})
+            doc = yaml.safe_load(fh) or {}
+        _check_keys(doc, DEFAULT_CONFIG)
+        deep_update(cfg, doc)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
         key, raw = item.split("=", 1)
-        value = yaml.safe_load(raw)
-        node = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = value
+        doc = yaml.safe_load(raw)
+        for part in reversed(key.split(".")):
+            doc = {part: doc}
+        _check_keys(doc, DEFAULT_CONFIG)
+        deep_update(cfg, doc)
     return cfg
 
 

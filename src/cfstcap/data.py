@@ -70,18 +70,6 @@ class Dataset:
         return len(self.specimens)
 
 
-def validate_specimen(s: Specimen, range_mode: str = "warn", where: str = "") -> None:
-    bad = s.invariant_violations()
-    if bad:
-        raise DataError(f"{where}: " + "; ".join(bad) if where else "; ".join(bad))
-    env = s.envelope_violations()
-    if env:
-        msg = "; ".join(env)
-        if range_mode == "reject":
-            raise DataError(f"{where}: {msg}" if where else msg)
-        warnings.warn(f"{where}: {msg}" if where else msg, stacklevel=2)
-
-
 def load_csv(path, range_mode: str = "warn") -> Dataset:
     """Parse the canonical CSV schema into a Dataset.
 

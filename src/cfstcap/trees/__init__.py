@@ -2,7 +2,7 @@
 gradient boosting, isolation forest and Shapley attributions."""
 from ._kernels import BACKEND as SPLIT_BACKEND
 from .boosting import GradientBoosting, fit_gradient_boosting
-from .cart import Tree, fit_regression_tree, gini_impurity
+from .cart import Tree, fit_regression_tree
 from .forest import RandomForest, fit_random_forest, mdi_importance
 from .io import ensemble_from_dict, ensemble_to_dict, load_ensemble, save_ensemble
 from .isolation import (IsolationForest, anomaly_score, average_path_length,
@@ -10,7 +10,7 @@ from .isolation import (IsolationForest, anomaly_score, average_path_length,
 from .shapley import (global_importance, shapley_exact, shapley_permutation)
 
 __all__ = [
-    "SPLIT_BACKEND", "Tree", "fit_regression_tree", "gini_impurity",
+    "SPLIT_BACKEND", "Tree", "fit_regression_tree",
     "RandomForest", "fit_random_forest", "mdi_importance",
     "GradientBoosting", "fit_gradient_boosting",
     "IsolationForest", "fit_isolation_forest", "anomaly_score",

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import DataError
 from ..seeding import child_rng
-from .cart import Tree, fit_regression_tree
+from .cart import NodeTable, Tree, fit_regression_tree
 
 
 @dataclass
@@ -19,12 +20,12 @@ class GradientBoosting:
     train_mse: list[float]  # per stage, after adding that stage's tree
     kind: str = "gradient_boosting"
 
+    @cached_property
+    def _table(self) -> NodeTable:
+        return NodeTable.stack(self.trees)
+
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        acc = np.full(X.shape[0], self.base_score)
-        for t in self.trees:
-            acc += self.learning_rate * t.predict(X)
-        return acc
+        return self._table.sum_leaf_values(X, self.base_score, self.learning_rate)
 
 
 def fit_gradient_boosting(X, y, n_trees: int = 100, max_depth: int = 3,

@@ -1,7 +1,9 @@
-"""CART regression trees built on the shared split-search kernel."""
+"""CART regression trees built on the shared split-search kernel, and the
+flat node table every tree kind is predicted through."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,34 +15,117 @@ LEAF = -1
 
 @dataclass
 class Tree:
-    """Flattened binary tree; index 0 is the root."""
+    """Flattened binary tree in preorder; index 0 is the root."""
 
     feature: np.ndarray     # split feature index, -1 at leaves
     threshold: np.ndarray
-    left: np.ndarray
+    left: np.ndarray        # child indices, -1 at leaves
     right: np.ndarray
-    value: np.ndarray       # mean label of the node
+    value: np.ndarray       # CART: mean label; isolation: depth + c(n_samples)
     n_samples: np.ndarray
-    impurity: np.ndarray    # label variance of the node
+    impurity: np.ndarray    # CART: label variance; isolation: 0
+
+    @classmethod
+    def from_nodes(cls, nodes) -> Tree:
+        """Tree from [feature, threshold, left, right, value, n, impurity] rows."""
+        cols = list(zip(*nodes))
+        return cls(
+            feature=np.array(cols[0], dtype=np.int64),
+            threshold=np.array(cols[1], dtype=float),
+            left=np.array(cols[2], dtype=np.int64),
+            right=np.array(cols[3], dtype=np.int64),
+            value=np.array(cols[4], dtype=float),
+            n_samples=np.array(cols[5], dtype=np.int64),
+            impurity=np.array(cols[6], dtype=float),
+        )
 
     def __len__(self) -> int:
         return len(self.feature)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _table(self) -> NodeTable:
+        return NodeTable.stack([self])
+
+    def predict(self, X) -> np.ndarray:
+        return self._table.leaf_values(X)[0]
+
+
+def node_depths(tree: Tree) -> np.ndarray:
+    """Depth of every node of one tree; the root has depth 0."""
+    depth = np.zeros(len(tree), dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.int64)
+    level = 0
+    while frontier.size:
+        depth[frontier] = level
+        inner = frontier[tree.feature[frontier] != LEAF]
+        frontier = np.concatenate((tree.left[inner], tree.right[inner]))
+        level += 1
+    return depth
+
+
+@dataclass(frozen=True)
+class NodeTable:
+    """Several trees stacked into one flat node table.
+
+    Child indices are offset into the table. Leaves loop to themselves
+    (both children = self, threshold +inf, feature 0), so after `depth`
+    steps, the deepest tree's depth, every (tree, row) pair rests on its
+    leaf: shallow trees stay put while deeper ones keep walking.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray    # [2i] right child of node i, [2i + 1] left child
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    @classmethod
+    def stack(cls, trees) -> NodeTable:
+        if not trees:
+            raise DataError("no trees to predict with")
+        sizes = np.array([len(t) for t in trees])
+        roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        feature = np.concatenate([t.feature for t in trees])
+        leaf = feature == LEAF
+        own = np.arange(len(feature))
+        shift = np.repeat(roots, sizes)
+        left = np.where(leaf, own, np.concatenate([t.left for t in trees]) + shift)
+        right = np.where(leaf, own, np.concatenate([t.right for t in trees]) + shift)
+        return cls(
+            feature=np.where(leaf, 0, feature),
+            threshold=np.where(leaf, np.inf,
+                               np.concatenate([t.threshold for t in trees])),
+            children=np.stack((right, left), axis=1).ravel(),
+            value=np.concatenate([t.value for t in trees]),
+            roots=roots,
+            depth=max(int(node_depths(t).max()) for t in trees),
+        )
+
+    def leaf_values(self, X) -> np.ndarray:
+        """Leaf value reached by every (tree, row) pair, shape (trees, rows).
+
+        One numpy step per depth level walks all pairs together; a row
+        goes left when its feature value is <= the node's threshold.
+        """
         X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0])
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            if self.feature[node] == LEAF:
-                out[rows] = self.value[node]
-                continue
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], rows[go_left]))
-            stack.append((self.right[node], rows[~go_left]))
-        return out
+        n, m = X.shape
+        flat = X.ravel()
+        row_start = np.arange(n) * m
+        idx = np.repeat(self.roots[:, None], n, axis=1)
+        for _ in range(self.depth):
+            go_left = flat.take(row_start + self.feature.take(idx)) <= self.threshold.take(idx)
+            idx = self.children.take(2 * idx + go_left)
+        return self.value.take(idx)
+
+    def sum_leaf_values(self, X, start: float = 0.0, scale: float = 1.0) -> np.ndarray:
+        """start + scale * v_0 + scale * v_1 + ... for every row, v_k being
+        tree k's leaf value, added in tree order as a loop over trees would."""
+        steps = scale * self.leaf_values(X)
+        acc = np.full(steps.shape[1], start)
+        for step in steps:
+            acc += step
+        return acc
 
 
 class _Builder:
@@ -103,23 +188,4 @@ def fit_regression_tree(X, y, max_depth: int = 8, min_leaf: int = 1,
         rng = np.random.default_rng(seed)
     b = _Builder(X, y, max_depth, min_leaf, max_features, rng)
     b.build(np.arange(X.shape[0]), 0)
-    cols = list(zip(*b.nodes))
-    return Tree(
-        feature=np.array(cols[0], dtype=np.int64),
-        threshold=np.array(cols[1], dtype=float),
-        left=np.array(cols[2], dtype=np.int64),
-        right=np.array(cols[3], dtype=np.int64),
-        value=np.array(cols[4], dtype=float),
-        n_samples=np.array(cols[5], dtype=np.int64),
-        impurity=np.array(cols[6], dtype=float),
-    )
-
-
-def gini_impurity(labels) -> float:
-    """Gini impurity 1 - sum(p_k^2) of a categorical label vector."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise DataError("empty label vector")
-    _, counts = np.unique(labels, return_counts=True)
-    p = counts / labels.size
-    return float(1.0 - np.sum(p * p))
+    return Tree.from_nodes(b.nodes)

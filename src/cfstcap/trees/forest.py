@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import DataError
 from ..seeding import child_rng
-from .cart import LEAF, Tree, fit_regression_tree
+from .cart import LEAF, NodeTable, Tree, fit_regression_tree
 
 
 @dataclass
@@ -18,12 +19,12 @@ class RandomForest:
     seed: int
     kind: str = "random_forest"
 
+    @cached_property
+    def _table(self) -> NodeTable:
+        return NodeTable.stack(self.trees)
+
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        acc = np.zeros(X.shape[0])
-        for t in self.trees:
-            acc += t.predict(X)
-        return acc / len(self.trees)
+        return self._table.sum_leaf_values(X) / len(self.trees)
 
 
 def fit_random_forest(X, y, n_trees: int = 100, max_depth: int = 12,

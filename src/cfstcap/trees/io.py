@@ -7,9 +7,9 @@ import numpy as np
 
 from ..errors import DataError
 from .boosting import GradientBoosting
-from .cart import Tree
+from .cart import Tree, node_depths
 from .forest import RandomForest
-from .isolation import IsolationForest, _INode
+from .isolation import IsolationForest, average_path_length
 
 FORMAT_VERSION = 1
 
@@ -38,36 +38,18 @@ def _tree_from_dict(d: dict) -> Tree:
     )
 
 
-def _inode_flatten(root: _INode) -> dict:
-    feature, threshold, left, right, size = [], [], [], [], []
-
-    def visit(node: _INode) -> int:
-        idx = len(feature)
-        feature.append(node.feature)
-        threshold.append(node.threshold)
-        left.append(-1)
-        right.append(-1)
-        size.append(node.size)
-        if node.feature != -1:
-            left[idx] = visit(node.left)
-            right[idx] = visit(node.right)
-        return idx
-
-    visit(root)
-    return {"feature": feature, "threshold": threshold,
-            "left": left, "right": right, "size": size}
+def _itree_to_dict(t: Tree) -> dict:
+    return {"feature": t.feature.tolist(), "threshold": t.threshold.tolist(),
+            "left": t.left.tolist(), "right": t.right.tolist(),
+            "size": t.n_samples.tolist()}
 
 
-def _inode_unflatten(d: dict) -> _INode:
-    def build(idx: int) -> _INode:
-        node = _INode(feature=d["feature"][idx], threshold=d["threshold"][idx],
-                      size=d["size"][idx])
-        if node.feature != -1:
-            node.left = build(d["left"][idx])
-            node.right = build(d["right"][idx])
-        return node
-
-    return build(0)
+def _itree_from_dict(d: dict) -> Tree:
+    size = d["size"]
+    zeros = [0.0] * len(size)
+    t = _tree_from_dict({**d, "value": zeros, "n_samples": size, "impurity": zeros})
+    t.value = node_depths(t) + np.array([average_path_length(n) for n in size])
+    return t
 
 
 def ensemble_to_dict(ensemble) -> dict:
@@ -84,7 +66,7 @@ def ensemble_to_dict(ensemble) -> dict:
     elif isinstance(ensemble, IsolationForest):
         doc["subsample_size"] = ensemble.subsample_size
         doc["n_train"] = ensemble.n_train
-        doc["trees"] = [_inode_flatten(t) for t in ensemble.trees]
+        doc["trees"] = [_itree_to_dict(t) for t in ensemble.trees]
     else:
         raise TypeError(f"cannot serialize {type(ensemble).__name__}")
     return doc
@@ -103,7 +85,7 @@ def ensemble_from_dict(doc: dict):
                                 learning_rate=doc["learning_rate"],
                                 seed=doc["seed"], train_mse=doc["train_mse"])
     if kind == "isolation_forest":
-        return IsolationForest(trees=[_inode_unflatten(t) for t in doc["trees"]],
+        return IsolationForest(trees=[_itree_from_dict(t) for t in doc["trees"]],
                                subsample_size=doc["subsample_size"],
                                n_train=doc["n_train"], seed=doc["seed"])
     raise DataError(f"unknown ensemble kind {kind!r}")

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import DataError
 from ..seeding import child_rng
+from .cart import LEAF, NodeTable, Tree
 
 EULER_GAMMA = 0.5772156649
 
@@ -23,52 +25,44 @@ def average_path_length(n: int) -> float:
 
 
 @dataclass
-class _INode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_INode | None" = None
-    right: "_INode | None" = None
-    size: int = 0  # leaf sample count
-
-
-@dataclass
 class IsolationForest:
-    trees: list[_INode]
+    trees: list[Tree]       # leaf value: depth + c(leaf size)
     subsample_size: int
     n_train: int
     seed: int
     kind: str = "isolation_forest"
 
-    def path_length(self, x: np.ndarray) -> float:
-        """Mean adjusted isolation depth of one row across all trees."""
-        total = 0.0
-        for root in self.trees:
-            node = root
-            depth = 0
-            while node.feature != -1:
-                node = node.left if x[node.feature] <= node.threshold else node.right
-                depth += 1
-            total += depth + average_path_length(node.size)
-        return total / len(self.trees)
+    @cached_property
+    def _table(self) -> NodeTable:
+        return NodeTable.stack(self.trees)
+
+    def mean_path_length(self, X) -> np.ndarray:
+        """Mean adjusted isolation depth of every row across all trees."""
+        return self._table.sum_leaf_values(X) / len(self.trees)
 
 
-def _grow(X, rows, depth, depth_cap, rng) -> _INode:
+def _grow(X, rows, depth, depth_cap, rng, nodes) -> int:
+    """Append the subtree over rows to nodes in preorder; return its index."""
+    idx = len(nodes)
+    nodes.append([LEAF, 0.0, LEAF, LEAF, depth + average_path_length(len(rows)),
+                  len(rows), 0.0])
     if depth >= depth_cap or len(rows) <= 1:
-        return _INode(size=len(rows))
+        return idx
     sub = X[rows]
     spans = sub.max(axis=0) - sub.min(axis=0)
     candidates = np.flatnonzero(spans > 0)
     if candidates.size == 0:
-        return _INode(size=len(rows))
+        return idx
     f = int(rng.choice(candidates))
     lo, hi = sub[:, f].min(), sub[:, f].max()
     thr = float(rng.uniform(lo, hi))
     go_left = sub[:, f] <= thr
     if go_left.all() or not go_left.any():
-        return _INode(size=len(rows))
-    return _INode(feature=f, threshold=thr,
-                  left=_grow(X, rows[go_left], depth + 1, depth_cap, rng),
-                  right=_grow(X, rows[~go_left], depth + 1, depth_cap, rng))
+        return idx
+    left = _grow(X, rows[go_left], depth + 1, depth_cap, rng, nodes)
+    right = _grow(X, rows[~go_left], depth + 1, depth_cap, rng, nodes)
+    nodes[idx][:4] = [f, thr, left, right]
+    return idx
 
 
 def fit_isolation_forest(X, n_trees: int = 100, subsample: int = 256,
@@ -87,18 +81,25 @@ def fit_isolation_forest(X, n_trees: int = 100, subsample: int = 256,
     for i in range(n_trees):
         rng = child_rng(seed, i)
         rows = rng.choice(n, size=subsample, replace=False)
-        trees.append(_grow(X, rows, 0, depth_cap, rng))
+        nodes = []
+        _grow(X, rows, 0, depth_cap, rng, nodes)
+        trees.append(Tree.from_nodes(nodes))
     return IsolationForest(trees=trees, subsample_size=subsample, n_train=n, seed=seed)
 
 
-def anomaly_score(forest: IsolationForest, x) -> float:
-    """S(x, n) = 2^(-E(h(x)) / c(n)); higher means more anomalous."""
+def _scores(forest: IsolationForest, X) -> np.ndarray:
+    """S(x, n) = 2^(-E(h(x)) / c(n)) of every row of X."""
     if not forest.trees:
         raise DataError("unfitted forest")
-    x = np.asarray(x, dtype=float)
-    e_h = forest.path_length(x)
     c = average_path_length(forest.subsample_size)
-    return float(2.0 ** (-e_h / c))
+    # Python's scalar pow, once per row: np.power and np.exp2 round some
+    # inputs differently in the last bit
+    return np.array([2.0 ** (-e_h / c) for e_h in forest.mean_path_length(X).tolist()])
+
+
+def anomaly_score(forest: IsolationForest, x) -> float:
+    """S(x, n) of one row; higher means more anomalous."""
+    return float(_scores(forest, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def detect_anomalies(X, contamination: float = 0.02, n_trees: int = 100,
@@ -114,7 +115,7 @@ def detect_anomalies(X, contamination: float = 0.02, n_trees: int = 100,
     n = X.shape[0]
     forest = fit_isolation_forest(X, n_trees=n_trees,
                                   subsample=min(subsample, n), seed=seed)
-    scores = np.array([anomaly_score(forest, X[i]) for i in range(n)])
+    scores = _scores(forest, X)
     k = math.ceil(contamination * n)
     if k == 0:
         return np.array([], dtype=int), scores

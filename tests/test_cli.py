@@ -64,6 +64,35 @@ class TestExitCodes:
         assert main(["--set", "nonsense", "synth"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_unknown_override_key_rejected(self, tmp_path, capsys):
+        assert run("synth", tmp_path, extra=["train.epoch=1"]) == 1
+        assert "config error: unknown config key 'train.epoch'" in capsys.readouterr().err
+        assert not (tmp_path / "dataset.csv").exists()
+
+    def test_override_into_leaf_rejected(self, tmp_path, capsys):
+        assert run("synth", tmp_path, extra=["master_seed.x=1"]) == 1
+        assert "config error: unknown config key 'master_seed.x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ("train:\n  epoch: 12\n", "unknown config key 'train.epoch'"),
+        ("master_seed:\n  x: 1\n", "unknown config key 'master_seed.x'"),
+        ("colour: red\n", "unknown config key 'colour'"),
+        ("train: 5\n", "config section 'train' needs a mapping"),
+    ])
+    def test_unknown_yaml_key_rejected(self, tmp_path, capsys, text, key):
+        cfgfile = tmp_path / "cfg.yaml"
+        cfgfile.write_text(text)
+        assert main(["--config", str(cfgfile), "--set", f"output_dir={tmp_path}",
+                     "synth"]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_open_leaves_take_values(self, tmp_path):
+        cfg = load_config(None, ["explain.target=1500", "robustness.levels=[0.1, 0.3]",
+                                 f"data.source={tmp_path}/specimens.v2.csv"])
+        assert cfg["explain"]["target"] == 1500
+        assert cfg["robustness"]["levels"] == [0.1, 0.3]
+        assert cfg["data"]["source"] == f"{tmp_path}/specimens.v2.csv"
+
     def test_evaluate_without_model(self, tmp_path, capsys):
         assert run("synth", tmp_path) == 0
         assert run("evaluate", tmp_path) == 2

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 import cfstcap
-from cfstcap.trees import (IsolationForest, RandomForest, anomaly_score,
-                           average_path_length, detect_anomalies,
-                           ensemble_from_dict, ensemble_to_dict,
-                           fit_gradient_boosting, fit_isolation_forest,
-                           fit_random_forest, fit_regression_tree,
-                           gini_impurity, load_ensemble, mdi_importance,
-                           save_ensemble)
+from cfstcap.trees import (GradientBoosting, IsolationForest, RandomForest,
+                           anomaly_score, average_path_length,
+                           detect_anomalies, ensemble_from_dict,
+                           ensemble_to_dict, fit_gradient_boosting,
+                           fit_isolation_forest, fit_random_forest,
+                           fit_regression_tree, load_ensemble,
+                           mdi_importance, save_ensemble)
 from cfstcap.trees import _kernels
 from cfstcap.trees._split_py import best_split as best_split_py
 from cfstcap.errors import DataError
@@ -86,11 +86,6 @@ class TestCart:
         with pytest.raises(DataError):
             fit_regression_tree(np.empty((0, 2)), np.empty(0))
 
-    def test_gini_hand_values(self):
-        assert gini_impurity([1, 1, 1]) == 0.0
-        assert gini_impurity([0, 1]) == pytest.approx(0.5)
-        assert gini_impurity([0, 0, 1, 1, 1, 1]) == pytest.approx(4 / 9)
-
 
 class TestBackends:
     @pytest.mark.skipif(
@@ -155,6 +150,185 @@ class TestBackends:
         assert child["backend"] == "python"
         assert child["module"] == "cfstcap.trees._split_py"
         assert child["attempts"] == []
+
+
+def walk_one(tree, x):
+    """Reference traversal: follow one row node by node to its leaf.
+
+    Returns (leaf index, depth of the leaf)."""
+    node, depth = 0, 0
+    while tree.feature[node] != -1:
+        f = tree.feature[node]
+        node = tree.left[node] if x[f] <= tree.threshold[node] else tree.right[node]
+        depth += 1
+    return node, depth
+
+
+def tree_depth(tree, node=0):
+    if tree.feature[node] == -1:
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]), tree_depth(tree, tree.right[node]))
+
+
+def walk_tree(tree, X):
+    return np.array([tree.value[walk_one(tree, x)[0]] for x in X], dtype=float)
+
+
+def walk_boosting(g, X):
+    acc = np.full(len(X), g.base_score)
+    for t in g.trees:
+        acc += g.learning_rate * walk_tree(t, X)
+    return acc
+
+
+def walk_forest(f, X):
+    acc = np.zeros(len(X))
+    for t in f.trees:
+        acc += walk_tree(t, X)
+    return acc / len(f.trees)
+
+
+def walk_isolation_scores(forest, X):
+    """2^(-E(h) / c(psi)) with E(h) summed tree by tree from each leaf's
+    depth and sample count, as the isolation forest paper defines it."""
+    c = average_path_length(forest.subsample_size)
+    scores = []
+    for x in X:
+        total = 0.0
+        for t in forest.trees:
+            leaf, depth = walk_one(t, x)
+            total += depth + average_path_length(int(t.n_samples[leaf]))
+        scores.append(2.0 ** (-(total / len(forest.trees)) / c))
+    return np.array(scores)
+
+
+def _reference(model, X):
+    if isinstance(model, GradientBoosting):
+        return walk_boosting(model, X)
+    if isinstance(model, RandomForest):
+        return walk_forest(model, X)
+    if isinstance(model, IsolationForest):
+        return walk_isolation_scores(model, X)
+    return walk_tree(model, X)
+
+
+def _predict(model, X):
+    if isinstance(model, IsolationForest):
+        return np.array([anomaly_score(model, x) for x in X])
+    return model.predict(X)
+
+
+def _on_thresholds(tree, X):
+    """Rows of X with one feature set exactly to an internal node's threshold."""
+    rows = []
+    for i in np.flatnonzero(tree.feature != -1):
+        row = X[i % len(X)].copy()
+        row[tree.feature[i]] = tree.threshold[i]
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestFlatTraversal:
+    """The level-by-level walk over the stacked node table against a
+    per-row node walk, bit for bit."""
+
+    def _data(self, n=300, m=5, seed=0):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, m))
+        y = np.sin(4 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=n)
+        return X, y, rng.uniform(size=(257, m))
+
+    def test_tree_matches_walk(self):
+        X, y, Xt = self._data()
+        t = fit_regression_tree(X, y, max_depth=9)
+        for Z in (X, Xt, _on_thresholds(t, X)):
+            assert np.array_equal(t.predict(Z), walk_tree(t, Z))
+
+    def test_boosting_matches_walk(self):
+        X, y, Xt = self._data(seed=1)
+        g = fit_gradient_boosting(X, y, n_trees=30, max_depth=6, seed=3)
+        on_thr = np.vstack([_on_thresholds(t, X) for t in g.trees])
+        for Z in (X, Xt, on_thr):
+            assert np.array_equal(g.predict(Z), walk_boosting(g, Z))
+
+    def test_deep_forest_mixed_depths_matches_walk(self):
+        X, y, Xt = self._data(n=100, seed=2)
+        f = fit_random_forest(X, y, n_trees=20, max_depth=12, seed=4)
+        depths = {tree_depth(t) for t in f.trees}
+        assert len(depths) > 1 and max(depths) == 12  # trees of one table differ
+        on_thr = np.vstack([_on_thresholds(t, X) for t in f.trees[:3]])
+        for Z in (X, Xt, on_thr):
+            assert np.array_equal(f.predict(Z), walk_forest(f, Z))
+
+    def test_isolation_scores_match_walk(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(200, 4))
+        X[17] = 8.0
+        kw = dict(n_trees=40, subsample=128, seed=6)
+        forest = fit_isolation_forest(X, **kw)
+        _, scores = detect_anomalies(X, contamination=0.02, **kw)
+        assert np.array_equal(scores, walk_isolation_scores(forest, X))
+        Z = _on_thresholds(forest.trees[0], X)
+        assert np.array_equal(_predict(forest, Z), walk_isolation_scores(forest, Z))
+
+    def test_single_leaf_trees(self):
+        X = np.arange(10.0).reshape(-1, 1)
+        t = fit_regression_tree(X, np.full(10, 7.0))
+        assert len(t) == 1
+        assert np.array_equal(t.predict(X), np.full(10, 7.0))
+        g = fit_gradient_boosting(X, np.full(10, 7.0), n_trees=3)
+        assert np.array_equal(g.predict(X), walk_boosting(g, X))
+        # a lone leaf stacked with a deep tree: the leaf stays put
+        deep = fit_regression_tree(X, np.sin(X[:, 0]), max_depth=5)
+        f = RandomForest(trees=[t, deep, t], n_features=1, seed=0)
+        Xt = np.linspace(-1.0, 11.0, 25).reshape(-1, 1)
+        assert np.array_equal(f.predict(Xt), walk_forest(f, Xt))
+
+    def test_row_on_threshold_goes_left(self):
+        X = np.arange(1.0, 7.0).reshape(-1, 1)
+        y = np.array([0.0, 0.0, 0.0, 10.0, 10.0, 10.0])
+        t = fit_regression_tree(X, y, max_depth=1)
+        on = np.array([[t.threshold[0]], [np.nextafter(t.threshold[0], np.inf)]])
+        assert np.array_equal(t.predict(on), [0.0, 10.0])
+
+    def test_zero_rows(self):
+        X, y, _ = self._data(n=60)
+        empty = np.empty((0, X.shape[1]))
+        models = [fit_regression_tree(X, y),
+                  fit_gradient_boosting(X, y, n_trees=4),
+                  fit_random_forest(X, y, n_trees=4, seed=0)]
+        for model in models:
+            assert model.predict(empty).shape == (0,)
+        forest = fit_isolation_forest(X, n_trees=4, subsample=32)
+        assert forest.mean_path_length(empty).shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["gradient_boosting", "random_forest",
+                                      "isolation_forest"])
+    def test_roundtrip_matches_walk(self, kind, tmp_path):
+        X, y, Xt = self._data(n=150, seed=7)
+        model = {"gradient_boosting": lambda: fit_gradient_boosting(X, y, n_trees=12),
+                 "random_forest": lambda: fit_random_forest(X, y, n_trees=8,
+                                                            max_depth=12, seed=1),
+                 "isolation_forest": lambda: fit_isolation_forest(X, n_trees=12,
+                                                                  subsample=64)}[kind]()
+        p = tmp_path / "model.json"
+        save_ensemble(model, p)
+        loaded = load_ensemble(p)
+        assert loaded.kind == kind
+        want = _reference(model, Xt)
+        assert np.array_equal(_predict(model, Xt), want)
+        assert np.array_equal(_predict(loaded, Xt), want)
+
+    def test_isolation_file_without_inner_sizes_loads(self):
+        # files written before isolation trees shared the Tree layout
+        # record a size only at leaves; inner nodes carry 0
+        X = np.random.default_rng(8).normal(size=(120, 3))
+        forest = fit_isolation_forest(X, n_trees=10, subsample=64, seed=2)
+        doc = ensemble_to_dict(forest)
+        for t in doc["trees"]:
+            t["size"] = [s if f == -1 else 0 for f, s in zip(t["feature"], t["size"])]
+        loaded = ensemble_from_dict(json.loads(json.dumps(doc)))
+        assert np.array_equal(_predict(loaded, X), walk_isolation_scores(forest, X))
 
 
 class TestRandomForest:
