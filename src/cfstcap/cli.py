@@ -84,18 +84,29 @@ def _check_keys(extra, default, where: str = "") -> None:
             _check_keys(v, default[k], key)
 
 
+def _parse_yaml(text: str, where: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed YAML in {where}: {exc}") from None
+
+
 def load_config(path: str | None, overrides) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
-        with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh) or {}
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+        doc = _parse_yaml(text, path) or {}
         _check_keys(doc, DEFAULT_CONFIG)
         deep_update(cfg, doc)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
         key, raw = item.split("=", 1)
-        doc = yaml.safe_load(raw)
+        doc = _parse_yaml(raw, f"override {item!r}")
         for part in reversed(key.split(".")):
             doc = {part: doc}
         _check_keys(doc, DEFAULT_CONFIG)
@@ -104,7 +115,10 @@ def load_config(path: str | None, overrides) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    """Digest of the config; output_dir is left out, as it names where the
+    artifacts go, not what they are."""
+    kept = {k: v for k, v in cfg.items() if k != "output_dir"}
+    blob = json.dumps(kept, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -1,6 +1,5 @@
 """Decision-tree machinery: CART regression trees, random forest MDI,
 gradient boosting, isolation forest and Shapley attributions."""
-from ._kernels import BACKEND as SPLIT_BACKEND
 from .boosting import GradientBoosting, fit_gradient_boosting
 from .cart import Tree, fit_regression_tree
 from .forest import RandomForest, fit_random_forest, mdi_importance
@@ -8,6 +7,9 @@ from .io import ensemble_from_dict, ensemble_to_dict, load_ensemble, save_ensemb
 from .isolation import (IsolationForest, anomaly_score, average_path_length,
                         detect_anomalies, fit_isolation_forest)
 from .shapley import (global_importance, shapley_exact, shapley_permutation)
+
+# the split search has one implementation, cart.best_split
+SPLIT_BACKEND = "numpy"
 
 __all__ = [
     "SPLIT_BACKEND", "Tree", "fit_regression_tree",

@@ -1,5 +1,5 @@
-"""CART regression trees built on the shared split-search kernel, and the
-flat node table every tree kind is predicted through."""
+"""CART regression trees built on one presorted split-search kernel, and
+the flat node table every tree kind is predicted through."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,7 +8,6 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import DataError
-from . import _kernels
 
 LEAF = -1
 
@@ -128,7 +127,49 @@ class NodeTable:
         return acc
 
 
+def best_split(X, y, order, features, min_leaf):
+    """Split minimizing summed child SSE over one node's rows.
+
+    order[:, f] lists the node's rows by ascending X[:, f], ties by
+    ascending row id, as a stable argsort of that column would. Every
+    candidate feature is scored in one 2-D pass: a candidate threshold is
+    the midpoint between consecutive distinct sorted values. Ties go to
+    the first minimal threshold of a feature, then to the first minimal
+    feature in the given order.
+
+    Returns (feature, threshold, score) or None when no valid split exists.
+    """
+    n = order.shape[0]
+    if n < 2 * min_leaf:
+        return None
+    rows = order[:, features]
+    vs = X[rows, features]
+    ys = y[rows]
+    csum = np.cumsum(ys, axis=0)
+    csum2 = np.cumsum(ys * ys, axis=0)
+    total = csum[-1]
+    total2 = csum2[-1]
+    k = np.arange(1, n)[:, None]
+    valid = (vs[1:] > vs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
+    left = csum2[:-1] - csum[:-1] ** 2 / k
+    right = (total2 - csum2[:-1]) - (total - csum[:-1]) ** 2 / (n - k)
+    score = np.where(valid, left + right, np.inf)
+    at = score.argmin(axis=0)
+    j = int(score[at, np.arange(len(features))].argmin())
+    if not valid[:, j].any():
+        return None
+    i = at[j]
+    return int(features[j]), float(0.5 * (vs[i, j] + vs[i + 1, j])), float(score[i, j])
+
+
 class _Builder:
+    """Grows one tree in preorder over columns argsorted once, at the root.
+
+    A node passes each child its rows in ascending order and the child's
+    rows of every sorted column, compressed out of its own in order, so no
+    node sorts again.
+    """
+
     def __init__(self, X, y, max_depth, min_leaf, max_features, rng):
         self.X = np.ascontiguousarray(X, dtype=float)
         self.y = np.ascontiguousarray(y, dtype=float)
@@ -136,6 +177,7 @@ class _Builder:
         self.min_leaf = min_leaf
         self.max_features = max_features
         self.rng = rng
+        self.goes_left = np.zeros(len(self.y), dtype=bool)
         self.nodes: list[list] = []  # feature, threshold, left, right, value, n, impurity
 
     def _candidate_features(self):
@@ -145,7 +187,7 @@ class _Builder:
         chosen = self.rng.choice(m, size=self.max_features, replace=False)
         return np.sort(chosen)
 
-    def build(self, rows, depth):
+    def build(self, rows, order, depth):
         yr = self.y[rows]
         mean = float(yr.mean())
         var = float(yr.var())
@@ -153,14 +195,20 @@ class _Builder:
         self.nodes.append([LEAF, 0.0, LEAF, LEAF, mean, len(rows), var])
         if depth >= self.max_depth or var == 0.0 or len(rows) < 2 * self.min_leaf:
             return idx
-        split = _kernels.best_split(self.X, self.y, rows,
-                                    self._candidate_features(), self.min_leaf)
+        split = best_split(self.X, self.y, order, self._candidate_features(),
+                           self.min_leaf)
         if split is None:
             return idx
         f, thr, _score = split
         go_left = self.X[rows, f] <= thr
-        left = self.build(rows[go_left], depth + 1)
-        right = self.build(rows[~go_left], depth + 1)
+        n_left = int(go_left.sum())
+        self.goes_left[rows] = go_left
+        cols = order.T  # one sorted column per row, compressed in order
+        in_left = self.goes_left[cols]
+        left_order = cols[in_left].reshape(-1, n_left).T
+        right_order = cols[~in_left].reshape(-1, len(rows) - n_left).T
+        left = self.build(rows[go_left], left_order, depth + 1)
+        right = self.build(rows[~go_left], right_order, depth + 1)
         self.nodes[idx][0] = f
         self.nodes[idx][1] = thr
         self.nodes[idx][2] = left
@@ -187,5 +235,5 @@ def fit_regression_tree(X, y, max_depth: int = 8, min_leaf: int = 1,
     if rng is None:
         rng = np.random.default_rng(seed)
     b = _Builder(X, y, max_depth, min_leaf, max_features, rng)
-    b.build(np.arange(X.shape[0]), 0)
+    b.build(np.arange(X.shape[0]), np.argsort(b.X, axis=0, kind="stable"), 0)
     return Tree.from_nodes(b.nodes)

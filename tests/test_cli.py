@@ -54,6 +54,12 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash({"x": 2, "y": {"p": 2, "q": 3}})
 
+    def test_config_hash_ignores_output_dir(self):
+        a = load_config(None, ["output_dir=a", "train.epochs=5"])
+        b = load_config(None, ["output_dir=b", "train.epochs=5"])
+        assert config_hash(a) == config_hash(b)
+        assert config_hash(a) != config_hash(load_config(None, ["output_dir=a"]))
+
 
 class TestExitCodes:
     def test_unknown_stage(self, capsys):
@@ -85,6 +91,33 @@ class TestExitCodes:
         assert main(["--config", str(cfgfile), "--set", f"output_dir={tmp_path}",
                      "synth"]) == 1
         assert key in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path / "absent.yaml"), "synth"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file") and "absent.yaml" in err
+
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.yaml"
+        cfgfile.write_bytes(b"master_seed: \xff\xfe\n")  # not UTF-8
+        assert main(["--config", str(cfgfile), "synth"]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config file")
+        assert main(["--config", str(tmp_path), "synth"]) == 1  # a directory
+        assert capsys.readouterr().err.startswith("config error: cannot read config file")
+
+    def test_malformed_yaml_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.yaml"
+        cfgfile.write_text("train: [1,\n")
+        assert main(["--config", str(cfgfile), "--set", f"output_dir={tmp_path}",
+                     "synth"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: malformed YAML in {cfgfile}")
+        assert not (tmp_path / "dataset.csv").exists()
+
+    def test_malformed_yaml_override(self, tmp_path, capsys):
+        assert run("synth", tmp_path, extra=["train.epochs=[1,"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: malformed YAML in override 'train.epochs=[1,'")
+        assert not (tmp_path / "dataset.csv").exists()
 
     def test_open_leaves_take_values(self, tmp_path):
         cfg = load_config(None, ["explain.target=1500", "robustness.levels=[0.1, 0.3]",
@@ -129,8 +162,7 @@ class TestStages:
         assert (d1 / "dataset.csv").read_bytes() == (d2 / "dataset.csv").read_bytes()
         m1 = json.loads((d1 / "manifest_synth.json").read_text())
         m2 = json.loads((d2 / "manifest_synth.json").read_text())
-        m1.pop("config_hash"), m2.pop("config_hash")  # differ via output_dir
-        assert m1 == m2
+        assert m1 == m2  # config_hash leaves output_dir out
 
     def test_screen_prefers_cleaned_dataset(self, tmp_path, capsys):
         assert run("synth", tmp_path) == 0

@@ -1,24 +1,17 @@
-import importlib.util
 import json
 import math
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
 
-import cfstcap
 from cfstcap.trees import (GradientBoosting, IsolationForest, RandomForest,
-                           anomaly_score, average_path_length,
+                           Tree, anomaly_score, average_path_length,
                            detect_anomalies, ensemble_from_dict,
                            ensemble_to_dict, fit_gradient_boosting,
                            fit_isolation_forest, fit_random_forest,
                            fit_regression_tree, load_ensemble,
                            mdi_importance, save_ensemble)
-from cfstcap.trees import _kernels
-from cfstcap.trees._split_py import best_split as best_split_py
+from cfstcap.trees.cart import best_split
 from cfstcap.errors import DataError
 
 
@@ -70,7 +63,7 @@ class TestCart:
         rng = np.random.default_rng(seed)
         X = np.round(rng.uniform(size=(30, 4)), 1)  # ties on purpose
         y = rng.normal(size=30)
-        got = _kernels.best_split(X, y, np.arange(30), np.arange(4), 2)
+        got = best_split(X, y, np.argsort(X, axis=0, kind="stable"), np.arange(4), 2)
         want = brute_force_split(X, y, min_leaf=2)
         assert got is not None
         assert got[0] == want[0]
@@ -87,69 +80,149 @@ class TestCart:
             fit_regression_tree(np.empty((0, 2)), np.empty(0))
 
 
-class TestBackends:
-    @pytest.mark.skipif(
-        importlib.util.find_spec("cfstcap.trees._split_cy") is None,
-        reason="compiled kernel cfstcap.trees._split_cy not built")
-    @pytest.mark.parametrize("seed", range(20))
-    def test_backend_agreement(self, seed):
-        from cfstcap.trees._split_cy import best_split as best_split_cy
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 80))
-        m = int(rng.integers(1, 6))
-        X = np.round(rng.uniform(size=(n, m)), 1)
-        y = rng.normal(size=n)
-        rows = np.arange(n)
-        feats = np.arange(m)
-        a = best_split_cy(X, y, rows, feats, 1)
-        b = best_split_py(X, y, rows, feats, 1)
-        if a is None or b is None:
-            assert a == b
+def reference_split(X, y, rows, features, min_leaf):
+    """The split search as it was before presorting: one stable argsort
+    and two cumsums per candidate feature, first strict improvement wins."""
+    n = len(rows)
+    if n < 2 * min_leaf:
+        return None
+    best = None
+    yr = y[rows]
+    for f in features:
+        v = X[rows, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        ys = yr[order]
+        csum = np.cumsum(ys)
+        csum2 = np.cumsum(ys * ys)
+        k = np.arange(1, n)
+        valid = (vs[1:] > vs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
+        if not valid.any():
+            continue
+        left = csum2[:-1] - csum[:-1] ** 2 / k
+        right = (csum2[-1] - csum2[:-1]) - (csum[-1] - csum[:-1]) ** 2 / (n - k)
+        score = np.where(valid, left + right, np.inf)
+        i = int(np.argmin(score))
+        if best is None or score[i] < best[2]:
+            best = (int(f), float(0.5 * (vs[i] + vs[i + 1])), float(score[i]))
+    return best
+
+
+def reference_tree(X, y, max_depth=8, min_leaf=1, seed=None, max_features=None,
+                   rng=None):
+    """Recursive builder calling reference_split at every node, with the
+    same rng draws as fit_regression_tree."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rng = np.random.default_rng(seed) if rng is None else rng
+    m = X.shape[1]
+    nodes = []
+
+    def build(rows, depth):
+        yr = y[rows]
+        idx = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, float(yr.mean()), len(rows), float(yr.var())])
+        if depth >= max_depth or nodes[idx][6] == 0.0 or len(rows) < 2 * min_leaf:
+            return idx
+        if max_features is None or max_features >= m:
+            features = np.arange(m)
         else:
-            assert a[0] == b[0]
-            assert a[1] == pytest.approx(b[1], rel=1e-12)
-            assert a[2] == pytest.approx(b[2], rel=1e-9)
+            features = np.sort(rng.choice(m, size=max_features, replace=False))
+        split = reference_split(X, y, rows, features, min_leaf)
+        if split is None:
+            return idx
+        f, thr, _ = split
+        go_left = X[rows, f] <= thr
+        left = build(rows[go_left], depth + 1)
+        right = build(rows[~go_left], depth + 1)
+        nodes[idx][:4] = [f, thr, left, right]
+        return idx
 
-    def test_env_var_forces_python(self):
-        # A fresh interpreter with the variable set must bind the numpy
-        # kernel without even looking for the compiled one; the spy on
-        # sys.meta_path records any such lookup, so the test can fail on a
-        # machine where _split_cy does not exist.
-        code = textwrap.dedent("""
-            import json, sys
+    build(np.arange(len(y)), 0)
+    return Tree.from_nodes(nodes)
 
-            attempts = []
 
-            class Spy:
-                def find_spec(self, name, path=None, target=None):
-                    if name == "cfstcap.trees._split_cy":
-                        attempts.append(name)
-                    return None
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples",
+               "impurity")
 
-            sys.meta_path.insert(0, Spy())
-            import cfstcap
-            import cfstcap.trees as t
-            print(json.dumps({
-                "file": cfstcap.__file__,
-                "backend": t.SPLIT_BACKEND,
-                "module": t._kernels.best_split.__module__,
-                "attempts": attempts,
-            }))
-        """)
-        # run on the copy of cfstcap under test, not on an installed one
-        init = os.path.abspath(cfstcap.__file__)
-        root = os.path.dirname(os.path.dirname(init))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, CFSTCAP_FORCE_PYTHON_KERNEL="1",
-                   PYTHONPATH=root + (os.pathsep + path if path else ""))
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, env=env)
-        assert out.returncode == 0, out.stderr
-        child = json.loads(out.stdout)
-        assert child["file"] == init
-        assert child["backend"] == "python"
-        assert child["module"] == "cfstcap.trees._split_py"
-        assert child["attempts"] == []
+
+def assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in TREE_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def oracle_data(kind, n=160, m=6, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, m))
+    y = np.sin(4 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=n)
+    if kind == "ties":
+        X = np.round(X, 1)
+        y = np.round(y, 1)
+    elif kind == "constant_column":
+        X[:, 2] = 0.5
+    elif kind == "duplicate_rows":
+        X[n // 2:] = X[:n - n // 2]
+        y[n // 2:] = y[:n - n // 2]
+    return X, y
+
+
+ORACLE_CASES = [(kind, min_leaf, depth)
+                for kind in ("uniform", "ties", "constant_column", "duplicate_rows")
+                for min_leaf, depth in ((1, 6), (3, 12))]
+
+
+class TestPresortedKernel:
+    """fit_regression_tree, boosting and forests against the per-node
+    argsort builder, bit for bit on every Tree array."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_split_matches_reference_on_subsets(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 90)), int(rng.integers(1, 7))
+        X = np.round(rng.uniform(size=(n, m)), int(rng.integers(0, 3)))
+        y = rng.normal(size=n)
+        rows = np.flatnonzero(rng.uniform(size=n) < 0.7)
+        features = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)),
+                                      replace=False))
+        order = rows[np.argsort(X[rows], axis=0, kind="stable")]
+        for min_leaf in (1, 2, 5):
+            assert (best_split(X, y, order, features, min_leaf)
+                    == reference_split(X, y, rows, features, min_leaf))
+
+    def test_no_valid_split(self):
+        X = np.ones((6, 2))
+        order = np.argsort(X, axis=0, kind="stable")
+        assert best_split(X, np.arange(6.0), order, np.arange(2), 1) is None
+        assert best_split(X[:3], np.arange(3.0), order[:3], np.arange(2), 2) is None
+
+    @pytest.mark.parametrize("kind, min_leaf, depth", ORACLE_CASES)
+    def test_tree_matches_reference(self, kind, min_leaf, depth):
+        X, y = oracle_data(kind)
+        got = fit_regression_tree(X, y, max_depth=depth, min_leaf=min_leaf)
+        want = reference_tree(X, y, max_depth=depth, min_leaf=min_leaf)
+        assert len(got) > 1
+        assert_same_trees([got], [want])
+
+    @pytest.mark.parametrize("kind, min_leaf, depth", ORACLE_CASES)
+    def test_ensembles_match_reference(self, kind, min_leaf, depth, monkeypatch):
+        X, y = oracle_data(kind, seed=1)
+        gb = fit_gradient_boosting(X, y, n_trees=6, max_depth=depth,
+                                   min_leaf=min_leaf, seed=2)
+        rf = fit_random_forest(X, y, n_trees=6, max_depth=depth,
+                               min_leaf=min_leaf, seed=3)
+        # the ensembles look the tree builder up in their own modules
+        monkeypatch.setattr("cfstcap.trees.boosting.fit_regression_tree", reference_tree)
+        monkeypatch.setattr("cfstcap.trees.forest.fit_regression_tree", reference_tree)
+        gb_ref = fit_gradient_boosting(X, y, n_trees=6, max_depth=depth,
+                                       min_leaf=min_leaf, seed=2)
+        rf_ref = fit_random_forest(X, y, n_trees=6, max_depth=depth,
+                                   min_leaf=min_leaf, seed=3)
+        assert_same_trees(gb.trees, gb_ref.trees)
+        assert gb.train_mse == gb_ref.train_mse
+        assert_same_trees(rf.trees, rf_ref.trees)
 
 
 def walk_one(tree, x):
