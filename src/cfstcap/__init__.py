@@ -8,11 +8,11 @@ design-code baselines and explanation/robustness harnesses.
 __version__ = "0.1.0"
 
 from .data import Dataset, Specimen, generate_synthetic, load_csv, save_csv
-from .features import FeatureFrame, build_frame, engineer
+from .features import FeatureFrame, build_frame
 from .network import ConstraintSpec, TrainConfig, predict, train, variant_spec
 
 __all__ = [
     "__version__", "Dataset", "Specimen", "generate_synthetic", "load_csv",
-    "save_csv", "FeatureFrame", "build_frame", "engineer",
+    "save_csv", "FeatureFrame", "build_frame",
     "ConstraintSpec", "TrainConfig", "train", "predict", "variant_spec",
 ]

@@ -126,13 +126,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(outdir: Path, stage: str, cfg: dict, artifacts: list[Path]) -> Path:
+def write_manifest(outdir: Path, stage: str, cfg: dict, artifacts: list[Path],
+                   **fields) -> Path:
     doc = {
         "config_hash": config_hash(cfg),
         "master_seed": cfg["master_seed"],
         "stage": stage,
         "artifact_list": {p.name: _sha256(p) for p in artifacts},
         "versions": {"cfstcap": __version__, "model_format": 1},
+        **fields,
     }
     path = outdir / f"manifest_{stage}.json"
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
@@ -152,17 +154,31 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _dataset(cfg: dict, outdir: Path) -> Dataset:
+def _source_path(cfg: dict, outdir: Path) -> Path:
+    """The unscreened dataset: the synth stage's output or the configured CSV."""
     src = cfg["data"]["source"]
-    screened = outdir / "dataset_screened.csv"
-    if screened.exists():
-        return _with_split(load_csv(screened, cfg["data"]["range_mode"]), cfg)
+    path = outdir / "dataset.csv" if src == "synthetic" else Path(src)
+    if path.is_file():
+        return path
     if src == "synthetic":
-        path = outdir / "dataset.csv"
-        if not path.exists():
-            raise DataError("no dataset present; run the synth stage first")
-        return _with_split(load_csv(path, cfg["data"]["range_mode"]), cfg)
-    return _with_split(load_csv(src, cfg["data"]["range_mode"]), cfg)
+        raise DataError("no dataset present; run the synth stage first")
+    raise DataError(f"cannot read dataset {path}: no such file")
+
+
+def _dataset(cfg: dict, outdir: Path, screened: bool = True) -> Dataset:
+    """The screened dataset if the screen stage ran on the current source,
+    else the source; a screened file left from another source is an error."""
+    path = _source_path(cfg, outdir)
+    cleaned = outdir / "dataset_screened.csv"
+    if screened and cleaned.exists():
+        manifest = outdir / "manifest_screen.json"
+        recorded = (json.loads(manifest.read_text()).get("source_sha256")
+                    if manifest.exists() else None)
+        if recorded != _sha256(path):
+            raise DataError(f"{cleaned} was not screened from the current dataset "
+                            f"{path}; rerun the screen stage")
+        path = cleaned
+    return _with_split(load_csv(path, cfg["data"]["range_mode"]), cfg)
 
 
 def _with_split(ds: Dataset, cfg: dict) -> Dataset:
@@ -264,7 +280,7 @@ def stage_select(cfg, outdir: Path) -> list[Path]:
 
 
 def stage_screen(cfg, outdir: Path) -> list[Path]:
-    ds = _dataset(cfg, outdir)
+    ds = _dataset(cfg, outdir, screened=False)
     a = cfg["anomaly"]
     frame = build_frame(ds.specimens, names=["D", "t", "L", "fy", "fc"])
     X = np.column_stack([frame.X, frame.y])
@@ -427,8 +443,11 @@ STAGE_FUNCS = {
 def run_stage(name: str, cfg: dict) -> list[Path]:
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
+    # later stages take dataset_screened.csv only while its source is unchanged
+    fields = ({"source_sha256": _sha256(_source_path(cfg, outdir))}
+              if name == "screen" else {})
     artifacts = STAGE_FUNCS[name](cfg, outdir)
-    manifest = write_manifest(outdir, name, cfg, artifacts)
+    manifest = write_manifest(outdir, name, cfg, artifacts, **fields)
     return artifacts + [manifest]
 
 

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 from .data import Specimen
+from .features import section_areas
 
 CODE_IDS = ("AIJ", "EC4", "ACI", "GB50936", "GEP", "HAN", "WAN")
 
@@ -39,13 +40,6 @@ class CodePrediction:
     message: str = ""
 
 
-def _areas(D: float, t: float) -> tuple[float, float]:
-    inner = D - 2 * t
-    As = math.pi * (D * D - inner * inner) / 4.0
-    Ac = math.pi * inner * inner / 4.0
-    return As, Ac
-
-
 def _fck(fc: float, opts: CodeOptions) -> float:
     if opts.fck_mode == "cube":
         return fc / 0.8
@@ -53,31 +47,31 @@ def _fck(fc: float, opts: CodeOptions) -> float:
 
 
 def aij_capacity_kn(D, t, fy, fc) -> float:
-    As, Ac = _areas(D, t)
+    As, Ac = section_areas(D, t)
     return (1.27 * As * fy + Ac * fc) / 1e3
 
 
 def aci_capacity_kn(D, t, fy, fc) -> float:
-    As, Ac = _areas(D, t)
+    As, Ac = section_areas(D, t)
     return (As * fy + 0.85 * Ac * fc) / 1e3
 
 
 def gb_capacity_kn(D, t, fy, fc, fck=None) -> float:
-    As, Ac = _areas(D, t)
+    As, Ac = section_areas(D, t)
     fck = fc if fck is None else fck
     theta = As * fy / (Ac * fck)
     return (0.9 * Ac * fck * (1.0 + theta + math.sqrt(theta))) / 1e3
 
 
 def han_capacity_kn(D, t, fy, fc, fck=None) -> float:
-    As, Ac = _areas(D, t)
+    As, Ac = section_areas(D, t)
     fck = fc if fck is None else fck
     theta = As * fy / (Ac * fck)
     return ((1.14 + 1.02 * theta) * fck * (As + Ac)) / 1e3
 
 
 def wan_capacity_kn(D, t, fy, fc, intermediates=None) -> float:
-    As, Ac = _areas(D, t)
+    As, Ac = section_areas(D, t)
     eta_a = 0.95 - 12.6 * fy**-0.85 * math.log(0.14 * D / t)
     eta_c = 0.99 + (5.04 - 2.37 * (D / t) ** 0.04 * fc**0.1) * (t * fy / (D * fc)) ** 0.51
     if intermediates is not None:
@@ -87,7 +81,7 @@ def wan_capacity_kn(D, t, fy, fc, intermediates=None) -> float:
 
 def ec4_relative_slenderness(D, t, L, fy, fc) -> float:
     """sqrt(Npl / Ncr) with Ec = 22000 (fc/10)^0.3 and (EI)eff = Es Is + 0.6 Ec Ic."""
-    As, Ac = _areas(D, t)
+    As, Ac = section_areas(D, t)
     inner = D - 2 * t
     Is = math.pi * (D**4 - inner**4) / 64.0
     Ic = math.pi * inner**4 / 64.0
@@ -99,7 +93,7 @@ def ec4_relative_slenderness(D, t, L, fy, fc) -> float:
 
 
 def _ec4(s: Specimen, opts: CodeOptions) -> CodePrediction:
-    As, Ac = _areas(s.D, s.t)
+    As, Ac = section_areas(s.D, s.t)
     inter: dict = {}
     if opts.ec4_slenderness == "literal":
         lam = 4.0 * s.L / s.D
@@ -129,7 +123,7 @@ def _gep(s: Specimen) -> CodePrediction:
     reproduced verbatim, and out-of-domain radicands are reported as
     invalid predictions rather than clamped.
     """
-    As, Ac = _areas(s.D, s.t)
+    As, Ac = section_areas(s.D, s.t)
     lam = 4.0 * s.L / s.D
     inter = {"lambda": lam}
     r1 = 3.0 * s.fc - 9.596
@@ -149,7 +143,7 @@ def predict_code(code_id: str, specimen: Specimen,
     opts = options or CodeOptions()
     code_id = code_id.upper()
     s = specimen
-    As, Ac = _areas(s.D, s.t)
+    As, Ac = section_areas(s.D, s.t)
     if code_id == "AIJ":
         return CodePrediction("AIJ", aij_capacity_kn(s.D, s.t, s.fy, s.fc))
     if code_id == "ACI":

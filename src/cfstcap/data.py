@@ -197,10 +197,8 @@ def generate_synthetic(n: int, seed: int, noise_cov: float = 0.0) -> Dataset:
     else:
         noise = np.ones(n)
 
-    specimens = []
-    for i in range(n):
-        cap = han_capacity_kn(D[i], t[i], fy[i], fc[i]) * noise[i]
-        specimens.append(Specimen(D=float(D[i]), t=float(t[i]), L=float(L[i]),
-                                  fy=float(fy[i]), fc=float(fc[i]),
-                                  N=float(cap), source_id=f"synth-{seed}-{i}"))
-    return Dataset(specimens=tuple(specimens))
+    cap = han_capacity_kn(D, t, fy, fc) * noise
+    return Dataset(specimens=tuple(
+        Specimen(D=float(D[i]), t=float(t[i]), L=float(L[i]), fy=float(fy[i]),
+                 fc=float(fc[i]), N=float(cap[i]), source_id=f"synth-{seed}-{i}")
+        for i in range(n)))

@@ -148,7 +148,7 @@ def ga_invert(model: NetworkParameters, target_capacity: float,
 
 def thickness_for_steel_ratio(D, alpha_sc):
     """Closed-form wall thickness realizing a steel ratio As/Ac for given D."""
-    r = 1.0 / math.sqrt(1.0 + alpha_sc)
+    r = 1.0 / np.sqrt(1.0 + alpha_sc)
     return D * (1.0 - r) / 2.0
 
 
@@ -209,17 +209,16 @@ def build_dependence_grid(model: NetworkParameters, target: float,
             free_bounds = {"D": d_range, "L": config.bounds["L"], "fy": config.bounds["fy"]}
             lows = np.array([free_bounds[g][0] for g in ("D", "L", "fy")])
             highs = np.array([free_bounds[g][1] for g in ("D", "L", "fy")])
-            r = 1.0 / math.sqrt(1.0 + float(alpha))
 
             def evaluate(pop):
                 D, L, fy = pop[:, 0], pop[:, 1], pop[:, 2]
-                t = D * (1.0 - r) / 2.0
+                t = thickness_for_steel_ratio(D, float(alpha))
                 preds = predict(D, t, L, fy, np.full(len(pop), float(fc)))
                 return np.abs(preds - target)
 
             best, _fit, _hist = _run_ga(evaluate, lows, highs, config, rng)
             D0, L0, fy0 = (float(v) for v in best)
-            t0 = thickness_for_steel_ratio(D0, float(alpha))
+            t0 = float(thickness_for_steel_ratio(D0, float(alpha)))
             pred = float(predict(np.array([D0]), np.array([t0]), np.array([L0]),
                                  np.array([fy0]), np.array([float(fc)]))[0])
             s = Specimen(D=D0, t=t0, L=L0, fy=fy0, fc=float(fc), N=pred,
@@ -246,9 +245,7 @@ def _attach_shapley(model, samples, config, background_size):
 
     def design_fn(Z):
         D, alpha, L, fy, fc = (Z[:, i] for i in range(5))
-        rr = 1.0 / np.sqrt(1.0 + alpha)
-        t = D * (1.0 - rr) / 2.0
-        t = _repair_thickness(D, t)
+        t = _repair_thickness(D, thickness_for_steel_ratio(D, alpha))
         return predict(D, t, L, fy, fc)
 
     phi, _phi0 = shapley_exact(design_fn, coords, bg)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Specimen
 from .errors import DataError
 
 RAW_NAMES = ["D", "t", "L", "fy", "fc"]
@@ -24,37 +23,18 @@ PAPER_SELECTED = ["Nu0", "As", "Vc", "Vs", "D", "Ac", "Asc", "C", "Ns", "fc"]
 LABEL_NAME = "N"
 
 
-def engineer(s: Specimen) -> dict[str, float]:
-    """All fourteen engineered quantities for one specimen."""
-    inner = s.D - 2 * s.t
-    As = math.pi * (s.D * s.D - inner * inner) / 4.0
-    Ac = math.pi * inner * inner / 4.0
-    Ns = As * s.fy / 1e3
-    Nc = Ac * s.fc / 1e3
-    return {
-        "As": As,
-        "Ac": Ac,
-        "Asc": As + Ac,
-        "C": math.pi * s.D,
-        "D_over_t": s.D / s.t,
-        "Vs": As * s.L,
-        "Vc": Ac * s.L,
-        "xi": (As * s.fy) / (Ac * s.fc),
-        "Nu0": Ns + Nc,
-        "Ns": Ns,
-        "Nc": Nc,
-        "SEF": s.D / (s.t * math.sqrt(s.fy / 235.0)),
-        "alpha_sc": As / Ac,
-        "lambda": 4.0 * s.L / s.D,
-    }
-
-
-def engineer_arrays(D, t, L, fy, fc) -> dict[str, np.ndarray]:
-    """Vectorized variant of engineer() over parallel value arrays."""
-    D, t, L, fy, fc = (np.asarray(a, dtype=float) for a in (D, t, L, fy, fc))
+def section_areas(D, t):
+    """Steel tube and concrete core areas (mm^2), on scalars or arrays."""
     inner = D - 2 * t
     As = np.pi * (D * D - inner * inner) / 4.0
     Ac = np.pi * inner * inner / 4.0
+    return As, Ac
+
+
+def engineer_arrays(D, t, L, fy, fc) -> dict[str, np.ndarray]:
+    """Raw and engineered feature columns from parallel value arrays."""
+    D, t, L, fy, fc = (np.asarray(a, dtype=float) for a in (D, t, L, fy, fc))
+    As, Ac = section_areas(D, t)
     Ns = As * fy / 1e3
     Nc = Ac * fc / 1e3
     return {
@@ -108,14 +88,9 @@ def build_frame(specimens, names=None) -> FeatureFrame:
     if not specimens:
         raise DataError("no specimens")
     names = tuple(names) if names is not None else tuple(FEATURE_VOCAB)
-    rows = np.empty((len(specimens), len(names)))
-    y = np.empty(len(specimens))
-    for i, s in enumerate(specimens):
-        vals = {"D": s.D, "t": s.t, "L": s.L, "fy": s.fy, "fc": s.fc}
-        vals.update(engineer(s))
-        rows[i] = [vals[n] for n in names]
-        y[i] = s.N
-    return FeatureFrame(names, rows, y)
+    D, t, L, fy, fc, N = np.array([(s.D, s.t, s.L, s.fy, s.fc, s.N)
+                                   for s in specimens], dtype=float).T
+    return FeatureFrame(names, design_matrix(D, t, L, fy, fc, names), N)
 
 
 def pearson(x, y) -> float:

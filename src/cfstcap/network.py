@@ -222,8 +222,14 @@ def loss_monotone(pred, F, spec: ConstraintSpec, rng=None):
     return float(viol.mean()), pairs
 
 
-def _batch_loss_and_dpred(pred, target, yl, yu, F, spec, rng):
-    """All three loss terms plus dTotal/dpred for one batch."""
+def _loss_and_grads(params: NetworkParameters, Xn, target, yl, yu, F,
+                    spec: ConstraintSpec, rng):
+    """Forward pass, the three loss terms and backpropagation for one batch.
+
+    Returns ((total, supervised, approx, monotone), grads_w, grads_b).
+    """
+    acts, zs = _forward_cached(params.weights, params.biases, Xn)
+    pred = acts[-1][:, 0]
     n = len(pred)
     sup = loss_supervised(pred, target)
     dpred = 2.0 * (pred - target) / n
@@ -239,7 +245,8 @@ def _batch_loss_and_dpred(pred, target, yl, yu, F, spec, rng):
             np.add.at(dpred, pairs[viol, 0], scale)
             np.add.at(dpred, pairs[viol, 1], -scale)
     total = sup + spec.gamma * (l_app + l_mono)
-    return total, sup, l_app, l_mono, dpred
+    grads_w, grads_b = _backward(params.weights, acts, zs, dpred)
+    return (total, sup, l_app, l_mono), grads_w, grads_b
 
 
 def loss_total(params: NetworkParameters, Xn, target, yl, yu, F,
@@ -249,14 +256,26 @@ def loss_total(params: NetworkParameters, Xn, target, yl, yu, F,
     Returns (loss, grads_w, grads_b). Inputs are normalized rows; target
     and bounds live in transformed label space.
     """
-    spec = spec or params.constraint
-    Xn = np.atleast_2d(np.asarray(Xn, dtype=float))
-    acts, zs = _forward_cached(params.weights, params.biases, Xn)
-    pred = acts[-1][:, 0]
-    total, _sup, _la, _lm, dpred = _batch_loss_and_dpred(
-        pred, np.asarray(target, dtype=float), yl, yu, F, spec, rng)
-    grads_w, grads_b = _backward(params.weights, acts, zs, dpred)
+    (total, *_terms), grads_w, grads_b = _loss_and_grads(
+        params, np.atleast_2d(np.asarray(Xn, dtype=float)),
+        np.asarray(target, dtype=float), yl, yu, F, spec or params.constraint, rng)
     return total, grads_w, grads_b
+
+
+def _flatten(weights, biases) -> np.ndarray:
+    """Every weight and bias in one vector, layer by layer: w0, b0, w1, b1, ..."""
+    return np.concatenate([a.ravel() for w, b in zip(weights, biases) for a in (w, b)])
+
+
+def _layer_views(theta: np.ndarray, sizes):
+    """Weight and bias views into a vector laid out as _flatten writes it."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(theta[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(theta[at:at + fan_out])
+        at += fan_out
+    return weights, biases
 
 
 @dataclass
@@ -311,22 +330,21 @@ def train(dataset: Dataset, feature_order=PAPER_SELECTED,
     params = init_parameters(feature_order, config, spec)
     params.input_mean = mean
     params.input_std = std
-    params.seed = config.seed
+    theta = _flatten(params.weights, params.biases)
+    params.weights, params.biases = _layer_views(theta, params.layer_sizes)
     # start the rectified output in the live region around the label mean
     params.biases[-1][:] = float(np.mean(y_log[tr]))
 
     shuffle_rng = child_rng(config.seed, 1)
     pair_rng = child_rng(config.seed, 2)
 
-    m_w = [np.zeros_like(w) for w in params.weights]
-    v_w = [np.zeros_like(w) for w in params.weights]
-    m_b = [np.zeros_like(b) for b in params.biases]
-    v_b = [np.zeros_like(b) for b in params.biases]
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     step = 0
 
     history = TrainingHistory()
     best_val = math.inf
-    best_state = None
+    best_theta = None
     stale = 0
 
     for epoch in range(config.epochs):
@@ -336,25 +354,18 @@ def train(dataset: Dataset, feature_order=PAPER_SELECTED,
         n_batches = 0
         for start in range(0, len(rows), config.batch_size):
             batch = rows[start:start + config.batch_size]
-            acts, zs = _forward_cached(params.weights, params.biases, Xn[batch])
-            pred = acts[-1][:, 0]
-            total, sup, l_app, l_mono, dpred = _batch_loss_and_dpred(
-                pred, y_log[batch], yl[batch], yu[batch], F[batch], spec, pair_rng)
+            (total, sup, l_app, l_mono), grads_w, grads_b = _loss_and_grads(
+                params, Xn[batch], y_log[batch], yl[batch], yu[batch], F[batch],
+                spec, pair_rng)
             if not math.isfinite(total):
                 raise NumericError(f"training diverged at epoch {epoch}: loss={total}")
-            grads_w, grads_b = _backward(params.weights, acts, zs, dpred)
+            g = _flatten(grads_w, grads_b)
             step += 1
             bc1 = 1.0 - config.beta1**step
             bc2 = 1.0 - config.beta2**step
-            for l in range(len(params.weights)):
-                m_w[l] = config.beta1 * m_w[l] + (1 - config.beta1) * grads_w[l]
-                v_w[l] = config.beta2 * v_w[l] + (1 - config.beta2) * grads_w[l] ** 2
-                params.weights[l] -= config.learning_rate * (m_w[l] / bc1) / (
-                    np.sqrt(v_w[l] / bc2) + config.eps)
-                m_b[l] = config.beta1 * m_b[l] + (1 - config.beta1) * grads_b[l]
-                v_b[l] = config.beta2 * v_b[l] + (1 - config.beta2) * grads_b[l] ** 2
-                params.biases[l] -= config.learning_rate * (m_b[l] / bc1) / (
-                    np.sqrt(v_b[l] / bc2) + config.eps)
+            m = config.beta1 * m + (1 - config.beta1) * g
+            v = config.beta2 * v + (1 - config.beta2) * g ** 2
+            theta -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
             ep_sup += sup
             ep_app += l_app
             ep_mono += l_mono
@@ -368,15 +379,14 @@ def train(dataset: Dataset, feature_order=PAPER_SELECTED,
         history.val_loss.append(val)
         if val < best_val - 1e-12:
             best_val = val
-            best_state = ([w.copy() for w in params.weights],
-                          [b.copy() for b in params.biases])
+            best_theta = theta.copy()
             stale = 0
         else:
             stale += 1
             if stale >= config.early_stop_patience:
                 break
-    if best_state is not None:
-        params.weights, params.biases = best_state
+    if best_theta is not None:
+        theta[:] = best_theta
     return params, history
 
 

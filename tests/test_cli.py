@@ -176,6 +176,31 @@ class TestStages:
         features = (tmp_path / "features.csv").read_text().splitlines()
         assert len(features) - 1 == n_screened
 
+    def test_screen_reads_unscreened_source(self, tmp_path, capsys):
+        assert run("synth", tmp_path) == 0
+        assert run("screen", tmp_path) == 0
+        first = (tmp_path / "dataset_screened.csv").read_bytes()
+        assert run("screen", tmp_path) == 0
+        capsys.readouterr()
+        assert (tmp_path / "dataset_screened.csv").read_bytes() == first
+
+    def test_stale_screened_dataset_rejected(self, tmp_path, capsys):
+        small, large = ["data.synthetic.n=60"], ["data.synthetic.n=200"]
+        assert run("synth", tmp_path, extra=small) == 0
+        assert run("screen", tmp_path, extra=small) == 0
+        assert run("synth", tmp_path, extra=large) == 0
+        capsys.readouterr()
+        assert run("features", tmp_path, extra=large) == 2
+        err = capsys.readouterr().err
+        assert "dataset_screened.csv" in err and "rerun the screen stage" in err
+        assert not (tmp_path / "features.csv").exists()
+        assert run("screen", tmp_path, extra=large) == 0
+        assert run("features", tmp_path, extra=large) == 0
+        capsys.readouterr()
+        screened = (tmp_path / "dataset_screened.csv").read_text().splitlines()
+        features = (tmp_path / "features.csv").read_text().splitlines()
+        assert len(features) == len(screened) > 190
+
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):

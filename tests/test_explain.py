@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from cfstcap.explain import (DependenceSample, GaConfig,
                              ga_invert, optimal_alpha_curve,
                              shapley_explain_network,
                              thickness_for_steel_ratio)
-from cfstcap.features import engineer
+from cfstcap.features import build_frame
 from cfstcap.network import NetworkParameters, predict_rows
 
 
@@ -81,8 +83,15 @@ class TestGaInvert:
 
 class TestSteelRatioGeometry:
     def test_thickness_round_trip(self):
-        alpha = engineer(Specimen(100, 5, 300, 300, 30, 650))["alpha_sc"]
+        alpha = build_frame([Specimen(100, 5, 300, 300, 30, 650)]).column("alpha_sc")[0]
         assert thickness_for_steel_ratio(100.0, alpha) == pytest.approx(5.0, rel=1e-9)
+
+    def test_thickness_takes_arrays(self):
+        D, alpha = (a.ravel() for a in np.meshgrid(np.linspace(50.0, 1000.0, 20),
+                                                   np.linspace(0.05, 0.5, 24)))
+        # the former scalar formula, evaluated one value at a time
+        expected = [d * (1.0 - 1.0 / math.sqrt(1.0 + a)) / 2.0 for d, a in zip(D, alpha)]
+        assert np.array_equal(thickness_for_steel_ratio(D, alpha), expected)
 
     def test_feasible_interval_hand_case(self):
         alpha = 1900.0 / 8100.0  # t = 5 at D = 100, so r = 0.9 exactly
@@ -113,9 +122,9 @@ class TestDependenceGrid:
         assert all(s.valid for s in samples)
 
     def test_realized_steel_ratio_exact(self):
-        for s in self.grid():
-            realized = engineer(s.specimen)["alpha_sc"]
-            assert realized == pytest.approx(s.alpha_sc, abs=1e-6)
+        samples = self.grid()
+        realized = build_frame([s.specimen for s in samples]).column("alpha_sc")
+        assert realized == pytest.approx([s.alpha_sc for s in samples], abs=1e-6)
 
     def test_pred_consistent_with_model(self):
         for s in self.grid():

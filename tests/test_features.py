@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,16 +7,52 @@ from hypothesis import strategies as st
 
 from cfstcap.data import Specimen, generate_synthetic
 from cfstcap.errors import DataError
-from cfstcap.features import (FEATURE_VOCAB, PAPER_SELECTED, build_frame,
-                              correlation_matrix, design_matrix, engineer,
+from cfstcap.features import (FEATURE_VOCAB, PAPER_SELECTED, RAW_NAMES,
+                              build_frame, correlation_matrix, design_matrix,
                               pearson, select_features)
 
 REF = Specimen(D=100, t=5, L=300, fy=300, fc=30, N=650)
 
 
+def engineer_reference(s: Specimen) -> dict[str, float]:
+    """The former per-specimen scalar feature path, kept as the oracle for
+    the array path behind build_frame and design_matrix."""
+    inner = s.D - 2 * s.t
+    As = math.pi * (s.D * s.D - inner * inner) / 4.0
+    Ac = math.pi * inner * inner / 4.0
+    Ns = As * s.fy / 1e3
+    Nc = Ac * s.fc / 1e3
+    return {
+        "D": s.D, "t": s.t, "L": s.L, "fy": s.fy, "fc": s.fc,
+        "As": As,
+        "Ac": Ac,
+        "Asc": As + Ac,
+        "C": math.pi * s.D,
+        "D_over_t": s.D / s.t,
+        "Vs": As * s.L,
+        "Vc": Ac * s.L,
+        "xi": (As * s.fy) / (Ac * s.fc),
+        "Nu0": Ns + Nc,
+        "Ns": Ns,
+        "Nc": Nc,
+        "SEF": s.D / (s.t * math.sqrt(s.fy / 235.0)),
+        "alpha_sc": As / Ac,
+        "lambda": 4.0 * s.L / s.D,
+    }
+
+
+def reference_matrix(specimens, names):
+    return np.array([[engineer_reference(s)[n] for n in names] for s in specimens])
+
+
+def features_of(s: Specimen) -> dict[str, float]:
+    frame = build_frame([s])
+    return {n: frame.column(n)[0] for n in frame.names}
+
+
 class TestEngineer:
     def test_hand_values(self):
-        e = engineer(REF)
+        e = features_of(REF)
         assert e["As"] == pytest.approx(1492.257, abs=1e-3)
         assert e["Nu0"] == pytest.approx(638.53, abs=0.01)   # kN
         assert e["lambda"] == pytest.approx(12.0)
@@ -22,20 +60,19 @@ class TestEngineer:
         assert e["alpha_sc"] == pytest.approx(0.23457, abs=1e-5)
 
     def test_full_circle_identity(self):
-        e = engineer(REF)
-        assert e["Asc"] == pytest.approx(np.pi * 100**2 / 4, rel=1e-12)
+        assert build_frame([REF]).column("Asc")[0] == pytest.approx(np.pi * 100**2 / 4,
+                                                                    rel=1e-12)
 
     def test_nu0_decomposition_exact(self):
-        for s in generate_synthetic(100, 0, 0.1).specimens:
-            e = engineer(s)
-            assert e["Nu0"] == e["Ns"] + e["Nc"]
+        frame = build_frame(generate_synthetic(100, 0, 0.1).specimens)
+        assert np.array_equal(frame.column("Nu0"), frame.column("Ns") + frame.column("Nc"))
 
     @given(st.floats(0.5, 2.0))
     @settings(max_examples=30, deadline=None)
     def test_scaling_law(self, s):
-        base = engineer(REF)
-        scaled = engineer(Specimen(D=REF.D * s, t=REF.t * s, L=REF.L * s,
-                                   fy=REF.fy, fc=REF.fc, N=REF.N))
+        base = features_of(REF)
+        scaled = features_of(Specimen(D=REF.D * s, t=REF.t * s, L=REF.L * s,
+                                      fy=REF.fy, fc=REF.fc, N=REF.N))
         for name, power in (("As", 2), ("Ac", 2), ("Asc", 2), ("C", 1),
                             ("Vs", 3), ("Vc", 3)):
             assert scaled[name] == pytest.approx(base[name] * s**power, rel=1e-9)
@@ -47,8 +84,21 @@ class TestEngineer:
         M = design_matrix([s.D for s in specs], [s.t for s in specs],
                           [s.L for s in specs], [s.fy for s in specs],
                           [s.fc for s in specs], FEATURE_VOCAB)
-        frame = build_frame(specs)
-        assert np.allclose(M, frame.X, rtol=1e-12)
+        assert np.array_equal(M, reference_matrix(specs, FEATURE_VOCAB))
+
+    @pytest.mark.parametrize("names", [None, PAPER_SELECTED, RAW_NAMES,
+                                       ["lambda", "D", "xi"]])
+    def test_build_frame_matches_scalar_oracle(self, names):
+        specs = generate_synthetic(1000, 5, 0.1).specimens + (REF,)
+        frame = build_frame(specs, names=names)
+        expected_names = tuple(FEATURE_VOCAB if names is None else names)
+        assert frame.names == expected_names
+        assert np.array_equal(frame.X, reference_matrix(specs, expected_names))
+        assert np.array_equal(frame.y, [s.N for s in specs])
+
+    def test_build_frame_rejects_empty(self):
+        with pytest.raises(DataError, match="no specimens"):
+            build_frame([])
 
 
 class TestPearson:

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from cfstcap.data import generate_synthetic
+from cfstcap.data import generate_synthetic, split
 from cfstcap.errors import ConfigError, DataError, NumericError
 from cfstcap.features import PAPER_SELECTED
 from cfstcap.network import (ConstraintSpec, NetworkParameters, TrainConfig,
-                             dominance_pairs, forward, init_parameters,
+                             TrainingHistory, _backward, _forward_cached,
+                             _training_arrays, dominance_pairs, forward,
+                             init_parameters,
                              load_model, loss_approx, loss_monotone,
                              loss_supervised, loss_total, params_from_dict,
                              params_to_dict, predict, predict_specimens,
                              save_model, train, variant_spec)
+from cfstcap.seeding import child_rng
 
 
 def tiny_net(w_list, b_list):
@@ -296,6 +299,129 @@ class TestTraining:
         batch = predict_specimens(params, ds.specimens[:3])
         singles = [predict(params, s) for s in ds.specimens[:3]]
         assert np.allclose(batch, singles, rtol=1e-12)
+
+
+def reference_batch_loss_and_dpred(pred, target, yl, yu, F, spec, rng):
+    """The former per-batch loss terms and dTotal/dpred of the trainer."""
+    n = len(pred)
+    sup = loss_supervised(pred, target)
+    dpred = 2.0 * (pred - target) / n
+    l_app = loss_approx(pred, yl, yu)
+    if spec.gamma > 0:
+        d_app = (-(pred < yl).astype(float) + (pred > yu).astype(float)) / n
+        dpred = dpred + spec.gamma * d_app
+    l_mono, pairs = loss_monotone(pred, F, spec, rng)
+    if spec.gamma > 0 and len(pairs):
+        viol = pred[pairs[:, 0]] > pred[pairs[:, 1]]
+        if viol.any():
+            scale = spec.gamma / len(pairs)
+            np.add.at(dpred, pairs[viol, 0], scale)
+            np.add.at(dpred, pairs[viol, 1], -scale)
+    total = sup + spec.gamma * (l_app + l_mono)
+    return total, sup, l_app, l_mono, dpred
+
+
+def reference_train(dataset, feature_order, spec, config):
+    """The former trainer, kept as the oracle: forward, loss and backward
+    inline, Adam as a per-layer loop over four lists of moments, and a
+    per-array copy of the best epoch's parameters."""
+    X, y_log, yl, yu, F = _training_arrays(dataset, feature_order, spec)
+    tr, va = split(dataset, dataset.split_fraction, dataset.split_seed)
+    Xf = np.log(X)
+    mean = Xf[tr].mean(axis=0)
+    std = Xf[tr].std(axis=0)
+    std[std == 0] = 1.0
+    Xn = (Xf - mean) / std
+    params = init_parameters(feature_order, config, spec)
+    params.input_mean = mean
+    params.input_std = std
+    params.biases[-1][:] = float(np.mean(y_log[tr]))
+    shuffle_rng = child_rng(config.seed, 1)
+    pair_rng = child_rng(config.seed, 2)
+    m_w = [np.zeros_like(w) for w in params.weights]
+    v_w = [np.zeros_like(w) for w in params.weights]
+    m_b = [np.zeros_like(b) for b in params.biases]
+    v_b = [np.zeros_like(b) for b in params.biases]
+    step = 0
+    history = TrainingHistory()
+    best_val = math.inf
+    best_state = None
+    stale = 0
+    for epoch in range(config.epochs):
+        rows = tr[shuffle_rng.permutation(len(tr))]
+        ep_sup = ep_app = ep_mono = 0.0
+        n_batches = 0
+        for start in range(0, len(rows), config.batch_size):
+            batch = rows[start:start + config.batch_size]
+            acts, zs = _forward_cached(params.weights, params.biases, Xn[batch])
+            _total, sup, l_app, l_mono, dpred = reference_batch_loss_and_dpred(
+                acts[-1][:, 0], y_log[batch], yl[batch], yu[batch], F[batch],
+                spec, pair_rng)
+            grads_w, grads_b = _backward(params.weights, acts, zs, dpred)
+            step += 1
+            bc1 = 1.0 - config.beta1**step
+            bc2 = 1.0 - config.beta2**step
+            for l in range(len(params.weights)):
+                m_w[l] = config.beta1 * m_w[l] + (1 - config.beta1) * grads_w[l]
+                v_w[l] = config.beta2 * v_w[l] + (1 - config.beta2) * grads_w[l] ** 2
+                params.weights[l] -= config.learning_rate * (m_w[l] / bc1) / (
+                    np.sqrt(v_w[l] / bc2) + config.eps)
+                m_b[l] = config.beta1 * m_b[l] + (1 - config.beta1) * grads_b[l]
+                v_b[l] = config.beta2 * v_b[l] + (1 - config.beta2) * grads_b[l] ** 2
+                params.biases[l] -= config.learning_rate * (m_b[l] / bc1) / (
+                    np.sqrt(v_b[l] / bc2) + config.eps)
+            ep_sup += sup
+            ep_app += l_app
+            ep_mono += l_mono
+            n_batches += 1
+        val = loss_supervised(forward(params, Xn[va]), y_log[va])
+        history.epochs.append(epoch)
+        history.loss_supervised.append(ep_sup / n_batches)
+        history.loss_approx.append(ep_app / n_batches)
+        history.loss_monotone.append(ep_mono / n_batches)
+        history.val_loss.append(val)
+        if val < best_val - 1e-12:
+            best_val = val
+            best_state = ([w.copy() for w in params.weights],
+                          [b.copy() for b in params.biases])
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.early_stop_patience:
+                break
+    if best_state is not None:
+        params.weights, params.biases = best_state
+    return params, history
+
+
+class TestFlatAdamOracle:
+    """train (one loss-and-gradient function, Adam over one flat parameter
+    vector) against the former per-layer trainer, bit for bit."""
+
+    @pytest.mark.parametrize("variant, n, config", [
+        ("ANNWT", 300, small_config(seed=3, epochs=20)),
+        ("ANN", 300, small_config(seed=3, epochs=20)),
+        ("ANNWT", 150, TrainConfig(epochs=15, batch_size=20, learning_rate=1e-2,
+                                   early_stop_patience=15, seed=8,
+                                   hidden_layers=3, hidden_units=7)),
+        # a high rate makes validation loss stall, so training stops early
+        ("ANN", 200, TrainConfig(epochs=300, batch_size=32, learning_rate=5e-2,
+                                 early_stop_patience=3, seed=1,
+                                 hidden_layers=2, hidden_units=9)),
+    ])
+    def test_matches_per_layer_trainer(self, variant, n, config):
+        ds = generate_synthetic(n, 21, 0.1)
+        spec = variant_spec(variant)
+        params, hist = train(ds, PAPER_SELECTED, spec, config)
+        ref, ref_hist = reference_train(ds, PAPER_SELECTED, spec, config)
+        assert len(params.weights) == len(ref.weights) == config.hidden_layers + 1
+        for got, want in zip(params.weights + params.biases, ref.weights + ref.biases):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert params_to_dict(params) == params_to_dict(ref)
+        assert list(hist.rows()) == list(ref_hist.rows())
+        if config.early_stop_patience < config.epochs:
+            assert len(hist.epochs) < config.epochs
 
 
 class TestSerialization:
