@@ -165,19 +165,27 @@ def _source_path(cfg: dict, outdir: Path) -> Path:
     raise DataError(f"cannot read dataset {path}: no such file")
 
 
-def _dataset(cfg: dict, outdir: Path, screened: bool = True) -> Dataset:
+def _recorded(outdir: Path, stage: str, key: str):
+    """A field of a stage's manifest; None when the manifest is absent."""
+    manifest = outdir / f"manifest_{stage}.json"
+    return json.loads(manifest.read_text()).get(key) if manifest.exists() else None
+
+
+def _dataset_path(cfg: dict, outdir: Path, screened: bool = True) -> Path:
     """The screened dataset if the screen stage ran on the current source,
     else the source; a screened file left from another source is an error."""
     path = _source_path(cfg, outdir)
     cleaned = outdir / "dataset_screened.csv"
     if screened and cleaned.exists():
-        manifest = outdir / "manifest_screen.json"
-        recorded = (json.loads(manifest.read_text()).get("source_sha256")
-                    if manifest.exists() else None)
-        if recorded != _sha256(path):
+        if _recorded(outdir, "screen", "source_sha256") != _sha256(path):
             raise DataError(f"{cleaned} was not screened from the current dataset "
                             f"{path}; rerun the screen stage")
         path = cleaned
+    return path
+
+
+def _dataset(cfg: dict, outdir: Path, screened: bool = True) -> Dataset:
+    path = _dataset_path(cfg, outdir, screened)
     return _with_split(load_csv(path, cfg["data"]["range_mode"]), cfg)
 
 
@@ -188,10 +196,32 @@ def _with_split(ds: Dataset, cfg: dict) -> Dataset:
 
 
 def _selected_features(cfg: dict, outdir: Path) -> list[str]:
+    """The select stage's features for the configured selection mode; the
+    published list stands in for a missing file only in paper_fixed mode."""
+    mode = cfg["features"]["selection_mode"]
     path = outdir / "selected_features.json"
-    if path.exists():
-        return json.loads(path.read_text())["selected"]
-    return select_features([], [], [], cfg["features"]["k"], mode="paper_fixed")
+    if not path.exists():
+        if mode != "paper_fixed":
+            raise DataError(f"no {path.name} for selection_mode {mode!r}; "
+                            f"run the select stage")
+        return select_features([], [], [], cfg["features"]["k"], mode=mode)
+    doc = json.loads(path.read_text())
+    if doc.get("mode") != mode:
+        raise DataError(f"{path} was selected with mode {doc.get('mode')!r}, not "
+                        f"{mode!r}; run the select stage")
+    return doc["selected"]
+
+
+def _model(cfg: dict, outdir: Path, stage: str):
+    """The trained model, refused unless the train stage ran on the dataset
+    this stage reads now."""
+    mpath = outdir / "model.json"
+    if not mpath.exists():
+        raise DataError(f"{stage} requires a trained model artifact (model.json)")
+    if _recorded(outdir, "train", "dataset_sha256") != _sha256(_dataset_path(cfg, outdir)):
+        raise DataError(f"{mpath} was not trained on the current dataset; "
+                        f"rerun the train stage")
+    return load_model(mpath)
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -333,11 +363,8 @@ def stage_codes(cfg, outdir: Path) -> list[Path]:
 
 
 def stage_evaluate(cfg, outdir: Path) -> list[Path]:
-    mpath = outdir / "model.json"
-    if not mpath.exists():
-        raise DataError("evaluate requires a trained model artifact (model.json)")
+    params = _model(cfg, outdir, "evaluate")
     ds = _dataset(cfg, outdir)
-    params = load_model(mpath)
     _, va = split(ds, ds.split_fraction, ds.split_seed)
     specimens = [ds.specimens[i] for i in va]
     preds = predict_specimens(params, specimens)
@@ -375,11 +402,8 @@ def stage_robustness(cfg, outdir: Path) -> list[Path]:
 
 
 def stage_sensitivity(cfg, outdir: Path) -> list[Path]:
-    mpath = outdir / "model.json"
-    if not mpath.exists():
-        raise DataError("sensitivity requires a trained model artifact (model.json)")
+    params = _model(cfg, outdir, "sensitivity")
     ds = _dataset(cfg, outdir)
-    params = load_model(mpath)
     frame = build_frame(ds.specimens).select(list(params.feature_order))
     values = sensitivity(lambda rows: predict_rows(params, rows), frame.X,
                          cfg["evaluation"]["grid_points"])
@@ -390,11 +414,8 @@ def stage_sensitivity(cfg, outdir: Path) -> list[Path]:
 
 
 def stage_explain(cfg, outdir: Path) -> list[Path]:
-    mpath = outdir / "model.json"
-    if not mpath.exists():
-        raise DataError("explain requires a trained model artifact (model.json)")
+    params = _model(cfg, outdir, "explain")
     ds = _dataset(cfg, outdir)
-    params = load_model(mpath)
     e = cfg["explain"]
     target = e["target"]
     if target is None:
@@ -443,9 +464,13 @@ STAGE_FUNCS = {
 def run_stage(name: str, cfg: dict) -> list[Path]:
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    # later stages take dataset_screened.csv only while its source is unchanged
-    fields = ({"source_sha256": _sha256(_source_path(cfg, outdir))}
-              if name == "screen" else {})
+    # later stages take dataset_screened.csv only while its source is
+    # unchanged, and model.json only while its training dataset is
+    fields = {}
+    if name == "screen":
+        fields["source_sha256"] = _sha256(_source_path(cfg, outdir))
+    elif name == "train":
+        fields["dataset_sha256"] = _sha256(_dataset_path(cfg, outdir))
     artifacts = STAGE_FUNCS[name](cfg, outdir)
     manifest = write_manifest(outdir, name, cfg, artifacts, **fields)
     return artifacts + [manifest]

@@ -12,7 +12,7 @@ from .errors import ConfigError
 from .features import design_matrix
 from .network import NetworkParameters, predict_rows
 from .seeding import child_rng
-from .trees.shapley import shapley_exact, shapley_permutation
+from .trees.shapley import shapley_exact
 
 GENE_NAMES = ("D", "t", "L", "fy", "fc")
 
@@ -57,40 +57,55 @@ def _design_predict(model: NetworkParameters):
 
 def _run_ga(evaluate, lows, highs, config: GaConfig, rng, repair=None,
             initial=None):
-    """Real-valued GA: tournament-3 selection, blend crossover, Gaussian
-    mutation, elitism. evaluate maps a (pop, genes) matrix to fitness
-    (lower is better). Returns (best_genes, best_fitness, history)."""
-    n_genes = len(lows)
+    """Real-valued GA over many independent cells at once: tournament-3
+    selection, BLX-0.5 blend crossover, Gaussian mutation, elitism.
+
+    lows/highs are (cells, genes) bounds; evaluate maps a (cells, pop,
+    genes) array to (cells, pop) fitness (lower is better); initial, if
+    given, is the (cells, pop, genes) first population. Every cell uses
+    the same random draws, scaled to its own bounds (common random
+    numbers), so a cell's run does not depend on the other cells.
+    Returns (best (cells, genes), best_fit (cells,), history
+    (generations + 1, cells) of the best fitness per generation).
+    """
+    n_cells, n_genes = lows.shape
+    n_pop, n_elite = config.population, config.elite_count
+    n_child = n_pop - n_elite
     span = highs - lows
-    pop = rng.uniform(lows, highs, size=(config.population, n_genes)) \
-        if initial is None else initial.copy()
+    lo, hi, step = lows[:, None, :], highs[:, None, :], span[:, None, :]
+    if initial is None:
+        pop = lo + step * rng.uniform(size=(n_pop, n_genes))
+    else:
+        pop = np.array(initial, dtype=float)
     if repair is not None:
         pop = repair(pop)
     fit = evaluate(pop)
-    history = [float(fit.min())]
+    cells = np.arange(n_cells)[:, None]
+    history = [fit.min(axis=1)]
     for _gen in range(config.generations):
-        order = np.argsort(fit, kind="stable")
-        new = [pop[i].copy() for i in order[: config.elite_count]]
-        while len(new) < config.population:
-            a = min(rng.integers(config.population, size=3), key=lambda i: fit[i])
-            b = min(rng.integers(config.population, size=3), key=lambda i: fit[i])
-            if rng.uniform() < config.crossover_rate:
-                lo = np.minimum(pop[a], pop[b])
-                hi = np.maximum(pop[a], pop[b])
-                d = hi - lo
-                child = rng.uniform(lo - 0.5 * d, hi + 0.5 * d)
-            else:
-                child = pop[a].copy()
-            mutate = rng.uniform(size=n_genes) < config.mutation_rate
-            child = child + mutate * rng.normal(0.0, config.mutation_scale * span)
-            new.append(np.clip(child, lows, highs))
-        pop = np.array(new)
+        elite = np.argsort(fit, axis=1, kind="stable")[:, :n_elite]
+        parents = []
+        for _ in range(2):
+            entrants = rng.integers(n_pop, size=(n_child, 3))
+            # each cell's tournament winner: its fittest of the three entrants
+            winner = np.argmin(fit[:, entrants], axis=2)
+            parents.append(pop[cells, entrants[np.arange(n_child), winner]])
+        pa, pb = parents
+        cross = rng.uniform(size=(n_child, 1)) < config.crossover_rate
+        u = rng.uniform(size=(n_child, n_genes))
+        pmin = np.minimum(pa, pb)
+        d = np.maximum(pa, pb) - pmin
+        child = np.where(cross, pmin - 0.5 * d + 2.0 * d * u, pa)
+        mutate = rng.uniform(size=(n_child, n_genes)) < config.mutation_rate
+        z = rng.standard_normal(size=(n_child, n_genes))
+        child = np.clip(child + mutate * config.mutation_scale * step * z, lo, hi)
+        pop = np.concatenate([pop[cells, elite], child], axis=1)
         if repair is not None:
             pop = repair(pop)
         fit = evaluate(pop)
-        history.append(float(fit.min()))
-    best = int(np.argmin(fit))
-    return pop[best], float(fit[best]), history
+        history.append(fit.min(axis=1))
+    best = np.argmin(fit, axis=1)
+    return pop[cells[:, 0], best], fit[cells[:, 0], best], np.array(history)
 
 
 def ga_invert(model: NetworkParameters, target_capacity: float,
@@ -117,33 +132,31 @@ def ga_invert(model: NetworkParameters, target_capacity: float,
     rng = np.random.default_rng(child_rng(config.seed, 0).integers(2**63))
 
     def decode(pop):
-        cols = {g: pop[:, i] for i, g in enumerate(free)}
+        cols = {g: pop[..., i] for i, g in enumerate(free)}
         for g in GENE_NAMES:
             if g in fixed:
-                cols[g] = np.full(len(pop), float(fixed[g]))
+                cols[g] = np.full(pop.shape[:-1], float(fixed[g]))
         return cols
 
     def repair(pop):
         cols = decode(pop)
-        t_fixed = _repair_thickness(cols["D"], cols["t"])
-        if "t" in free:
-            pop[:, free.index("t")] = t_fixed
+        pop[..., free.index("t")] = _repair_thickness(cols["D"], cols["t"])
         return pop
 
     def evaluate(pop):
-        cols = decode(pop)
+        cols = decode(pop[0])
         preds = predict(cols["D"], cols["t"], cols["L"], cols["fy"], cols["fc"])
         fit = np.abs(preds - target_capacity)
         fit[(cols["D"] <= 2 * cols["t"]) | ~np.isfinite(fit)] = np.inf
-        return fit
+        return fit[None, :]
 
-    best, fitness, history = _run_ga(evaluate, lows, highs, config, rng,
-                                     repair=repair if "t" in free else None)
-    cols = decode(best[None, :])
+    best, fitness, history = _run_ga(evaluate, lows[None, :], highs[None, :], config,
+                                     rng, repair=repair if "t" in free else None)
+    cols = decode(best)
     s = Specimen(D=float(cols["D"][0]), t=float(cols["t"][0]), L=float(cols["L"][0]),
                  fy=float(cols["fy"][0]), fc=float(cols["fc"][0]),
                  N=float(target_capacity), source_id="ga")
-    return s, fitness, history
+    return s, float(fitness[0]), history[:, 0].tolist()
 
 
 def thickness_for_steel_ratio(D, alpha_sc):
@@ -194,37 +207,40 @@ def build_dependence_grid(model: NetworkParameters, target: float,
     if fc_grid.size == 0 or alpha_grid.size == 0:
         raise ConfigError("grids must be nonempty")
     predict = _design_predict(model)
-    samples: list[DependenceSample] = []
-    cell = 0
-    for fc in fc_grid:
-        for alpha in alpha_grid:
-            cell += 1
-            d_range = _alpha_feasible_D_range(float(alpha), config.bounds)
-            if d_range is None:
-                samples.append(DependenceSample(float(fc), float(alpha), None, None,
-                                                None, None, valid=False,
-                                                message="steel ratio unrealizable in bounds"))
-                continue
-            rng = np.random.default_rng(child_rng(config.seed, cell).integers(2**63))
-            free_bounds = {"D": d_range, "L": config.bounds["L"], "fy": config.bounds["fy"]}
-            lows = np.array([free_bounds[g][0] for g in ("D", "L", "fy")])
-            highs = np.array([free_bounds[g][1] for g in ("D", "L", "fy")])
+    cells = [(float(fc), float(alpha)) for fc in fc_grid for alpha in alpha_grid]
+    d_ranges = [_alpha_feasible_D_range(alpha, config.bounds) for _fc, alpha in cells]
+    feasible = [i for i, r in enumerate(d_ranges) if r is not None]
+    samples = [DependenceSample(fc, alpha, None, None, None, None, valid=False,
+                                message="steel ratio unrealizable in bounds")
+               for fc, alpha in cells]
+    if not feasible:
+        return samples
+    # D's range depends on alpha; L and fy share the envelope
+    lows = np.array([[d_ranges[i][0], config.bounds["L"][0], config.bounds["fy"][0]]
+                     for i in feasible])
+    highs = np.array([[d_ranges[i][1], config.bounds["L"][1], config.bounds["fy"][1]]
+                      for i in feasible])
+    fc = np.array([cells[i][0] for i in feasible])
+    alpha = np.array([cells[i][1] for i in feasible])
 
-            def evaluate(pop):
-                D, L, fy = pop[:, 0], pop[:, 1], pop[:, 2]
-                t = thickness_for_steel_ratio(D, float(alpha))
-                preds = predict(D, t, L, fy, np.full(len(pop), float(fc)))
-                return np.abs(preds - target)
+    def design(genes):
+        """Predicted capacity and wall thickness of (cells, n, 3) D/L/fy genes."""
+        D, L, fy = genes[..., 0], genes[..., 1], genes[..., 2]
+        t = thickness_for_steel_ratio(D, alpha[:, None])
+        pred = predict(D.ravel(), t.ravel(), L.ravel(), fy.ravel(),
+                       np.broadcast_to(fc[:, None], D.shape).ravel())
+        return pred.reshape(D.shape), t
 
-            best, _fit, _hist = _run_ga(evaluate, lows, highs, config, rng)
-            D0, L0, fy0 = (float(v) for v in best)
-            t0 = float(thickness_for_steel_ratio(D0, float(alpha)))
-            pred = float(predict(np.array([D0]), np.array([t0]), np.array([L0]),
-                                 np.array([fy0]), np.array([float(fc)]))[0])
-            s = Specimen(D=D0, t=t0, L=L0, fy=fy0, fc=float(fc), N=pred,
-                         source_id=f"dep-{cell}")
-            samples.append(DependenceSample(float(fc), float(alpha), s, pred,
-                                            None, None))
+    rng = np.random.default_rng(child_rng(config.seed, 1).integers(2**63))
+    best, _fit, _history = _run_ga(lambda pop: np.abs(design(pop)[0] - target),
+                                   lows, highs, config, rng)
+    preds, thickness = design(best[:, None, :])
+    for k, i in enumerate(feasible):
+        D0, L0, fy0 = (float(v) for v in best[k])
+        pred = float(preds[k, 0])
+        s = Specimen(D=D0, t=float(thickness[k, 0]), L=L0, fy=fy0, fc=cells[i][0],
+                     N=pred, source_id=f"dep-{i + 1}")
+        samples[i] = DependenceSample(cells[i][0], cells[i][1], s, pred, None, None)
 
     _attach_shapley(model, samples, config, shap_background_size)
     return samples
@@ -252,29 +268,6 @@ def _attach_shapley(model, samples, config, background_size):
     for s, row in zip(valid, phi):
         s.shap_fc = float(row[4])
         s.shap_alpha = float(row[1])
-
-
-def shapley_explain_network(model: NetworkParameters, rows, background,
-                            mode: str = "exact", n_permutations: int = 2000,
-                            seed: int = 0):
-    """Shapley attributions of the network over its own input features.
-
-    rows/background are raw feature matrices ordered per
-    model.feature_order. Exact mode enumerates all coalitions (feature
-    count must stay within the enumeration cap).
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    background = np.atleast_2d(np.asarray(background, dtype=float))
-
-    def fn(Z):
-        return predict_rows(model, Z)
-
-    if mode == "exact":
-        return shapley_exact(fn, rows, background)
-    if mode == "sampled":
-        return shapley_permutation(fn, rows, background,
-                                   n_permutations=n_permutations, seed=seed)
-    raise ConfigError(f"mode must be 'exact' or 'sampled', got {mode!r}")
 
 
 def optimal_alpha_curve(samples, min_valid: int = 3):

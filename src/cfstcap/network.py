@@ -191,26 +191,42 @@ def dominance_pairs(F: np.ndarray) -> np.ndarray:
     """Ordered index pairs (a, b) where row b Pareto-dominates row a.
 
     Dominance: b >= a on every column and b > a on at least one.
-    Returns an (n_pairs, 2) array.
+    Returns an (n_pairs, 2) array. The relation is accumulated one column
+    at a time, so no (n, n, columns) temporary is built.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
-    ge = (F[None, :, :] >= F[:, None, :]).all(axis=2)
-    gt = (F[None, :, :] > F[:, None, :]).any(axis=2)
+    n = len(F)
+    ge = np.ones((n, n), dtype=bool)
+    gt = np.zeros((n, n), dtype=bool)
+    for col in F.T:
+        ge &= col[None, :] >= col[:, None]
+        gt |= col[None, :] > col[:, None]
     a, b = np.nonzero(ge & gt)
     return np.column_stack([a, b])
 
 
-def loss_monotone(pred, F, spec: ConstraintSpec, rng=None):
-    """Mean rectified violation over Pareto-dominance pairs of the batch.
+def _batch_pairs(F, spec: ConstraintSpec) -> np.ndarray:
+    """Dominance pairs of the rows of F; none when there is no pair to
+    compare or the spec has no monotone features."""
+    if len(F) < 2 or len(spec.monotone_features) == 0:
+        return np.empty((0, 2), dtype=int)
+    return dominance_pairs(F)
 
-    F holds the raw monotone-feature values per batch row. Beyond
-    pair_budget, pairs are subsampled with the given rng (seeded by the
-    trainer); zero when no dominated pair exists.
+
+def _dominance_relation(F, spec: ConstraintSpec) -> np.ndarray:
+    """(n, n) bool matrix, true at [a, b] where row b dominates row a.
+
+    The pairs of any batch of rows `pos` are np.argwhere(R[np.ix_(pos,
+    pos)]), in the order _batch_pairs(F[pos]) gives them.
     """
-    pred = np.asarray(pred, dtype=float)
-    if pred.size < 2 or len(spec.monotone_features) == 0:
-        return 0.0, np.empty((0, 2), dtype=int)
-    pairs = dominance_pairs(F)
+    relation = np.zeros((len(F), len(F)), dtype=bool)
+    relation[tuple(_batch_pairs(F, spec).T)] = True
+    return relation
+
+
+def _monotone_term(pred, pairs, spec: ConstraintSpec, rng):
+    """Mean rectified violation over the given pairs, subsampled beyond
+    pair_budget; returns (value, pairs used)."""
     if len(pairs) == 0:
         return 0.0, pairs
     if len(pairs) > spec.pair_budget:
@@ -222,9 +238,21 @@ def loss_monotone(pred, F, spec: ConstraintSpec, rng=None):
     return float(viol.mean()), pairs
 
 
-def _loss_and_grads(params: NetworkParameters, Xn, target, yl, yu, F,
+def loss_monotone(pred, F, spec: ConstraintSpec, rng=None):
+    """Mean rectified violation over Pareto-dominance pairs of the batch.
+
+    F holds the raw monotone-feature values per batch row. Beyond
+    pair_budget, pairs are subsampled with the given rng (seeded by the
+    trainer); zero when no dominated pair exists.
+    """
+    pred = np.asarray(pred, dtype=float)
+    return _monotone_term(pred, _batch_pairs(F, spec), spec, rng)
+
+
+def _loss_and_grads(params: NetworkParameters, Xn, target, yl, yu, pairs,
                     spec: ConstraintSpec, rng):
-    """Forward pass, the three loss terms and backpropagation for one batch.
+    """Forward pass, the three loss terms and backpropagation for one batch
+    whose dominance pairs (batch row indices) are given.
 
     Returns ((total, supervised, approx, monotone), grads_w, grads_b).
     """
@@ -237,7 +265,7 @@ def _loss_and_grads(params: NetworkParameters, Xn, target, yl, yu, F,
     if spec.gamma > 0:
         d_app = (-(pred < yl).astype(float) + (pred > yu).astype(float)) / n
         dpred = dpred + spec.gamma * d_app
-    l_mono, pairs = loss_monotone(pred, F, spec, rng)
+    l_mono, pairs = _monotone_term(pred, pairs, spec, rng)
     if spec.gamma > 0 and len(pairs):
         viol = pred[pairs[:, 0]] > pred[pairs[:, 1]]
         if viol.any():
@@ -256,9 +284,10 @@ def loss_total(params: NetworkParameters, Xn, target, yl, yu, F,
     Returns (loss, grads_w, grads_b). Inputs are normalized rows; target
     and bounds live in transformed label space.
     """
+    spec = spec or params.constraint
     (total, *_terms), grads_w, grads_b = _loss_and_grads(
         params, np.atleast_2d(np.asarray(Xn, dtype=float)),
-        np.asarray(target, dtype=float), yl, yu, F, spec or params.constraint, rng)
+        np.asarray(target, dtype=float), yl, yu, _batch_pairs(F, spec), spec, rng)
     return total, grads_w, grads_b
 
 
@@ -335,6 +364,10 @@ def train(dataset: Dataset, feature_order=PAPER_SELECTED,
     # start the rectified output in the live region around the label mean
     params.biases[-1][:] = float(np.mean(y_log[tr]))
 
+    # dominance is a property of the training rows: find it once, then
+    # read each batch's pairs from the relation
+    dominates = _dominance_relation(F[tr], spec)
+
     shuffle_rng = child_rng(config.seed, 1)
     pair_rng = child_rng(config.seed, 2)
 
@@ -349,14 +382,14 @@ def train(dataset: Dataset, feature_order=PAPER_SELECTED,
 
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(tr))
-        rows = tr[order]
         ep_sup = ep_app = ep_mono = 0.0
         n_batches = 0
-        for start in range(0, len(rows), config.batch_size):
-            batch = rows[start:start + config.batch_size]
+        for start in range(0, len(order), config.batch_size):
+            pos = order[start:start + config.batch_size]
+            batch = tr[pos]
             (total, sup, l_app, l_mono), grads_w, grads_b = _loss_and_grads(
-                params, Xn[batch], y_log[batch], yl[batch], yu[batch], F[batch],
-                spec, pair_rng)
+                params, Xn[batch], y_log[batch], yl[batch], yu[batch],
+                np.argwhere(dominates[np.ix_(pos, pos)]), spec, pair_rng)
             if not math.isfinite(total):
                 raise NumericError(f"training diverged at epoch {epoch}: loss={total}")
             g = _flatten(grads_w, grads_b)

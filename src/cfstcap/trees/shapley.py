@@ -12,13 +12,6 @@ from ..errors import DataError
 EXACT_MAX_FEATURES = 12
 
 
-def _value_function(predict_fn, x, background, member_mask):
-    """Mean prediction over the background with masked features set to x."""
-    z = background.copy()
-    z[:, member_mask] = x[member_mask]
-    return float(np.mean(predict_fn(z)))
-
-
 def shapley_permutation(predict_fn, rows, background, n_permutations: int = 200,
                         seed: int = 0):
     """Permutation-sampled Shapley values with background replacement.
@@ -53,9 +46,13 @@ def shapley_permutation(predict_fn, rows, background, n_permutations: int = 200,
 
 
 def shapley_exact(predict_fn, rows, background):
-    """Exact Shapley values by full coalition enumeration (2^M model calls).
+    """Exact Shapley values by full coalition enumeration.
 
-    Only for small feature counts; raises beyond EXACT_MAX_FEATURES.
+    The value of a coalition is the mean prediction over the background
+    with the coalition's features set to the row's. All 2^M coalitions of
+    a row go to predict_fn in one call of 2^M x n_background rows, so the
+    model is called n_rows + 1 times. Only for small feature counts;
+    raises beyond EXACT_MAX_FEATURES.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     background = np.atleast_2d(np.asarray(background, dtype=float))
@@ -76,11 +73,10 @@ def shapley_exact(predict_fn, rows, background):
     code = masks @ (1 << np.arange(m))
     pos = np.empty(code.max() + 1, dtype=int)
     pos[code] = np.arange(len(masks))
+    n_bg = len(background)
     for r in range(n):
-        x = rows[r]
-        values = np.empty(len(masks))
-        for k, mask in enumerate(masks):
-            values[k] = _value_function(predict_fn, x, background, mask)
+        z = np.where(masks[:, None, :], rows[r], background[None, :, :])
+        values = predict_fn(z.reshape(-1, m)).reshape(len(masks), n_bg).mean(axis=1)
         for i in range(m):
             without = ~masks[:, i]
             s_idx = np.flatnonzero(without)

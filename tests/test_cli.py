@@ -131,6 +131,49 @@ class TestExitCodes:
         assert run("evaluate", tmp_path) == 2
         assert "model.json" in capsys.readouterr().err
 
+    def test_model_from_another_dataset_rejected(self, tmp_path, capsys):
+        small, large = ["data.synthetic.n=60"], ["data.synthetic.n=200"]
+        assert run("synth", tmp_path, extra=small) == 0
+        assert run("train", tmp_path, extra=small) == 0
+        assert run("synth", tmp_path, extra=large) == 0
+        capsys.readouterr()
+        for stage in ("evaluate", "sensitivity", "explain"):
+            assert run(stage, tmp_path, extra=large) == 2
+            err = capsys.readouterr().err
+            assert "not trained on the current dataset" in err
+        assert not (tmp_path / "metrics.json").exists()
+        assert run("train", tmp_path, extra=large) == 0
+        assert run("evaluate", tmp_path, extra=large) == 0
+        capsys.readouterr()
+
+    def test_model_without_train_manifest_rejected(self, tmp_path, capsys):
+        assert run("synth", tmp_path) == 0
+        assert run("train", tmp_path) == 0
+        (tmp_path / "manifest_train.json").unlink()
+        capsys.readouterr()
+        assert run("evaluate", tmp_path) == 2
+        assert "rerun the train stage" in capsys.readouterr().err
+
+    def test_missing_selection_outside_paper_fixed(self, tmp_path, capsys):
+        mode = ["features.selection_mode=consensus"]
+        assert run("synth", tmp_path, extra=mode) == 0
+        capsys.readouterr()
+        assert run("train", tmp_path, extra=mode) == 2
+        assert "run the select stage" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+        assert run("select", tmp_path, extra=mode) == 0
+        assert run("train", tmp_path, extra=mode) == 0
+        capsys.readouterr()
+
+    def test_selection_from_another_mode_rejected(self, tmp_path, capsys):
+        assert run("synth", tmp_path) == 0
+        assert run("select", tmp_path) == 0       # paper_fixed
+        capsys.readouterr()
+        assert run("train", tmp_path, extra=["features.selection_mode=consensus"]) == 2
+        err = capsys.readouterr().err
+        assert "'paper_fixed'" in err and "run the select stage" in err
+        assert not (tmp_path / "model.json").exists()
+
     def test_stage_without_dataset(self, tmp_path, capsys):
         assert run("features", tmp_path) == 2
         assert "synth stage" in capsys.readouterr().err

@@ -5,13 +5,16 @@ import pytest
 
 from cfstcap.data import ENVELOPE, Specimen
 from cfstcap.errors import ConfigError
-from cfstcap.explain import (DependenceSample, GaConfig,
+import cfstcap.explain as explain
+from cfstcap.explain import (DependenceSample, GaConfig, _run_ga,
                              _alpha_feasible_D_range, build_dependence_grid,
                              ga_invert, optimal_alpha_curve,
-                             shapley_explain_network,
                              thickness_for_steel_ratio)
 from cfstcap.features import build_frame
-from cfstcap.network import NetworkParameters, predict_rows
+from cfstcap.network import (ConstraintSpec, NetworkParameters, TrainConfig,
+                             init_parameters, predict_rows)
+from cfstcap.trees import fit_gradient_boosting
+from cfstcap.trees.shapley import shapley_exact, shapley_permutation
 
 
 def toy_model(feature_order, weights):
@@ -187,19 +190,153 @@ class TestShapleyExplainNetwork:
                                    rng.uniform(20, 80, 10),
                                    rng.uniform(200, 500, 10)])
 
+    def fn(self, Z):
+        return predict_rows(self.MODEL, Z)
+
     def test_exact_local_accuracy_and_null_player(self):
-        phi, phi0 = shapley_explain_network(self.MODEL, self.rows, self.bg)
+        phi, phi0 = shapley_exact(self.fn, self.rows, self.bg)
         pred = predict_rows(self.MODEL, self.rows)
         assert np.allclose(phi0 + phi.sum(axis=1), pred, atol=1e-9)
         assert np.allclose(phi[:, 2], 0.0, atol=1e-9)
 
     def test_sampled_close_to_exact(self):
-        exact, _ = shapley_explain_network(self.MODEL, self.rows, self.bg)
-        sampled, _ = shapley_explain_network(self.MODEL, self.rows, self.bg,
-                                             mode="sampled",
-                                             n_permutations=400, seed=2)
+        exact, _ = shapley_exact(self.fn, self.rows, self.bg)
+        sampled, _ = shapley_permutation(self.fn, self.rows, self.bg,
+                                         n_permutations=400, seed=2)
         assert np.max(np.abs(sampled - exact)) < 0.02 * np.abs(exact).max()
 
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError):
-            shapley_explain_network(self.MODEL, self.rows, self.bg, mode="tree")
+
+def reference_shapley_exact(predict_fn, rows, background):
+    """The former exact Shapley sweep: one model call per (row, coalition)."""
+    import itertools
+    n, m = rows.shape
+    masks = np.array(list(itertools.product((False, True), repeat=m)), dtype=bool)
+    sizes = masks.sum(axis=1)
+    w = np.array([math.factorial(s) * math.factorial(m - s - 1) / math.factorial(m)
+                  for s in range(m)])
+    phi = np.zeros((n, m))
+    phi0 = float(np.mean(predict_fn(background)))
+    code = masks @ (1 << np.arange(m))
+    pos = np.empty(code.max() + 1, dtype=int)
+    pos[code] = np.arange(len(masks))
+    for r in range(n):
+        x = rows[r]
+        values = np.empty(len(masks))
+        for k, mask in enumerate(masks):
+            z = background.copy()
+            z[:, mask] = x[mask]
+            values[k] = float(np.mean(predict_fn(z)))
+        for i in range(m):
+            s_idx = np.flatnonzero(~masks[:, i])
+            with_idx = pos[code[s_idx] + (1 << i)]
+            phi[r, i] = np.sum(w[sizes[s_idx]] * (values[with_idx] - values[s_idx]))
+    return phi, phi0
+
+
+def counting(fn):
+    """fn wrapped to record the row count of every call in .rows."""
+    def wrapped(*args):
+        wrapped.rows.append(len(args[-1]))
+        return fn(*args)
+    wrapped.rows = []
+    return wrapped
+
+
+class TestBatchedShapleyExact:
+    """One model call per row against the former per-coalition sweep."""
+
+    def check(self, predict_fn, rows, bg):
+        fn = counting(predict_fn)
+        phi, phi0 = shapley_exact(fn, rows, bg)
+        ref_phi, ref_phi0 = reference_shapley_exact(predict_fn, rows, bg)
+        assert np.array_equal(phi, ref_phi) and phi0 == ref_phi0
+        m = rows.shape[1]
+        assert fn.rows == [len(bg)] + [2**m * len(bg)] * len(rows)
+
+    def test_gradient_boosting(self):
+        rng = np.random.default_rng(3)
+        X = rng.uniform(size=(200, 4))
+        y = X[:, 0] * X[:, 1] + np.sin(3 * X[:, 2])
+        gb = fit_gradient_boosting(X, y, n_trees=15, max_depth=3, seed=0)
+        self.check(gb.predict, X[:3], X[50:62])
+
+    @pytest.mark.parametrize("n_bg", [4, 12, 32])
+    def test_network(self, n_bg):
+        names = ("D", "t", "L", "fy", "fc")
+        params = init_parameters(names, TrainConfig(hidden_layers=2, hidden_units=8,
+                                                    seed=1), ConstraintSpec())
+        rng = np.random.default_rng(n_bg)
+        lo, hi = np.array([ENVELOPE[g] for g in names]).T
+        Z = lo + (hi - lo) * rng.uniform(size=(3 + n_bg, len(names)))
+        self.check(lambda rows: predict_rows(params, rows), Z[:3], Z[3:])
+
+
+def center_distance(centers):
+    """Closed-form per-row fitness: L1 distance of each genome to its cell's
+    center."""
+    def evaluate(pop):
+        return np.abs(pop - centers[:, None, :]).sum(axis=2)
+    return evaluate
+
+
+class TestBatchedGa:
+    CONFIG = GaConfig(population=10, generations=15, seed=0)
+    LOWS = np.array([[0.0, -5.0], [1.0, 0.0], [-3.0, 2.0], [10.0, 10.0]])
+    HIGHS = LOWS + np.array([[1.0, 10.0], [4.0, 1.0], [3.0, 5.0], [0.5, 20.0]])
+    CENTERS = LOWS + 0.3 * (HIGHS - LOWS)
+
+    def test_cells_independent(self):
+        # common random numbers: a cell's run is the same alone or in a grid
+        best, fit, history = _run_ga(center_distance(self.CENTERS), self.LOWS,
+                                     self.HIGHS, self.CONFIG, np.random.default_rng(5))
+        for c in range(len(self.LOWS)):
+            b1, f1, h1 = _run_ga(center_distance(self.CENTERS[c:c + 1]),
+                                 self.LOWS[c:c + 1], self.HIGHS[c:c + 1],
+                                 self.CONFIG, np.random.default_rng(5))
+            assert np.array_equal(best[c], b1[0])
+            assert np.array_equal(fit[c], f1[0])
+            assert np.array_equal(history[:, c], h1[:, 0])
+
+    def test_zero_generations_returns_argmin_of_initial(self):
+        rng = np.random.default_rng(0)
+        span = self.HIGHS - self.LOWS
+        initial = self.LOWS[:, None, :] + span[:, None, :] * rng.uniform(
+            size=(len(self.LOWS), self.CONFIG.population, 2))
+        config = GaConfig(population=10, generations=0)
+        best, fit, history = _run_ga(center_distance(self.CENTERS), self.LOWS,
+                                     self.HIGHS, config, rng, initial=initial)
+        fitness = center_distance(self.CENTERS)(initial)
+        for c in range(len(self.LOWS)):
+            k = int(np.argmin(fitness[c]))
+            assert np.array_equal(best[c], initial[c, k])
+            assert fit[c] == fitness[c, k]
+        assert np.array_equal(history, fitness.min(axis=1)[None, :])
+
+    def test_history_shape_and_monotone(self):
+        best, fit, history = _run_ga(center_distance(self.CENTERS), self.LOWS,
+                                     self.HIGHS, self.CONFIG, np.random.default_rng(1))
+        assert history.shape == (self.CONFIG.generations + 1, len(self.LOWS))
+        assert np.all(np.diff(history, axis=0) <= 0)
+        assert np.array_equal(history[-1], fit)
+        assert np.all((best >= self.LOWS) & (best <= self.HIGHS))
+
+    def test_infeasible_cells_take_no_model_rows(self, monkeypatch):
+        model = toy_model(("D",), [1.0])
+        config = GaConfig(population=8, generations=4, seed=3)
+        assert _alpha_feasible_D_range(1e-6, config.bounds) is None
+        runs = {}
+        for alphas in ([0.1, 0.2], [1e-6, 0.1, 0.2]):
+            fn = counting(predict_rows)
+            monkeypatch.setattr(explain, "predict_rows", fn)
+            samples = build_dependence_grid(model, 400.0, fc_grid=[30.0, 60.0],
+                                            alpha_grid=alphas, config=config,
+                                            shap_background_size=3)
+            runs[len(alphas)] = (fn.rows, [s for s in samples if s.valid])
+        rows2, valid2 = runs[2]
+        rows3, valid3 = runs[3]
+        # one call per generation and one for the realized cells, then the
+        # exact Shapley sweep's background call and one call per valid cell
+        assert len(rows3) == config.generations + 2 + 1 + len(valid3)
+        assert rows3 == rows2
+        assert [(s.fc, s.alpha_sc, s.specimen.D, s.shap_alpha) for s in valid3] \
+            == [(s.fc, s.alpha_sc, s.specimen.D, s.shap_alpha) for s in valid2]

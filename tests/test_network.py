@@ -7,8 +7,9 @@ from cfstcap.data import generate_synthetic, split
 from cfstcap.errors import ConfigError, DataError, NumericError
 from cfstcap.features import PAPER_SELECTED
 from cfstcap.network import (ConstraintSpec, NetworkParameters, TrainConfig,
-                             TrainingHistory, _backward, _forward_cached,
-                             _training_arrays, dominance_pairs, forward,
+                             TrainingHistory, _backward, _dominance_relation,
+                             _forward_cached, _training_arrays, dominance_pairs,
+                             forward,
                              init_parameters,
                              load_model, loss_approx, loss_monotone,
                              loss_supervised, loss_total, params_from_dict,
@@ -118,6 +119,20 @@ class TestLossTerms:
         val, pairs = loss_monotone(np.array([3.0, 1.0]),
                                    np.zeros((2, 0)), spec)
         assert val == 0.0 and len(pairs) == 0
+
+    def test_relation_matches_per_batch_pairs(self):
+        # the trainer reads each batch's pairs from one relation over the
+        # training rows; they must be the batch's own dominance pairs, in order
+        rng = np.random.default_rng(0)
+        F = rng.integers(0, 4, size=(150, 3)).astype(float)  # ties likely
+        relation = _dominance_relation(F, ConstraintSpec())
+        for _ in range(200):
+            pos = rng.permutation(len(F))[:int(rng.integers(1, 65))]
+            got = np.argwhere(relation[np.ix_(pos, pos)])
+            want = dominance_pairs(F[pos])
+            assert got.shape == want.shape and np.array_equal(got, want)
+        disabled = _dominance_relation(F, ConstraintSpec(monotone_features=()))
+        assert not disabled.any()
 
 
 class TestGradients:
