@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -208,7 +209,6 @@ class TestShapleyExplainNetwork:
 
 def reference_shapley_exact(predict_fn, rows, background):
     """The former exact Shapley sweep: one model call per (row, coalition)."""
-    import itertools
     n, m = rows.shape
     masks = np.array(list(itertools.product((False, True), repeat=m)), dtype=bool)
     sizes = masks.sum(axis=1)
