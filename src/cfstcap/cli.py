@@ -1,5 +1,5 @@
 """Command-line pipeline: one YAML config, one master seed, per-stage
-artifacts with manifests recording config hash and artifact digests.
+artifacts with manifests recording config hash, input and artifact digests.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -16,15 +16,16 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .codes import CodeOptions, predict_all
+from .codes import CODE_IDS, CodeOptions, predict_all
 from .data import Dataset, generate_synthetic, load_csv, save_csv, split
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import (compute_metrics, interval_breakdown,
                          robustness_sweep, sensitivity)
 from .features import (build_frame, correlation_matrix,
                        rank_by_abs_correlation, select_features)
-from .network import (ConstraintSpec, TrainConfig, load_model, predict_rows,
-                      predict_specimens, save_model, train, variant_spec)
+from .network import (MODEL_FORMAT_VERSION, ConstraintSpec, TrainConfig,
+                      load_model, predict_rows, predict_specimens, save_model,
+                      train, variant_spec)
 from .seeding import named_seed
 from .trees import (detect_anomalies, fit_gradient_boosting, fit_random_forest,
                     global_importance, mdi_importance, shapley_permutation)
@@ -57,8 +58,29 @@ DEFAULT_CONFIG = {
                 "shap_background": 32},
 }
 
-STAGES = ["synth", "features", "select", "screen", "train", "codes",
-          "evaluate", "robustness", "sensitivity", "explain"]
+# The stages in pipeline order, with the upstream files each one reads.
+# "source" is the unscreened dataset (the synth stage's dataset.csv or the
+# configured CSV); "dataset" is dataset_screened.csv once the screen stage
+# has run, else the source.
+READS = {
+    "synth": (),
+    "features": ("source",),
+    "select": ("source",),
+    "screen": ("source",),
+    "train": ("dataset", "selected_features.json"),
+    "codes": ("dataset",),
+    "evaluate": ("dataset", "model.json"),
+    "robustness": ("dataset", "selected_features.json"),
+    "sensitivity": ("dataset", "model.json"),
+    "explain": ("dataset", "model.json"),
+}
+STAGES = list(READS)
+
+# The stage that writes each artifact another stage reads, and what it
+# made that artifact from.
+PRODUCERS = {"dataset_screened.csv": ("screen", "screened from"),
+             "selected_features.json": ("select", "selected from"),
+             "model.json": ("train", "trained on")}
 
 
 def deep_update(base: dict, extra: dict) -> dict:
@@ -122,19 +144,19 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(path: Path | None) -> str | None:
+    return None if path is None else hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_manifest(outdir: Path, stage: str, cfg: dict, artifacts: list[Path],
-                   **fields) -> Path:
+                   inputs: dict) -> Path:
     doc = {
         "config_hash": config_hash(cfg),
         "master_seed": cfg["master_seed"],
         "stage": stage,
+        "inputs": inputs,
         "artifact_list": {p.name: _sha256(p) for p in artifacts},
-        "versions": {"cfstcap": __version__, "model_format": 1},
-        **fields,
+        "versions": {"cfstcap": __version__, "model_format": MODEL_FORMAT_VERSION},
     }
     path = outdir / f"manifest_{stage}.json"
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
@@ -144,65 +166,59 @@ def write_manifest(outdir: Path, stage: str, cfg: dict, artifacts: list[Path],
 def write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for c in row:
-            if isinstance(c, float):
-                cells.append(repr(c))
-            else:
-                cells.append(str(c))
-        lines.append(",".join(cells))
+        # float() first: numpy 2 reprs an np.float64 as "np.float64(...)"
+        lines.append(",".join(repr(float(c)) if isinstance(c, float) else str(c)
+                              for c in row))
     path.write_text("\n".join(lines) + "\n")
 
 
-def _source_path(cfg: dict, outdir: Path) -> Path:
-    """The unscreened dataset: the synth stage's output or the configured CSV."""
-    src = cfg["data"]["source"]
-    path = outdir / "dataset.csv" if src == "synthetic" else Path(src)
-    if path.is_file():
-        return path
-    if src == "synthetic":
-        raise DataError("no dataset present; run the synth stage first")
-    raise DataError(f"cannot read dataset {path}: no such file")
+def _resolve_input(key: str, cfg: dict, outdir: Path) -> Path | None:
+    """The file behind one READS entry; None for an artifact not made yet.
 
-
-def _recorded(outdir: Path, stage: str, key: str):
-    """A field of a stage's manifest; None when the manifest is absent."""
-    manifest = outdir / f"manifest_{stage}.json"
-    return json.loads(manifest.read_text()).get(key) if manifest.exists() else None
-
-
-def _dataset_path(cfg: dict, outdir: Path, screened: bool = True) -> Path:
-    """The screened dataset if the screen stage ran on the current source,
-    else the source; a screened file left from another source is an error."""
-    path = _source_path(cfg, outdir)
-    cleaned = outdir / "dataset_screened.csv"
-    if screened and cleaned.exists():
-        if _recorded(outdir, "screen", "source_sha256") != _sha256(path):
-            raise DataError(f"{cleaned} was not screened from the current dataset "
-                            f"{path}; rerun the screen stage")
-        path = cleaned
+    An artifact of another stage is taken only while its producer's
+    manifest lists its current digest and every input that producer
+    recorded still resolves to the digest recorded there."""
+    if key == "source":
+        src = cfg["data"]["source"]
+        path = outdir / "dataset.csv" if src == "synthetic" else Path(src)
+        if path.is_file():
+            return path
+        if src == "synthetic":
+            raise DataError("no dataset present; run the synth stage first")
+        raise DataError(f"cannot read dataset {path}: no such file")
+    if key == "dataset":
+        return (_resolve_input("dataset_screened.csv", cfg, outdir)
+                or _resolve_input("source", cfg, outdir))
+    path = outdir / key
+    if not path.exists():
+        return None
+    producer, made = PRODUCERS[key]
+    manifest = outdir / f"manifest_{producer}.json"
+    doc = json.loads(manifest.read_text()) if manifest.exists() else {}
+    if doc.get("artifact_list", {}).get(key) != _sha256(path) or "inputs" not in doc:
+        raise DataError(f"{path} does not match {manifest.name}; "
+                        f"rerun the {producer} stage")
+    for name, digest in doc["inputs"].items():
+        if _sha256(_resolve_input(name, cfg, outdir)) != digest:
+            raise DataError(f"{path} was not {made} the current {name}; "
+                            f"rerun the {producer} stage")
     return path
 
 
-def _dataset(cfg: dict, outdir: Path, screened: bool = True) -> Dataset:
-    path = _dataset_path(cfg, outdir, screened)
-    return _with_split(load_csv(path, cfg["data"]["range_mode"]), cfg)
-
-
-def _with_split(ds: Dataset, cfg: dict) -> Dataset:
+def _dataset(cfg: dict, path: Path) -> Dataset:
+    ds = load_csv(path, cfg["data"]["range_mode"])
     return Dataset(specimens=ds.specimens,
                    split_seed=named_seed(cfg["master_seed"], "split") % 2**31,
                    split_fraction=cfg["split"]["fraction"])
 
 
-def _selected_features(cfg: dict, outdir: Path) -> list[str]:
+def _selected_features(cfg: dict, path: Path | None) -> list[str]:
     """The select stage's features for the configured selection mode; the
     published list stands in for a missing file only in paper_fixed mode."""
     mode = cfg["features"]["selection_mode"]
-    path = outdir / "selected_features.json"
-    if not path.exists():
+    if path is None:
         if mode != "paper_fixed":
-            raise DataError(f"no {path.name} for selection_mode {mode!r}; "
+            raise DataError(f"no selected_features.json for selection_mode {mode!r}; "
                             f"run the select stage")
         return select_features([], [], [], cfg["features"]["k"], mode=mode)
     doc = json.loads(path.read_text())
@@ -212,16 +228,10 @@ def _selected_features(cfg: dict, outdir: Path) -> list[str]:
     return doc["selected"]
 
 
-def _model(cfg: dict, outdir: Path, stage: str):
-    """The trained model, refused unless the train stage ran on the dataset
-    this stage reads now."""
-    mpath = outdir / "model.json"
-    if not mpath.exists():
-        raise DataError(f"{stage} requires a trained model artifact (model.json)")
-    if _recorded(outdir, "train", "dataset_sha256") != _sha256(_dataset_path(cfg, outdir)):
-        raise DataError(f"{mpath} was not trained on the current dataset; "
-                        f"rerun the train stage")
-    return load_model(mpath)
+def _model(path: Path | None):
+    if path is None:
+        raise DataError("no trained model (model.json); run the train stage")
+    return load_model(path)
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -244,7 +254,7 @@ def _constraint_spec(cfg: dict) -> ConstraintSpec:
 
 # ---------------------------------------------------------------- stages
 
-def stage_synth(cfg, outdir: Path) -> list[Path]:
+def stage_synth(cfg, outdir: Path, inputs: dict) -> list[Path]:
     s = cfg["data"]["synthetic"]
     ds = generate_synthetic(s["n"], named_seed(cfg["master_seed"], "synth") % 2**31,
                             s["noise_cov"])
@@ -253,8 +263,8 @@ def stage_synth(cfg, outdir: Path) -> list[Path]:
     return [path]
 
 
-def stage_features(cfg, outdir: Path) -> list[Path]:
-    ds = _dataset(cfg, outdir)
+def stage_features(cfg, outdir: Path, inputs: dict) -> list[Path]:
+    ds = _dataset(cfg, inputs["source"])
     frame = build_frame(ds.specimens)
     fpath = outdir / "features.csv"
     write_csv(fpath, list(frame.names) + ["N"],
@@ -266,8 +276,8 @@ def stage_features(cfg, outdir: Path) -> list[Path]:
     return [fpath, cpath]
 
 
-def stage_select(cfg, outdir: Path) -> list[Path]:
-    ds = _dataset(cfg, outdir)
+def stage_select(cfg, outdir: Path, inputs: dict) -> list[Path]:
+    ds = _dataset(cfg, inputs["source"])
     fcfg = cfg["features"]
     frame = build_frame(ds.specimens)
     seed = named_seed(cfg["master_seed"], "select") % 2**31
@@ -309,8 +319,8 @@ def stage_select(cfg, outdir: Path) -> list[Path]:
     return paths + [sel]
 
 
-def stage_screen(cfg, outdir: Path) -> list[Path]:
-    ds = _dataset(cfg, outdir, screened=False)
+def stage_screen(cfg, outdir: Path, inputs: dict) -> list[Path]:
+    ds = _dataset(cfg, inputs["source"])
     a = cfg["anomaly"]
     frame = build_frame(ds.specimens, names=["D", "t", "L", "fy", "fc"])
     X = np.column_stack([frame.X, frame.y])
@@ -330,9 +340,9 @@ def stage_screen(cfg, outdir: Path) -> list[Path]:
     return [spath, cleaned]
 
 
-def stage_train(cfg, outdir: Path) -> list[Path]:
-    ds = _dataset(cfg, outdir)
-    features = _selected_features(cfg, outdir)
+def stage_train(cfg, outdir: Path, inputs: dict) -> list[Path]:
+    ds = _dataset(cfg, inputs["dataset"])
+    features = _selected_features(cfg, inputs["selected_features.json"])
     spec = variant_spec(cfg["train"]["variant"], _constraint_spec(cfg))
     params, history = train(ds, features, spec, _train_config(cfg))
     mpath = outdir / "model.json"
@@ -344,27 +354,23 @@ def stage_train(cfg, outdir: Path) -> list[Path]:
     return [mpath, hpath]
 
 
-def stage_codes(cfg, outdir: Path) -> list[Path]:
-    ds = _dataset(cfg, outdir)
+def stage_codes(cfg, outdir: Path, inputs: dict) -> list[Path]:
+    ds = _dataset(cfg, inputs["dataset"])
     opts = CodeOptions(fck_mode=cfg["codes"]["fck_mode"],
                        ec4_slenderness=cfg["codes"]["ec4_slenderness"])
     preds = predict_all(list(ds.specimens), opts)
     path = outdir / "code_predictions.csv"
-    rows = []
-    per_code = len(preds) // len(ds.specimens)
-    for i, s in enumerate(ds.specimens):
-        for p in preds[i * per_code:(i + 1) * per_code]:
-            rows.append([s.source_id, p.code_id,
-                         float(p.capacity_kn) if p.valid else "",
-                         int(p.valid), json.dumps(p.intermediates, sort_keys=True)])
+    ids = [s.source_id for s in ds.specimens for _ in CODE_IDS]
+    rows = [[i, p.code_id, float(p.capacity_kn) if p.valid else "", int(p.valid),
+             json.dumps(p.intermediates, sort_keys=True)] for i, p in zip(ids, preds)]
     write_csv(path, ["source_id", "code_id", "capacity_kN", "valid",
                      "intermediates_json"], rows)
     return [path]
 
 
-def stage_evaluate(cfg, outdir: Path) -> list[Path]:
-    params = _model(cfg, outdir, "evaluate")
-    ds = _dataset(cfg, outdir)
+def stage_evaluate(cfg, outdir: Path, inputs: dict) -> list[Path]:
+    params = _model(inputs["model.json"])
+    ds = _dataset(cfg, inputs["dataset"])
     _, va = split(ds, ds.split_fraction, ds.split_seed)
     specimens = [ds.specimens[i] for i in va]
     preds = predict_specimens(params, specimens)
@@ -383,15 +389,16 @@ def stage_evaluate(cfg, outdir: Path) -> list[Path]:
     return [mjson, gpath]
 
 
-def stage_robustness(cfg, outdir: Path) -> list[Path]:
-    ds = _dataset(cfg, outdir)
+def stage_robustness(cfg, outdir: Path, inputs: dict) -> list[Path]:
+    ds = _dataset(cfg, inputs["dataset"])
     r = cfg["robustness"]
     cells = robustness_sweep(ds, variants=r["variants"], sweep=r["sweep"],
                              levels=r["levels"], fixed_d=r["fixed_d"],
                              fixed_p=r["fixed_p"],
                              base_spec=_constraint_spec(cfg),
                              config=_train_config(cfg),
-                             feature_order=_selected_features(cfg, outdir),
+                             feature_order=_selected_features(
+                                 cfg, inputs["selected_features.json"]),
                              seed=named_seed(cfg["master_seed"], "robustness") % 2**31)
     path = outdir / "robustness.csv"
     write_csv(path, ["variant", "level", "mape", "error"],
@@ -401,9 +408,9 @@ def stage_robustness(cfg, outdir: Path) -> list[Path]:
     return [path]
 
 
-def stage_sensitivity(cfg, outdir: Path) -> list[Path]:
-    params = _model(cfg, outdir, "sensitivity")
-    ds = _dataset(cfg, outdir)
+def stage_sensitivity(cfg, outdir: Path, inputs: dict) -> list[Path]:
+    params = _model(inputs["model.json"])
+    ds = _dataset(cfg, inputs["dataset"])
     frame = build_frame(ds.specimens).select(list(params.feature_order))
     values = sensitivity(lambda rows: predict_rows(params, rows), frame.X,
                          cfg["evaluation"]["grid_points"])
@@ -413,9 +420,9 @@ def stage_sensitivity(cfg, outdir: Path) -> list[Path]:
     return [path]
 
 
-def stage_explain(cfg, outdir: Path) -> list[Path]:
-    params = _model(cfg, outdir, "explain")
-    ds = _dataset(cfg, outdir)
+def stage_explain(cfg, outdir: Path, inputs: dict) -> list[Path]:
+    params = _model(inputs["model.json"])
+    ds = _dataset(cfg, inputs["dataset"])
     e = cfg["explain"]
     target = e["target"]
     if target is None:
@@ -464,24 +471,16 @@ STAGE_FUNCS = {
 def run_stage(name: str, cfg: dict) -> list[Path]:
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    # later stages take dataset_screened.csv only while its source is
-    # unchanged, and model.json only while its training dataset is
-    fields = {}
-    if name == "screen":
-        fields["source_sha256"] = _sha256(_source_path(cfg, outdir))
-    elif name == "train":
-        fields["dataset_sha256"] = _sha256(_dataset_path(cfg, outdir))
-    artifacts = STAGE_FUNCS[name](cfg, outdir)
-    manifest = write_manifest(outdir, name, cfg, artifacts, **fields)
+    inputs = {key: _resolve_input(key, cfg, outdir) for key in READS[name]}
+    digests = {key: _sha256(path) for key, path in inputs.items()}
+    artifacts = STAGE_FUNCS[name](cfg, outdir, inputs)
+    manifest = write_manifest(outdir, name, cfg, artifacts, digests)
     return artifacts + [manifest]
 
 
 def run_pipeline(cfg: dict) -> list[Path]:
     order = STAGES if cfg["data"]["source"] == "synthetic" else STAGES[1:]
-    out = []
-    for name in order:
-        out.extend(run_stage(name, cfg))
-    return out
+    return [p for name in order for p in run_stage(name, cfg)]
 
 
 def main(argv=None) -> int:

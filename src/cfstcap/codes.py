@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 from .data import Specimen
+from .errors import ConfigError
 from .features import section_areas
 
 CODE_IDS = ("AIJ", "EC4", "ACI", "GB50936", "GEP", "HAN", "WAN")
@@ -23,12 +24,17 @@ class CodeOptions:
     fck_mode: 'cylinder' takes fck = fc as given; 'cube' converts fck = fc/0.8.
     ec4_slenderness: 'standard' computes relative slenderness sqrt(Npl/Ncr);
     'literal' feeds the geometric ratio 4L/D straight into the eta formulas.
-    clamp_eta: apply the usual caps (eta_s <= 1, eta_c >= 0) to EC4 factors.
     """
 
     fck_mode: str = "cylinder"
     ec4_slenderness: str = "standard"
-    clamp_eta: bool = True
+
+    def __post_init__(self):
+        for key, allowed in (("fck_mode", ("cylinder", "cube")),
+                             ("ec4_slenderness", ("standard", "literal"))):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"codes.{key} must be one of {allowed}, "
+                                  f"got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -104,12 +110,8 @@ def _ec4(s: Specimen, opts: CodeOptions) -> CodePrediction:
     eta_c = 4.9 - 18.5 * lam + 17.0 * lam * lam
     inter["eta_s_raw"] = eta_s
     inter["eta_c_raw"] = eta_c
-    if opts.clamp_eta:
-        eta_s = min(eta_s, 1.0)
-        eta_c = max(eta_c, 0.0)
-    elif eta_c < 0:
-        return CodePrediction("EC4", None, inter, valid=False,
-                              message=f"eta_c={eta_c:.4f} < 0 with clamping disabled")
+    eta_s = min(eta_s, 1.0)
+    eta_c = max(eta_c, 0.0)
     inter["eta_s"] = eta_s
     inter["eta_c"] = eta_c
     cap = (eta_s * As * s.fy + eta_c * Ac * s.fc) / 1e3

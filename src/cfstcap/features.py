@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 RAW_NAMES = ["D", "t", "L", "fy", "fc"]
 ENGINEERED_NAMES = ["As", "Ac", "Asc", "C", "D_over_t", "Vs", "Vc",
@@ -154,6 +154,9 @@ def select_features(rank_pcc, rank_shap, rank_mdi, k: int,
     Each ranking is an ordered list, best first, over the same vocabulary.
     Lower rank-sum wins; ties break by canonical vocabulary order.
     """
+    if mode not in ("paper_fixed", "consensus"):
+        raise ConfigError(f"features.selection_mode must be one of "
+                          f"('paper_fixed', 'consensus'), got {mode!r}")
     if mode == "paper_fixed":
         if k > len(PAPER_SELECTED):
             raise ValueError(f"k={k} exceeds the published list of {len(PAPER_SELECTED)}")

@@ -18,7 +18,6 @@ class GradientBoosting:
     learning_rate: float
     seed: int
     train_mse: list[float]  # per stage, after adding that stage's tree
-    kind: str = "gradient_boosting"
 
     @cached_property
     def _table(self) -> NodeTable:

@@ -17,7 +17,6 @@ class RandomForest:
     trees: list[Tree]
     n_features: int
     seed: int
-    kind: str = "random_forest"
 
     @cached_property
     def _table(self) -> NodeTable:
@@ -29,7 +28,7 @@ class RandomForest:
 
 def fit_random_forest(X, y, n_trees: int = 100, max_depth: int = 12,
                       min_leaf: int = 1, seed: int = 0,
-                      max_features="sqrt", bootstrap: bool = True) -> RandomForest:
+                      max_features="sqrt") -> RandomForest:
     """Bagged variance-splitting trees with sqrt(M) feature subsampling."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -43,7 +42,7 @@ def fit_random_forest(X, y, n_trees: int = 100, max_depth: int = 12,
     trees = []
     for i in range(n_trees):
         rng = child_rng(seed, i)
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        rows = rng.integers(0, n, size=n)
         trees.append(fit_regression_tree(X[rows], y[rows], max_depth=max_depth,
                                          min_leaf=min_leaf, max_features=mf, rng=rng))
     return RandomForest(trees=trees, n_features=m, seed=seed)

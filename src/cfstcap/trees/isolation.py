@@ -28,9 +28,7 @@ def average_path_length(n: int) -> float:
 class IsolationForest:
     trees: list[Tree]       # leaf value: depth + c(leaf size)
     subsample_size: int
-    n_train: int
     seed: int
-    kind: str = "isolation_forest"
 
     @cached_property
     def _table(self) -> NodeTable:
@@ -84,7 +82,7 @@ def fit_isolation_forest(X, n_trees: int = 100, subsample: int = 256,
         nodes = []
         _grow(X, rows, 0, depth_cap, rng, nodes)
         trees.append(Tree.from_nodes(nodes))
-    return IsolationForest(trees=trees, subsample_size=subsample, n_train=n, seed=seed)
+    return IsolationForest(trees=trees, subsample_size=subsample, seed=seed)
 
 
 def _scores(forest: IsolationForest, X) -> np.ndarray:
@@ -95,11 +93,6 @@ def _scores(forest: IsolationForest, X) -> np.ndarray:
     # Python's scalar pow, once per row: np.power and np.exp2 round some
     # inputs differently in the last bit
     return np.array([2.0 ** (-e_h / c) for e_h in forest.mean_path_length(X).tolist()])
-
-
-def anomaly_score(forest: IsolationForest, x) -> float:
-    """S(x, n) of one row; higher means more anomalous."""
-    return float(_scores(forest, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def detect_anomalies(X, contamination: float = 0.02, n_trees: int = 100,

@@ -1,9 +1,11 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
-from cfstcap.cli import (DEFAULT_CONFIG, STAGES, config_hash, deep_update,
+from cfstcap.cli import (DEFAULT_CONFIG, READS, STAGES, config_hash, deep_update,
                          load_config, main)
 from cfstcap.network import load_model
 
@@ -174,6 +176,46 @@ class TestExitCodes:
         assert "'paper_fixed'" in err and "run the select stage" in err
         assert not (tmp_path / "model.json").exists()
 
+    def test_selection_from_another_source_rejected(self, tmp_path, capsys):
+        small = ["features.selection_mode=consensus", "data.synthetic.n=60"]
+        large = ["features.selection_mode=consensus", "data.synthetic.n=200"]
+        assert run("synth", tmp_path, extra=small) == 0
+        assert run("select", tmp_path, extra=small) == 0
+        assert run("synth", tmp_path, extra=large) == 0
+        capsys.readouterr()
+        assert run("train", tmp_path, extra=large) == 2
+        err = capsys.readouterr().err
+        assert "selected_features.json" in err and "rerun the select stage" in err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_edited_model_rejected(self, tmp_path, capsys):
+        assert run("synth", tmp_path) == 0
+        assert run("train", tmp_path) == 0
+        model = tmp_path / "model.json"
+        doc = json.loads(model.read_text())
+        doc["seed"] += 1
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("evaluate", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "model.json" in err and "rerun the train stage" in err
+        assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("stage, setting", [
+        ("select", "features.selection_mode=paper-fixed"),
+        ("codes", "codes.fck_mode=cubes"),
+        ("codes", "codes.ec4_slenderness=literall"),
+    ])
+    def test_misspelt_choice_rejected(self, tmp_path, capsys, stage, setting):
+        assert run("synth", tmp_path) == 0
+        capsys.readouterr()
+        assert run(stage, tmp_path, extra=[setting]) == 1
+        key, value = setting.split("=")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be one of") and repr(value) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv",
+                                                              "manifest_synth.json"]
+
     def test_stage_without_dataset(self, tmp_path, capsys):
         assert run("features", tmp_path) == 2
         assert "synth stage" in capsys.readouterr().err
@@ -214,10 +256,13 @@ class TestStages:
         screened = (tmp_path / "dataset_screened.csv").read_text().splitlines()
         n_screened = len(screened) - 1
         assert n_screened < 80  # contamination fraction removed
+        assert run("codes", tmp_path) == 0
         assert run("features", tmp_path) == 0
         capsys.readouterr()
+        codes = (tmp_path / "code_predictions.csv").read_text().splitlines()
+        assert len(codes) - 1 == 7 * n_screened
         features = (tmp_path / "features.csv").read_text().splitlines()
-        assert len(features) - 1 == n_screened
+        assert len(features) - 1 == 80  # features reads the unscreened source
 
     def test_screen_reads_unscreened_source(self, tmp_path, capsys):
         assert run("synth", tmp_path) == 0
@@ -233,16 +278,24 @@ class TestStages:
         assert run("screen", tmp_path, extra=small) == 0
         assert run("synth", tmp_path, extra=large) == 0
         capsys.readouterr()
-        assert run("features", tmp_path, extra=large) == 2
+        assert run("codes", tmp_path, extra=large) == 2
         err = capsys.readouterr().err
         assert "dataset_screened.csv" in err and "rerun the screen stage" in err
-        assert not (tmp_path / "features.csv").exists()
+        assert not (tmp_path / "code_predictions.csv").exists()
         assert run("screen", tmp_path, extra=large) == 0
-        assert run("features", tmp_path, extra=large) == 0
+        assert run("codes", tmp_path, extra=large) == 0
         capsys.readouterr()
         screened = (tmp_path / "dataset_screened.csv").read_text().splitlines()
-        features = (tmp_path / "features.csv").read_text().splitlines()
-        assert len(features) == len(screened) > 190
+        codes = (tmp_path / "code_predictions.csv").read_text().splitlines()
+        assert len(codes) - 1 == 7 * (len(screened) - 1) and len(screened) > 190
+
+    def test_pipeline_rerun_in_place_is_identical(self, tmp_path, capsys):
+        assert run("pipeline", tmp_path) == 0
+        first = {p.name: p.read_text() for p in tmp_path.glob("manifest_*.json")}
+        assert len(first) == 10
+        assert run("pipeline", tmp_path) == 0
+        capsys.readouterr()
+        assert {p.name: p.read_text() for p in tmp_path.glob("manifest_*.json")} == first
 
 
 @pytest.fixture(scope="module")
@@ -295,3 +348,30 @@ class TestPipeline:
     def test_history_columns(self, pipeline_dir):
         head = (pipeline_dir / "history.csv").read_text().splitlines()[0]
         assert head == "epoch,loss_supervised,loss_approx,loss_monotone,val_loss"
+
+    def test_manifests_record_inputs(self, pipeline_dir):
+        def sha(name):
+            return hashlib.sha256((pipeline_dir / name).read_bytes()).hexdigest()
+        files = {"source": "dataset.csv", "dataset": "dataset_screened.csv",
+                 "selected_features.json": "selected_features.json",
+                 "model.json": "model.json"}
+        for stage in STAGES:
+            manifest = json.loads((pipeline_dir / f"manifest_{stage}.json").read_text())
+            assert manifest["inputs"] == {key: sha(files[key]) for key in READS[stage]}
+
+    def test_csv_cells_are_numbers_or_text(self, pipeline_dir):
+        text = {"source_id", "code_id", "intermediates_json", "feature", "variant",
+                "error", "steel_class", "concrete_class"}
+        number = re.compile(r"-?(\d+(\.\d+)?(e[-+]\d+)?|inf|nan)")
+        paths = sorted(pipeline_dir.glob("*.csv"))
+        assert len(paths) == 15
+        for path in paths:
+            header, *rows = path.read_text().splitlines()
+            header = header.split(",")
+            for row in rows:
+                # only a last, text column may hold commas
+                cells = row.split(",", len(header) - 1)
+                assert len(cells) == len(header), path.name
+                for name, cell in zip(header, cells):
+                    assert name in text or cell == "" or number.fullmatch(cell), \
+                        f"{path.name}: {name}={cell!r}"

@@ -1,6 +1,9 @@
-"""Every python code block of README.md runs as written."""
+"""Every python code block of README.md runs as written, its stage chain is
+the CLI's, and every `--set` of its shell examples is a valid config entry."""
 import re
 from pathlib import Path
+
+from cfstcap.cli import STAGES, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -11,3 +14,19 @@ def test_python_blocks_run():
     assert blocks
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), {})
+
+
+def test_stage_chain_matches_cli():
+    chain = re.search(r"Stages \(`pipeline` runs them all in order\):\n(.*?)\.\n",
+                      README.read_text(encoding="utf-8"), flags=re.S)
+    assert chain
+    assert re.findall(r"`(\w+)`", chain.group(1)) == STAGES
+
+
+def test_shell_overrides_load():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"),
+                        flags=re.S)
+    overrides = [o for block in blocks for o in re.findall(r"--set\s+(\S+)", block)]
+    assert overrides
+    for override in overrides:
+        load_config(None, [override])

@@ -1,17 +1,14 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from cfstcap.trees import (GradientBoosting, IsolationForest, RandomForest,
-                           Tree, anomaly_score, average_path_length,
-                           detect_anomalies, ensemble_from_dict,
-                           ensemble_to_dict, fit_gradient_boosting,
+from cfstcap.trees import (RandomForest, Tree, average_path_length,
+                           detect_anomalies, fit_gradient_boosting,
                            fit_isolation_forest, fit_random_forest,
-                           fit_regression_tree, load_ensemble,
-                           mdi_importance, save_ensemble)
+                           fit_regression_tree, mdi_importance)
 from cfstcap.trees.cart import best_split
+from cfstcap.trees.isolation import _scores
 from cfstcap.errors import DataError
 
 
@@ -275,22 +272,6 @@ def walk_isolation_scores(forest, X):
     return np.array(scores)
 
 
-def _reference(model, X):
-    if isinstance(model, GradientBoosting):
-        return walk_boosting(model, X)
-    if isinstance(model, RandomForest):
-        return walk_forest(model, X)
-    if isinstance(model, IsolationForest):
-        return walk_isolation_scores(model, X)
-    return walk_tree(model, X)
-
-
-def _predict(model, X):
-    if isinstance(model, IsolationForest):
-        return np.array([anomaly_score(model, x) for x in X])
-    return model.predict(X)
-
-
 def _on_thresholds(tree, X):
     """Rows of X with one feature set exactly to an internal node's threshold."""
     rows = []
@@ -342,7 +323,7 @@ class TestFlatTraversal:
         _, scores = detect_anomalies(X, contamination=0.02, **kw)
         assert np.array_equal(scores, walk_isolation_scores(forest, X))
         Z = _on_thresholds(forest.trees[0], X)
-        assert np.array_equal(_predict(forest, Z), walk_isolation_scores(forest, Z))
+        assert np.array_equal(_scores(forest, Z), walk_isolation_scores(forest, Z))
 
     def test_single_leaf_trees(self):
         X = np.arange(10.0).reshape(-1, 1)
@@ -374,34 +355,6 @@ class TestFlatTraversal:
             assert model.predict(empty).shape == (0,)
         forest = fit_isolation_forest(X, n_trees=4, subsample=32)
         assert forest.mean_path_length(empty).shape == (0,)
-
-    @pytest.mark.parametrize("kind", ["gradient_boosting", "random_forest",
-                                      "isolation_forest"])
-    def test_roundtrip_matches_walk(self, kind, tmp_path):
-        X, y, Xt = self._data(n=150, seed=7)
-        model = {"gradient_boosting": lambda: fit_gradient_boosting(X, y, n_trees=12),
-                 "random_forest": lambda: fit_random_forest(X, y, n_trees=8,
-                                                            max_depth=12, seed=1),
-                 "isolation_forest": lambda: fit_isolation_forest(X, n_trees=12,
-                                                                  subsample=64)}[kind]()
-        p = tmp_path / "model.json"
-        save_ensemble(model, p)
-        loaded = load_ensemble(p)
-        assert loaded.kind == kind
-        want = _reference(model, Xt)
-        assert np.array_equal(_predict(model, Xt), want)
-        assert np.array_equal(_predict(loaded, Xt), want)
-
-    def test_isolation_file_without_inner_sizes_loads(self):
-        # files written before isolation trees shared the Tree layout
-        # record a size only at leaves; inner nodes carry 0
-        X = np.random.default_rng(8).normal(size=(120, 3))
-        forest = fit_isolation_forest(X, n_trees=10, subsample=64, seed=2)
-        doc = ensemble_to_dict(forest)
-        for t in doc["trees"]:
-            t["size"] = [s if f == -1 else 0 for f, s in zip(t["feature"], t["size"])]
-        loaded = ensemble_from_dict(json.loads(json.dumps(doc)))
-        assert np.array_equal(_predict(loaded, X), walk_isolation_scores(forest, X))
 
 
 class TestRandomForest:
@@ -499,7 +452,7 @@ class TestIsolationForest:
         X = rng.normal(size=(400, 4))
         X[123] = 10.0  # ~10 sigma away in every coordinate
         forest = fit_isolation_forest(X, n_trees=100, subsample=128, seed=0)
-        scores = np.array([anomaly_score(forest, X[i]) for i in range(len(X))])
+        scores = _scores(forest, X)
         assert int(np.argmax(scores)) == 123
 
     def test_detect_flags_ceil_fraction(self):
@@ -526,46 +479,3 @@ class TestIsolationForest:
         X = np.random.default_rng(11).normal(size=(10, 2))
         with pytest.raises(ValueError):
             fit_isolation_forest(X, subsample=50)
-
-
-class TestSerialization:
-    def _roundtrip(self, ensemble, tmp_path, X):
-        p = tmp_path / "model.json"
-        save_ensemble(ensemble, p)
-        loaded = load_ensemble(p)
-        if isinstance(ensemble, IsolationForest):
-            a = [anomaly_score(ensemble, x) for x in X]
-            b = [anomaly_score(loaded, x) for x in X]
-        else:
-            a, b = ensemble.predict(X), loaded.predict(X)
-        assert np.array_equal(a, b)
-
-    def test_forest_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        X, y = rng.uniform(size=(80, 3)), rng.normal(size=80)
-        self._roundtrip(fit_random_forest(X, y, n_trees=5, seed=0), tmp_path, X)
-
-    def test_boosting_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        X, y = rng.uniform(size=(80, 3)), rng.normal(size=80)
-        self._roundtrip(fit_gradient_boosting(X, y, n_trees=5), tmp_path, X)
-
-    def test_isolation_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(100, 3))
-        self._roundtrip(fit_isolation_forest(X, n_trees=10, subsample=64),
-                        tmp_path, X)
-
-    def test_version_check(self):
-        rng = np.random.default_rng(3)
-        X, y = rng.uniform(size=(20, 2)), rng.normal(size=20)
-        doc = ensemble_to_dict(fit_random_forest(X, y, n_trees=2, seed=0))
-        doc["format_version"] = 99
-        with pytest.raises(DataError, match="format version"):
-            ensemble_from_dict(doc)
-
-    def test_json_serializable(self):
-        rng = np.random.default_rng(4)
-        X, y = rng.uniform(size=(20, 2)), rng.normal(size=20)
-        doc = ensemble_to_dict(fit_gradient_boosting(X, y, n_trees=2))
-        json.dumps(doc)  # no numpy types may leak through
