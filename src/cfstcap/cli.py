@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import hashlib
 import json
 import sys
@@ -21,7 +22,7 @@ from .data import Dataset, generate_synthetic, load_csv, save_csv, split
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import (compute_metrics, interval_breakdown,
                          robustness_sweep, sensitivity)
-from .features import (build_frame, correlation_matrix,
+from .features import (build_frame, check_selection_mode, correlation_matrix,
                        rank_by_abs_correlation, select_features)
 from .network import (MODEL_FORMAT_VERSION, ConstraintSpec, TrainConfig,
                       load_model, predict_rows, predict_specimens, save_model,
@@ -133,6 +134,8 @@ def load_config(path: str | None, overrides) -> dict:
             doc = {part: doc}
         _check_keys(doc, DEFAULT_CONFIG)
         deep_update(cfg, doc)
+    check_selection_mode(cfg["features"]["selection_mode"])
+    CodeOptions(**cfg["codes"])
     return cfg
 
 
@@ -164,12 +167,13 @@ def write_manifest(outdir: Path, stage: str, cfg: dict, artifacts: list[Path],
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
+    """One row per line; a cell holding a comma or a quote is quoted."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         # float() first: numpy 2 reprs an np.float64 as "np.float64(...)"
-        lines.append(",".join(repr(float(c)) if isinstance(c, float) else str(c)
-                              for c in row))
-    path.write_text("\n".join(lines) + "\n")
+        writer.writerows([repr(float(c)) if isinstance(c, float) else str(c)
+                          for c in row] for row in rows)
 
 
 def _resolve_input(key: str, cfg: dict, outdir: Path) -> Path | None:
@@ -194,8 +198,13 @@ def _resolve_input(key: str, cfg: dict, outdir: Path) -> Path | None:
         return None
     producer, made = PRODUCERS[key]
     manifest = outdir / f"manifest_{producer}.json"
-    doc = json.loads(manifest.read_text()) if manifest.exists() else {}
-    if doc.get("artifact_list", {}).get(key) != _sha256(path) or "inputs" not in doc:
+    try:
+        doc = json.loads(manifest.read_text())
+    except (OSError, ValueError):  # missing, unreadable or not JSON
+        doc = None
+    if not (isinstance(doc, dict) and isinstance(doc.get("artifact_list"), dict)
+            and isinstance(doc.get("inputs"), dict)
+            and doc["artifact_list"].get(key) == _sha256(path)):
         raise DataError(f"{path} does not match {manifest.name}; "
                         f"rerun the {producer} stage")
     for name, digest in doc["inputs"].items():
@@ -356,9 +365,7 @@ def stage_train(cfg, outdir: Path, inputs: dict) -> list[Path]:
 
 def stage_codes(cfg, outdir: Path, inputs: dict) -> list[Path]:
     ds = _dataset(cfg, inputs["dataset"])
-    opts = CodeOptions(fck_mode=cfg["codes"]["fck_mode"],
-                       ec4_slenderness=cfg["codes"]["ec4_slenderness"])
-    preds = predict_all(list(ds.specimens), opts)
+    preds = predict_all(list(ds.specimens), CodeOptions(**cfg["codes"]))
     path = outdir / "code_predictions.csv"
     ids = [s.source_id for s in ds.specimens for _ in CODE_IDS]
     rows = [[i, p.code_id, float(p.capacity_kn) if p.valid else "", int(p.valid),

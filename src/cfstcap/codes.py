@@ -1,14 +1,16 @@
 """Closed-form axial capacity baselines for circular CFST columns.
 
-Each function evaluates one published design-code or analytical formula.
-Forces are computed in Newtons internally and reported in kN.
+Each formula is written once, over arrays or scalars, from the section
+quantities the codes share (As, Ac, fck, theta). Forces are computed in
+Newtons internally and reported in kN.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
-from .data import Specimen
+import numpy as np
+
 from .errors import ConfigError
 from .features import section_areas
 
@@ -46,144 +48,132 @@ class CodePrediction:
     message: str = ""
 
 
-def _fck(fc: float, opts: CodeOptions) -> float:
-    if opts.fck_mode == "cube":
-        return fc / 0.8
-    return fc
-
-
-def aij_capacity_kn(D, t, fy, fc) -> float:
+def _confinement(D, t, fy, fc, fck=None):
+    """As, Ac, fck (fc unless given) and theta = As fy / (Ac fck)."""
     As, Ac = section_areas(D, t)
+    fck = fc if fck is None else fck
+    return As, Ac, fck, As * fy / (Ac * fck)
+
+
+def _aij(As, Ac, fy, fc):
     return (1.27 * As * fy + Ac * fc) / 1e3
 
 
-def aci_capacity_kn(D, t, fy, fc) -> float:
-    As, Ac = section_areas(D, t)
+def _aci(As, Ac, fy, fc):
     return (As * fy + 0.85 * Ac * fc) / 1e3
 
 
-def gb_capacity_kn(D, t, fy, fc, fck=None) -> float:
-    As, Ac = section_areas(D, t)
-    fck = fc if fck is None else fck
-    theta = As * fy / (Ac * fck)
-    return (0.9 * Ac * fck * (1.0 + theta + math.sqrt(theta))) / 1e3
+def _gb(As, Ac, fck, theta):
+    return (0.9 * Ac * fck * (1.0 + theta + np.sqrt(theta))) / 1e3
 
 
-def han_capacity_kn(D, t, fy, fc, fck=None) -> float:
-    As, Ac = section_areas(D, t)
-    fck = fc if fck is None else fck
-    theta = As * fy / (Ac * fck)
+def _han(As, Ac, fck, theta):
     return ((1.14 + 1.02 * theta) * fck * (As + Ac)) / 1e3
 
 
-def wan_capacity_kn(D, t, fy, fc, intermediates=None) -> float:
-    As, Ac = section_areas(D, t)
-    eta_a = 0.95 - 12.6 * fy**-0.85 * math.log(0.14 * D / t)
+def _wan(As, Ac, D, t, fy, fc):
+    """Capacity and the steel and concrete factors eta_a, eta_c."""
+    eta_a = 0.95 - 12.6 * fy**-0.85 * np.log(0.14 * D / t)
     eta_c = 0.99 + (5.04 - 2.37 * (D / t) ** 0.04 * fc**0.1) * (t * fy / (D * fc)) ** 0.51
-    if intermediates is not None:
-        intermediates.update(eta_a=eta_a, eta_c=eta_c)
-    return (eta_a * As * fy + eta_c * Ac * fc) / 1e3
+    return (eta_a * As * fy + eta_c * Ac * fc) / 1e3, eta_a, eta_c
 
 
-def ec4_relative_slenderness(D, t, L, fy, fc) -> float:
-    """sqrt(Npl / Ncr) with Ec = 22000 (fc/10)^0.3 and (EI)eff = Es Is + 0.6 Ec Ic."""
-    As, Ac = section_areas(D, t)
+def _ec4_slenderness(As, Ac, D, t, L, fy, fc):
     inner = D - 2 * t
-    Is = math.pi * (D**4 - inner**4) / 64.0
-    Ic = math.pi * inner**4 / 64.0
+    Is = np.pi * (D**4 - inner**4) / 64.0
+    Ic = np.pi * inner**4 / 64.0
     Ec = 22_000.0 * (fc / 10.0) ** 0.3
     ei_eff = E_STEEL * Is + 0.6 * Ec * Ic
-    ncr = math.pi**2 * ei_eff / (L * L)
+    ncr = np.pi**2 * ei_eff / (L * L)
     npl = As * fy + Ac * fc
-    return math.sqrt(npl / ncr)
+    return np.sqrt(npl / ncr)
 
 
-def _ec4(s: Specimen, opts: CodeOptions) -> CodePrediction:
-    As, Ac = section_areas(s.D, s.t)
-    inter: dict = {}
-    if opts.ec4_slenderness == "literal":
-        lam = 4.0 * s.L / s.D
-    else:
-        lam = ec4_relative_slenderness(s.D, s.t, s.L, s.fy, s.fc)
-    inter["lambda_bar"] = lam
-    eta_s = 0.25 * (3.0 + 2.0 * lam)
-    eta_c = 4.9 - 18.5 * lam + 17.0 * lam * lam
-    inter["eta_s_raw"] = eta_s
-    inter["eta_c_raw"] = eta_c
-    eta_s = min(eta_s, 1.0)
-    eta_c = max(eta_c, 0.0)
-    inter["eta_s"] = eta_s
-    inter["eta_c"] = eta_c
-    cap = (eta_s * As * s.fy + eta_c * Ac * s.fc) / 1e3
-    return CodePrediction("EC4", cap, inter)
+def aij_capacity_kn(D, t, fy, fc):
+    return _aij(*section_areas(D, t), fy, fc)
 
 
-def _gep(s: Specimen) -> CodePrediction:
-    """Analytical GEP expression evaluated literally in (mm, MPa, kN).
-
-    The printed formula mixes area and stress terms additively; it is
-    reproduced verbatim, and out-of-domain radicands are reported as
-    invalid predictions rather than clamped.
-    """
-    As, Ac = section_areas(s.D, s.t)
-    lam = 4.0 * s.L / s.D
-    inter = {"lambda": lam}
-    r1 = 3.0 * s.fc - 9.596
-    r2 = Ac - 11.562
-    if r1 < 0 or r2 < 0:
-        return CodePrediction("GEP", None, inter, valid=False,
-                              message=f"negative radicand (3fc-9.596={r1:.3f}, Ac-11.562={r2:.3f})")
-    cap = (As + 2.0 * s.fc - 4.0 * lam
-           + math.sqrt(s.fc) * (Ac + math.sqrt(r1))
-           + 0.169 * As * (s.fy - 2.0 * lam) * math.sqrt(r2) / (s.D / s.t))
-    return CodePrediction("GEP", cap, inter)
+def aci_capacity_kn(D, t, fy, fc):
+    return _aci(*section_areas(D, t), fy, fc)
 
 
-def predict_code(code_id: str, specimen: Specimen,
-                 options: CodeOptions | None = None) -> CodePrediction:
-    """Evaluate one baseline formula for a specimen."""
-    opts = options or CodeOptions()
-    code_id = code_id.upper()
-    s = specimen
-    As, Ac = section_areas(s.D, s.t)
-    if code_id == "AIJ":
-        return CodePrediction("AIJ", aij_capacity_kn(s.D, s.t, s.fy, s.fc))
-    if code_id == "ACI":
-        return CodePrediction("ACI", aci_capacity_kn(s.D, s.t, s.fy, s.fc))
-    if code_id == "GB50936":
-        fck = _fck(s.fc, opts)
-        theta = As * s.fy / (Ac * fck)
-        return CodePrediction("GB50936", gb_capacity_kn(s.D, s.t, s.fy, s.fc, fck),
-                              {"theta": theta, "fck": fck})
-    if code_id == "HAN":
-        fck = _fck(s.fc, opts)
-        theta = As * s.fy / (Ac * fck)
-        return CodePrediction("HAN", han_capacity_kn(s.D, s.t, s.fy, s.fc, fck),
-                              {"theta": theta, "fck": fck})
-    if code_id == "WAN":
-        inter: dict = {}
-        cap = wan_capacity_kn(s.D, s.t, s.fy, s.fc, inter)
-        if cap <= 0 or not math.isfinite(cap):
-            return CodePrediction("WAN", None, inter, valid=False,
-                                  message=f"non-physical capacity {cap!r}")
-        return CodePrediction("WAN", cap, inter)
-    if code_id == "EC4":
-        return _ec4(s, opts)
-    if code_id == "GEP":
-        return _gep(s)
-    raise ValueError(f"unknown code id {code_id!r}; expected one of {CODE_IDS}")
+def gb_capacity_kn(D, t, fy, fc, fck=None):
+    return _gb(*_confinement(D, t, fy, fc, fck))
+
+
+def han_capacity_kn(D, t, fy, fc, fck=None):
+    return _han(*_confinement(D, t, fy, fc, fck))
+
+
+def wan_capacity_kn(D, t, fy, fc, intermediates=None):
+    cap, eta_a, eta_c = _wan(*section_areas(D, t), D, t, fy, fc)
+    if intermediates is not None:
+        intermediates.update(eta_a=eta_a, eta_c=eta_c)
+    return cap
+
+
+def ec4_relative_slenderness(D, t, L, fy, fc):
+    """sqrt(Npl / Ncr) with Ec = 22000 (fc/10)^0.3 and (EI)eff = Es Is + 0.6 Ec Ic."""
+    return _ec4_slenderness(*section_areas(D, t), D, t, L, fy, fc)
 
 
 def predict_all(specimens, options: CodeOptions | None = None) -> list[CodePrediction]:
-    """Evaluate every baseline for every specimen.
+    """Evaluate every baseline for every specimen in one pass over arrays.
 
-    Formula-domain failures are embedded as invalid predictions, never
-    fabricated values. Order: specimens outer, CODE_IDS inner.
+    A non-physical WAN capacity or a negative GEP radicand is an invalid
+    prediction, never a fabricated value. Order: specimens outer, CODE_IDS inner.
     """
     if not specimens:
         raise ValueError("specimen list is empty")
-    out = []
-    for s in specimens:
-        for code in CODE_IDS:
-            out.append(predict_code(code, s, options))
-    return out
+    opts = options or CodeOptions()
+    D, t, L, fy, fc = np.array([(s.D, s.t, s.L, s.fy, s.fc) for s in specimens], float).T
+    As, Ac, fck, theta = _confinement(D, t, fy, fc, fc / 0.8 if opts.fck_mode == "cube" else fc)
+    geometric = 4.0 * L / D
+    lam = (geometric if opts.ec4_slenderness == "literal"
+           else _ec4_slenderness(As, Ac, D, t, L, fy, fc))
+    eta_s_raw, eta_c_raw = 0.25 * (3.0 + 2.0 * lam), 4.9 - 18.5 * lam + 17.0 * lam * lam
+    eta_s, eta_c = np.minimum(eta_s_raw, 1.0), np.maximum(eta_c_raw, 0.0)
+    # GEP: the printed expression verbatim in (mm, MPa, kN), never clamped
+    r1, r2 = 3.0 * fc - 9.596, Ac - 11.562
+    with np.errstate(invalid="ignore"):
+        gep = (As + 2.0 * fc - 4.0 * geometric + np.sqrt(fc) * (Ac + np.sqrt(r1))
+               + 0.169 * As * (fy - 2.0 * geometric) * np.sqrt(r2) / (D / t))
+    wan, wan_eta_a, wan_eta_c = _wan(As, Ac, D, t, fy, fc)
+    columns = {
+        "AIJ": (_aij(As, Ac, fy, fc), {}),
+        "EC4": ((eta_s * As * fy + eta_c * Ac * fc) / 1e3,
+                {"lambda_bar": lam, "eta_s_raw": eta_s_raw, "eta_c_raw": eta_c_raw,
+                 "eta_s": eta_s, "eta_c": eta_c}),
+        "ACI": (_aci(As, Ac, fy, fc), {}),
+        "GB50936": (_gb(As, Ac, fck, theta), {"theta": theta, "fck": fck}),
+        "GEP": (gep, {"lambda": geometric}),
+        "HAN": (_han(As, Ac, fck, theta), {"theta": theta, "fck": fck}),
+        "WAN": (wan, {"eta_a": wan_eta_a, "eta_c": wan_eta_c}),
+    }
+    # invalid rows as masks, each with the message it reports
+    invalid = {
+        "GEP": ((r1 < 0) | (r2 < 0),
+                lambda i: f"negative radicand (3fc-9.596={float(r1[i]):.3f}, "
+                          f"Ac-11.562={float(r2[i]):.3f})"),
+        "WAN": ((wan <= 0) | ~np.isfinite(wan),
+                lambda i: f"non-physical capacity {float(wan[i])!r}"),
+    }
+    per_code = []
+    for code in CODE_IDS:
+        cap, inter = columns[code]
+        rows = zip(*map(np.ndarray.tolist, inter.values())) if inter else [()] * len(D)
+        dicts = [dict(zip(inter, row)) for row in rows]
+        preds = list(map(CodePrediction, repeat(code), cap.tolist(), dicts))
+        mask, message = invalid.get(code, ((), None))
+        for i in np.flatnonzero(mask).tolist():
+            preds[i] = CodePrediction(code, None, dicts[i], valid=False, message=message(i))
+        per_code.append(preds)
+    return [p for row in zip(*per_code) for p in row]
+
+
+def predict_code(code_id: str, specimen, options: CodeOptions | None = None) -> CodePrediction:
+    """Evaluate one baseline formula for a specimen: a one-row view of predict_all."""
+    code_id = code_id.upper()
+    if code_id not in CODE_IDS:
+        raise ValueError(f"unknown code id {code_id!r}; expected one of {CODE_IDS}")
+    return predict_all([specimen], options)[CODE_IDS.index(code_id)]

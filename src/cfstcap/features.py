@@ -19,6 +19,7 @@ FEATURE_VOCAB = RAW_NAMES + ENGINEERED_NAMES
 
 # Published ten-feature input set.
 PAPER_SELECTED = ["Nu0", "As", "Vc", "Vs", "D", "Ac", "Asc", "C", "Ns", "fc"]
+SELECTION_MODES = ("paper_fixed", "consensus")
 
 LABEL_NAME = "N"
 
@@ -147,6 +148,12 @@ def rank_by_abs_correlation(frame: FeatureFrame) -> list[str]:
     return sorted(frame.names, key=lambda n: (-scores[n], FEATURE_VOCAB.index(n)))
 
 
+def check_selection_mode(mode: str) -> None:
+    if mode not in SELECTION_MODES:
+        raise ConfigError(f"features.selection_mode must be one of "
+                          f"{SELECTION_MODES}, got {mode!r}")
+
+
 def select_features(rank_pcc, rank_shap, rank_mdi, k: int,
                     mode: str = "consensus") -> list[str]:
     """Rank-sum consensus of three feature rankings, or the published list.
@@ -154,9 +161,7 @@ def select_features(rank_pcc, rank_shap, rank_mdi, k: int,
     Each ranking is an ordered list, best first, over the same vocabulary.
     Lower rank-sum wins; ties break by canonical vocabulary order.
     """
-    if mode not in ("paper_fixed", "consensus"):
-        raise ConfigError(f"features.selection_mode must be one of "
-                          f"('paper_fixed', 'consensus'), got {mode!r}")
+    check_selection_mode(mode)
     if mode == "paper_fixed":
         if k > len(PAPER_SELECTED):
             raise ValueError(f"k={k} exceeds the published list of {len(PAPER_SELECTED)}")

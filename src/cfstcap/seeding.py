@@ -21,7 +21,3 @@ def child_rng(master: int, index: int) -> np.random.Generator:
 def named_seed(master: int, label: str) -> int:
     digest = hashlib.sha256(f"{master}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def named_rng(master: int, label: str) -> np.random.Generator:
-    return np.random.default_rng(named_seed(master, label))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -156,6 +157,17 @@ class TestExitCodes:
         assert run("evaluate", tmp_path) == 2
         assert "rerun the train stage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["{", "[1]"])
+    def test_corrupt_train_manifest_rejected(self, tmp_path, capsys, text):
+        assert run("synth", tmp_path) == 0
+        assert run("train", tmp_path) == 0
+        (tmp_path / "manifest_train.json").write_text(text)
+        capsys.readouterr()
+        assert run("evaluate", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "manifest_train.json" in err and "rerun the train stage" in err
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_missing_selection_outside_paper_fixed(self, tmp_path, capsys):
         mode = ["features.selection_mode=consensus"]
         assert run("synth", tmp_path, extra=mode) == 0
@@ -203,6 +215,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("stage, setting", [
         ("select", "features.selection_mode=paper-fixed"),
+        ("train", "features.selection_mode=paper-fixed"),
+        ("robustness", "features.selection_mode=paper-fixed"),
         ("codes", "codes.fck_mode=cubes"),
         ("codes", "codes.ec4_slenderness=literall"),
     ])
@@ -366,11 +380,9 @@ class TestPipeline:
         paths = sorted(pipeline_dir.glob("*.csv"))
         assert len(paths) == 15
         for path in paths:
-            header, *rows = path.read_text().splitlines()
-            header = header.split(",")
-            for row in rows:
-                # only a last, text column may hold commas
-                cells = row.split(",", len(header) - 1)
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            for cells in rows:
                 assert len(cells) == len(header), path.name
                 for name, cell in zip(header, cells):
                     assert name in text or cell == "" or number.fullmatch(cell), \

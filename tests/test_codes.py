@@ -150,3 +150,113 @@ class TestPredictAll:
     def test_unknown_code(self):
         with pytest.raises(ValueError, match="unknown code"):
             predict_code("BS5400", REF)
+
+
+# ---------------------------------------------------------------- oracle
+# The per-specimen scalar path the array path replaced, kept verbatim in
+# `math` arithmetic as the reference.
+
+def _scalar_areas(D, t):
+    inner = D - 2 * t
+    return math.pi * (D * D - inner * inner) / 4.0, math.pi * inner * inner / 4.0
+
+
+def _scalar_predict(code, s, opts):
+    As, Ac = _scalar_areas(s.D, s.t)
+    fck = s.fc / 0.8 if opts.fck_mode == "cube" else s.fc
+    theta = As * s.fy / (Ac * fck)
+    if code == "AIJ":
+        return (1.27 * As * s.fy + Ac * s.fc) / 1e3, {}, ""
+    if code == "ACI":
+        return (As * s.fy + 0.85 * Ac * s.fc) / 1e3, {}, ""
+    if code == "GB50936":
+        return ((0.9 * Ac * fck * (1.0 + theta + math.sqrt(theta))) / 1e3,
+                {"theta": theta, "fck": fck}, "")
+    if code == "HAN":
+        return (((1.14 + 1.02 * theta) * fck * (As + Ac)) / 1e3,
+                {"theta": theta, "fck": fck}, "")
+    if code == "WAN":
+        eta_a = 0.95 - 12.6 * s.fy**-0.85 * math.log(0.14 * s.D / s.t)
+        eta_c = 0.99 + (5.04 - 2.37 * (s.D / s.t) ** 0.04 * s.fc**0.1) \
+            * (s.t * s.fy / (s.D * s.fc)) ** 0.51
+        cap = (eta_a * As * s.fy + eta_c * Ac * s.fc) / 1e3
+        inter = {"eta_a": eta_a, "eta_c": eta_c}
+        if cap <= 0 or not math.isfinite(cap):
+            return None, inter, f"non-physical capacity {cap!r}"
+        return cap, inter, ""
+    if code == "EC4":
+        if opts.ec4_slenderness == "literal":
+            lam = 4.0 * s.L / s.D
+        else:
+            inner = s.D - 2 * s.t
+            Is = math.pi * (s.D**4 - inner**4) / 64.0
+            Ic = math.pi * inner**4 / 64.0
+            Ec = 22_000.0 * (s.fc / 10.0) ** 0.3
+            ncr = math.pi**2 * (210_000.0 * Is + 0.6 * Ec * Ic) / (s.L * s.L)
+            lam = math.sqrt((As * s.fy + Ac * s.fc) / ncr)
+        eta_s_raw = 0.25 * (3.0 + 2.0 * lam)
+        eta_c_raw = 4.9 - 18.5 * lam + 17.0 * lam * lam
+        eta_s, eta_c = min(eta_s_raw, 1.0), max(eta_c_raw, 0.0)
+        return ((eta_s * As * s.fy + eta_c * Ac * s.fc) / 1e3,
+                {"lambda_bar": lam, "eta_s_raw": eta_s_raw, "eta_c_raw": eta_c_raw,
+                 "eta_s": eta_s, "eta_c": eta_c}, "")
+    assert code == "GEP"
+    lam = 4.0 * s.L / s.D
+    r1, r2 = 3.0 * s.fc - 9.596, Ac - 11.562
+    if r1 < 0 or r2 < 0:
+        return (None, {"lambda": lam},
+                f"negative radicand (3fc-9.596={r1:.3f}, Ac-11.562={r2:.3f})")
+    return (As + 2.0 * s.fc - 4.0 * lam + math.sqrt(s.fc) * (Ac + math.sqrt(r1))
+            + 0.169 * As * (s.fy - 2.0 * lam) * math.sqrt(r2) / (s.D / s.t),
+            {"lambda": lam}, "")
+
+
+ORACLE_OPTIONS = [CodeOptions(), CodeOptions(fck_mode="cube"),
+                  CodeOptions(ec4_slenderness="literal")]
+
+
+@pytest.fixture(scope="module")
+def oracle_specimens():
+    return list(generate_synthetic(25600, 7, 0.1).specimens) + [
+        Specimen(D=100, t=5, L=300, fy=300, fc=3.0, N=650),    # GEP radicand < 0
+        Specimen(D=100, t=5, L=1400, fy=300, fc=30, N=650),    # EC4 eta_c clamped
+    ]
+
+
+class TestArrayPathOracle:
+    """predict_all against the scalar path: exact wherever only + - * / and
+    sqrt are used; WAN and EC4 use `**`, where numpy's pow and libm's differ
+    by an ulp, grown by cancellation to at most ~1.5e-12 relative."""
+
+    @pytest.mark.parametrize("opts", ORACLE_OPTIONS, ids=repr)
+    def test_matches_scalar_path(self, oracle_specimens, opts):
+        preds = predict_all(oracle_specimens, opts)
+        assert len(preds) == len(oracle_specimens) * len(CODE_IDS)
+        invalid = set()
+        for k, p in enumerate(preds):
+            s, code = oracle_specimens[k // len(CODE_IDS)], CODE_IDS[k % len(CODE_IDS)]
+            cap, inter, message = _scalar_predict(code, s, opts)
+            assert (p.code_id, p.valid, p.message) == (code, not message, message)
+            assert p.intermediates.keys() == inter.keys()
+            if message:
+                invalid.add(code)
+                assert p.capacity_kn is None
+            if code in ("WAN", "EC4"):
+                if cap is not None:
+                    assert p.capacity_kn == pytest.approx(cap, rel=1e-12, abs=0)
+                for key, value in inter.items():
+                    assert math.isclose(p.intermediates[key], value,
+                                        rel_tol=1e-12, abs_tol=1e-12), (code, key)
+            else:
+                assert p.capacity_kn == cap and p.intermediates == inter, (k, code)
+        assert "GEP" in invalid
+        ec4 = preds[-len(CODE_IDS) + CODE_IDS.index("EC4")]
+        if opts.ec4_slenderness == "standard":
+            assert ec4.intermediates["eta_c_raw"] < 0
+            assert ec4.intermediates["eta_c"] == 0.0
+
+    @pytest.mark.parametrize("opts", ORACLE_OPTIONS, ids=repr)
+    def test_predict_code_is_one_row_of_predict_all(self, oracle_specimens, opts):
+        for s in oracle_specimens[:5] + oracle_specimens[-2:]:
+            row = predict_all([s], opts)
+            assert [predict_code(code, s, opts) for code in CODE_IDS] == row
