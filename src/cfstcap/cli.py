@@ -168,7 +168,7 @@ def write_manifest(outdir: Path, stage: str, cfg: dict, artifacts: list[Path],
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     """One row per line; a cell holding a comma or a quote is quoted."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         # float() first: numpy 2 reprs an np.float64 as "np.float64(...)"
