@@ -6,8 +6,9 @@ Newtons internally and reported in kN.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +40,10 @@ class CodeOptions:
                                   f"got {getattr(self, key)!r}")
 
 
-@dataclass(frozen=True)
-class CodePrediction:
+class CodePrediction(NamedTuple):
     code_id: str
     capacity_kn: float | None
-    intermediates: dict = field(default_factory=dict)
+    intermediates: dict
     valid: bool = True
     message: str = ""
 
@@ -117,6 +117,18 @@ def ec4_relative_slenderness(D, t, L, fy, fc):
     return _ec4_slenderness(*section_areas(D, t), D, t, L, fy, fc)
 
 
+# code -> one row's intermediates dict from that row's column values: one
+# dict display per row, with no per-row zip or iterator objects
+_INTERMEDIATES = {
+    "EC4": lambda lam, s_raw, c_raw, s, c: {"lambda_bar": lam, "eta_s_raw": s_raw,
+                                            "eta_c_raw": c_raw, "eta_s": s, "eta_c": c},
+    "GB50936": lambda theta, fck: {"theta": theta, "fck": fck},
+    "GEP": lambda lam: {"lambda": lam},
+    "HAN": lambda theta, fck: {"theta": theta, "fck": fck},
+    "WAN": lambda eta_a, eta_c: {"eta_a": eta_a, "eta_c": eta_c},
+}
+
+
 def predict_all(specimens, options: CodeOptions | None = None) -> list[CodePrediction]:
     """Evaluate every baseline for every specimen in one pass over arrays.
 
@@ -140,15 +152,14 @@ def predict_all(specimens, options: CodeOptions | None = None) -> list[CodePredi
                + 0.169 * As * (fy - 2.0 * geometric) * np.sqrt(r2) / (D / t))
     wan, wan_eta_a, wan_eta_c = _wan(As, Ac, D, t, fy, fc)
     columns = {
-        "AIJ": (_aij(As, Ac, fy, fc), {}),
+        "AIJ": (_aij(As, Ac, fy, fc), ()),
         "EC4": ((eta_s * As * fy + eta_c * Ac * fc) / 1e3,
-                {"lambda_bar": lam, "eta_s_raw": eta_s_raw, "eta_c_raw": eta_c_raw,
-                 "eta_s": eta_s, "eta_c": eta_c}),
-        "ACI": (_aci(As, Ac, fy, fc), {}),
-        "GB50936": (_gb(As, Ac, fck, theta), {"theta": theta, "fck": fck}),
-        "GEP": (gep, {"lambda": geometric}),
-        "HAN": (_han(As, Ac, fck, theta), {"theta": theta, "fck": fck}),
-        "WAN": (wan, {"eta_a": wan_eta_a, "eta_c": wan_eta_c}),
+                (lam, eta_s_raw, eta_c_raw, eta_s, eta_c)),
+        "ACI": (_aci(As, Ac, fy, fc), ()),
+        "GB50936": (_gb(As, Ac, fck, theta), (theta, fck)),
+        "GEP": (gep, (geometric,)),
+        "HAN": (_han(As, Ac, fck, theta), (theta, fck)),
+        "WAN": (wan, (wan_eta_a, wan_eta_c)),
     }
     # invalid rows as masks, each with the message it reports
     invalid = {
@@ -158,17 +169,21 @@ def predict_all(specimens, options: CodeOptions | None = None) -> list[CodePredi
         "WAN": ((wan <= 0) | ~np.isfinite(wan),
                 lambda i: f"non-physical capacity {float(wan[i])!r}"),
     }
-    per_code = []
-    for code in CODE_IDS:
+    # each code's rows are built from its columns and fill every len(CODE_IDS)-th slot
+    out = [None] * (len(D) * len(CODE_IDS))
+    for k, code in enumerate(CODE_IDS):
         cap, inter = columns[code]
-        rows = zip(*map(np.ndarray.tolist, inter.values())) if inter else [()] * len(D)
-        dicts = [dict(zip(inter, row)) for row in rows]
-        preds = list(map(CodePrediction, repeat(code), cap.tolist(), dicts))
+        if inter:
+            dicts = list(map(_INTERMEDIATES[code], *[v.tolist() for v in inter]))
+        else:
+            dicts = [{} for _ in range(len(D))]
+        preds = list(map(CodePrediction._make,
+                         zip(repeat(code), cap.tolist(), dicts, repeat(True), repeat(""))))
         mask, message = invalid.get(code, ((), None))
         for i in np.flatnonzero(mask).tolist():
-            preds[i] = CodePrediction(code, None, dicts[i], valid=False, message=message(i))
-        per_code.append(preds)
-    return [p for row in zip(*per_code) for p in row]
+            preds[i] = CodePrediction(code, None, dicts[i], False, message(i))
+        out[k::len(CODE_IDS)] = preds
+    return out
 
 
 def predict_code(code_id: str, specimen, options: CodeOptions | None = None) -> CodePrediction:

@@ -8,6 +8,8 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -23,6 +25,7 @@ ENVELOPE = {
 }
 
 CSV_HEADER = ["D_mm", "t_mm", "L_mm", "fy_MPa", "fc_MPa", "N_kN", "source_id"]
+NUMERIC_FIELDS = ("D", "t", "L", "fy", "fc", "N")
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,7 @@ class Specimen:
     def invariant_violations(self) -> list[str]:
         """Hard physical invariants; empty list when the specimen is valid."""
         bad = []
-        for name in ("D", "t", "L", "fy", "fc", "N"):
+        for name in NUMERIC_FIELDS:
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0:
                 bad.append(f"{name}={v!r} must be a positive finite number")
@@ -74,12 +77,14 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
     """Parse the canonical CSV schema into a Dataset.
 
     Rows violating hard invariants abort the load with row-numbered
-    diagnostics; envelope violations warn or reject per range_mode.
+    diagnostics; envelope violations warn or reject per range_mode. The
+    checks run over arrays; only a flagged row builds its messages.
     """
     if range_mode not in ("warn", "reject"):
         raise ValueError(f"range_mode must be 'warn' or 'reject', got {range_mode!r}")
     specimens = []
-    problems = []
+    rownums = []
+    problems = []  # (row number, message)
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -98,32 +103,44 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(CSV_HEADER):
-                problems.append(f"row {rownum}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+                problems.append((rownum, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
                 continue
-            values = {}
-            ok = True
-            for name, cell in zip(("D", "t", "L", "fy", "fc", "N"), row[:6]):
-                try:
-                    values[name] = float(cell)
-                except ValueError:
-                    problems.append(f"row {rownum}: non-numeric {name} value {cell!r}")
-                    ok = False
-            if not ok:
+            try:
+                specimens.append(Specimen(*map(float, row[:6]), row[6].strip()))
+            except ValueError:
+                for name, cell in zip(NUMERIC_FIELDS, row[:6]):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        problems.append((rownum, f"non-numeric {name} value {cell!r}"))
                 continue
-            s = Specimen(**values, source_id=row[6].strip())
-            bad = s.invariant_violations()
-            if bad:
-                problems.append(f"row {rownum}: " + "; ".join(bad))
-                continue
-            env = s.envelope_violations()
-            if env:
-                if range_mode == "reject":
-                    problems.append(f"row {rownum}: " + "; ".join(env))
-                    continue
-                warnings.warn(f"{path} row {rownum}: " + "; ".join(env), stacklevel=2)
-            specimens.append(s)
+            rownums.append(rownum)
+    # the conditions of invariant_violations and envelope_violations over
+    # the numeric columns (ENVELOPE covers D..fc); a flagged row calls them
+    # for its messages
+    values = np.fromiter(chain.from_iterable(map(attrgetter(*NUMERIC_FIELDS), specimens)),
+                         float, len(specimens) * len(NUMERIC_FIELDS)
+                         ).reshape(len(specimens), len(NUMERIC_FIELDS))
+    D, t = values[:, 0], values[:, 1]
+    lo, hi = np.array(list(ENVELOPE.values())).T
+    env = values[:, :len(ENVELOPE)]
+    flagged = (~(np.isfinite(values) & (values > 0)).all(axis=1) | (D <= 2 * t)
+               | ~((env >= lo) & (env <= hi)).all(axis=1))
+    for i in np.flatnonzero(flagged).tolist():
+        s, rownum = specimens[i], rownums[i]
+        bad = s.invariant_violations()
+        if bad:
+            problems.append((rownum, "; ".join(bad)))
+            continue
+        out = s.envelope_violations()
+        if range_mode == "reject":
+            problems.append((rownum, "; ".join(out)))
+        else:
+            warnings.warn(f"{path} row {rownum}: " + "; ".join(out), stacklevel=2)
     if problems:
-        raise DataError(f"{path}: {len(problems)} bad row(s):\n" + "\n".join(problems))
+        problems.sort(key=itemgetter(0))
+        raise DataError(f"{path}: {len(problems)} bad row(s):\n"
+                        + "\n".join(f"row {rownum}: {msg}" for rownum, msg in problems))
     return Dataset(specimens=tuple(specimens))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,23 +35,30 @@ def compute_metrics(targets, preds, paper_literal_mape: bool = False) -> Metrics
     a = np.asarray(preds, dtype=float)
     if t.shape != a.shape or t.size == 0:
         raise DataError("targets/preds must be nonempty and equal length")
-    if np.any(t <= 0):
+    if (t <= 0).any():
         raise DataError("targets must be positive")
+    n = t.size
     err = t - a
-    rmse = float(np.sqrt(np.mean(err**2)))
+    # one np.add.reduce per quantity, in the order np.mean and ndarray.std
+    # sum and divide, so every figure is bit-identical to those wrappers
+    sse = float(np.add.reduce(err * err))
+    rmse = math.sqrt(sse / n)
     denom = a if paper_literal_mape else t
-    if paper_literal_mape and np.any(denom == 0):
+    if paper_literal_mape and (denom == 0).any():
         raise DataError("zero predicted value with literal MAPE denominator")
-    mape = float(np.mean(np.abs(err / denom)) * 100.0)
-    sstot = float(np.sum((t - t.mean()) ** 2))
-    ssres = float(np.sum(err**2))
-    r2 = 1.0 - ssres / sstot if sstot > 0 else (1.0 if ssres == 0 else -math.inf)
+    mape = float(np.add.reduce(np.abs(err / denom)) / n * 100.0)
+    dt = t - np.add.reduce(t) / n
+    sstot = float(np.add.reduce(dt * dt))
+    r2 = 1.0 - sse / sstot if sstot > 0 else (1.0 if sse == 0 else -math.inf)
     ratio = t / a
-    cov = float(ratio.std() / ratio.mean()) if ratio.mean() != 0 else math.inf
+    ratio_mean = np.add.reduce(ratio) / n
+    dr = ratio - ratio_mean
+    cov = float(math.sqrt(np.add.reduce(dr * dr) / n) / ratio_mean) \
+        if ratio_mean != 0 else math.inf
     rel = np.abs(err) / t
-    return MetricsReport(rmse=rmse, mape=mape, r2=r2, cov=cov, n=t.size,
-                         within_10pct=float(np.mean(rel < 0.10) * 100.0),
-                         within_20pct=float(np.mean(rel < 0.20) * 100.0))
+    return MetricsReport(rmse=rmse, mape=mape, r2=r2, cov=cov, n=n,
+                         within_10pct=float(np.count_nonzero(rel < 0.10) / n * 100.0),
+                         within_20pct=float(np.count_nonzero(rel < 0.20) / n * 100.0))
 
 
 @dataclass(frozen=True)
@@ -63,14 +71,6 @@ class ClassBounds:
 
 CONCRETE_CLASSES = ("NSC", "HSC", "UHSC")
 STEEL_CLASSES = ("NSS", "HSS", "UHSS")
-
-
-def _classify(value: float, cuts: tuple[float, float]) -> int:
-    if value < cuts[0]:
-        return 0
-    if value < cuts[1]:
-        return 1
-    return 2
 
 
 @dataclass
@@ -89,6 +89,11 @@ class IntervalBreakdown:
     total: MetricsReport
 
 
+def _classify(values, cuts: tuple[float, float]) -> np.ndarray:
+    """Class 0 below cuts[0], else 1 below cuts[1], else 2 (NaN included)."""
+    return np.where(values < cuts[0], 0, 2 - (values < cuts[1]))
+
+
 def interval_breakdown(specimens, preds,
                        bounds: ClassBounds | None = None) -> IntervalBreakdown:
     """3x3 metric grid over (steel class, concrete class) plus marginals."""
@@ -96,9 +101,11 @@ def interval_breakdown(specimens, preds,
         raise DataError("no specimens")
     bounds = bounds or ClassBounds()
     preds = np.asarray(preds, dtype=float)
-    targets = np.array([s.N for s in specimens])
-    si = np.array([_classify(s.fy, bounds.steel) for s in specimens])
-    ci = np.array([_classify(s.fc, bounds.concrete) for s in specimens])
+    if preds.shape != (len(specimens),):
+        raise DataError(f"{preds.size} predictions for {len(specimens)} specimens")
+    targets, fy, fc = (np.fromiter(map(attrgetter(name), specimens), float, len(specimens))
+                       for name in ("N", "fy", "fc"))
+    si, ci = _classify(fy, bounds.steel), _classify(fc, bounds.concrete)
 
     def maybe_metrics(mask):
         if not mask.any():

@@ -162,6 +162,15 @@ def best_split(X, y, order, features, min_leaf):
     return int(features[j]), float(0.5 * (vs[i, j] + vs[i + 1, j])), float(score[i, j])
 
 
+def mean_var(y) -> tuple[float, float]:
+    """y.mean() and y.var() of a 1-D float array, bit for bit: the same sums
+    and divisions those wrappers make, without their per-call overhead."""
+    n = len(y)
+    s = np.add.reduce(y) / n
+    d = y - s
+    return float(s), float(np.add.reduce(d * d) / n)
+
+
 class _Builder:
     """Grows one tree in preorder over columns argsorted once, at the root.
 
@@ -188,9 +197,7 @@ class _Builder:
         return np.sort(chosen)
 
     def build(self, rows, order, depth):
-        yr = self.y[rows]
-        mean = float(yr.mean())
-        var = float(yr.var())
+        mean, var = mean_var(self.y[rows])
         idx = len(self.nodes)
         self.nodes.append([LEAF, 0.0, LEAF, LEAF, mean, len(rows), var])
         if depth >= self.max_depth or var == 0.0 or len(rows) < 2 * self.min_leaf:

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfstcap.codes import (CODE_IDS, CodeOptions, aci_capacity_kn,
+from cfstcap.codes import (CODE_IDS, CodeOptions, CodePrediction, aci_capacity_kn,
                            aij_capacity_kn, ec4_relative_slenderness,
                            gb_capacity_kn, han_capacity_kn, predict_all,
                            predict_code, wan_capacity_kn)
@@ -260,3 +261,59 @@ class TestArrayPathOracle:
         for s in oracle_specimens[:5] + oracle_specimens[-2:]:
             row = predict_all([s], opts)
             assert [predict_code(code, s, opts) for code in CODE_IDS] == row
+
+
+class TestPredictAllRows:
+    """What a caller scoring batches reads from predict_all: rows in
+    specimen-major order, one code per stride of len(CODE_IDS), AIJ and
+    ACI equal to their closed forms, the invalid GEP row, and immutable
+    rows."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        return list(generate_synthetic(255, 5, 0.1).specimens) + [
+            Specimen(D=100, t=5, L=300, fy=300, fc=3.0, N=650)]   # GEP radicand < 0
+
+    def test_order_and_strided_slices(self, batch):
+        preds = predict_all(batch)
+        per = len(CODE_IDS)
+        assert [p.code_id for p in preds] == list(CODE_IDS) * len(batch)
+        for code in CODE_IDS:
+            rows = preds[CODE_IDS.index(code)::per]
+            assert len(rows) == len(batch)
+            assert all(p.code_id == code for p in rows)
+            assert rows[:3] == [predict_code(code, s) for s in batch[:3]]
+
+    def test_aij_aci_closed_forms(self, batch):
+        preds = predict_all(batch)
+        per = len(CODE_IDS)
+        D, t, fy, fc = (np.array([getattr(s, name) for s in batch])
+                        for name in ("D", "t", "fy", "fc"))
+        inner = D - 2 * t
+        As = np.pi * (D * D - inner * inner) / 4.0
+        Ac = np.pi * inner * inner / 4.0
+        aij = np.array([p.capacity_kn for p in preds[CODE_IDS.index("AIJ")::per]])
+        aci = np.array([p.capacity_kn for p in preds[CODE_IDS.index("ACI")::per]])
+        assert np.array_equal(aij, (1.27 * As * fy + Ac * fc) / 1e3)
+        assert np.array_equal(aci, (As * fy + 0.85 * Ac * fc) / 1e3)
+        assert all(type(c) is float for c in aij.tolist() + aci.tolist())
+
+    def test_invalid_gep_row(self, batch):
+        preds = predict_all(batch)
+        last = preds[-len(CODE_IDS):]
+        gep = last[CODE_IDS.index("GEP")]
+        assert (gep.valid, gep.capacity_kn) == (False, None)
+        assert gep.message == "negative radicand (3fc-9.596=-0.596, Ac-11.562=6350.163)"
+        assert gep.intermediates == {"lambda": 12.0}
+        assert all(p.valid and p.message == "" for p in last if p.code_id != "GEP")
+        assert sum(not p.valid for p in preds) == 1
+
+    def test_rows_are_immutable(self, batch):
+        p = predict_all(batch[:1])[0]
+        for name in CodePrediction._fields:
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+        with pytest.raises(TypeError):
+            CodePrediction("AIJ", 1.0)   # intermediates is required
+        rows = predict_all(batch[:2])
+        assert rows[0].intermediates is not rows[len(CODE_IDS)].intermediates

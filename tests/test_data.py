@@ -1,10 +1,12 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cfstcap.data import (Dataset, Specimen, generate_synthetic, load_csv,
-                          save_csv, split, transform_label)
+from cfstcap.data import (CSV_HEADER, Dataset, Specimen, generate_synthetic,
+                          load_csv, save_csv, split, transform_label)
 from cfstcap.errors import DataError
 
 
@@ -72,6 +74,165 @@ class TestLoadCsv:
         p2 = tmp_path / "b.csv"
         save_csv(ds2, p2)
         assert p1.read_text() == p2.read_text()
+
+
+# ---------------------------------------------------------------- oracle
+# The per-row loader that the array-checked one replaced, kept verbatim as
+# the reference for messages, warnings and specimens.
+
+def _per_row_load_csv(path, range_mode="warn"):
+    if range_mode not in ("warn", "reject"):
+        raise ValueError(f"range_mode must be 'warn' or 'reject', got {range_mode!r}")
+    specimens = []
+    problems = []
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise DataError(
+                f"{path}: header {header!r} does not match required schema {CSV_HEADER!r}"
+            )
+        for rownum, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(CSV_HEADER):
+                problems.append(f"row {rownum}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+                continue
+            values = {}
+            ok = True
+            for name, cell in zip(("D", "t", "L", "fy", "fc", "N"), row[:6]):
+                try:
+                    values[name] = float(cell)
+                except ValueError:
+                    problems.append(f"row {rownum}: non-numeric {name} value {cell!r}")
+                    ok = False
+            if not ok:
+                continue
+            s = Specimen(**values, source_id=row[6].strip())
+            bad = s.invariant_violations()
+            if bad:
+                problems.append(f"row {rownum}: " + "; ".join(bad))
+                continue
+            env = s.envelope_violations()
+            if env:
+                if range_mode == "reject":
+                    problems.append(f"row {rownum}: " + "; ".join(env))
+                    continue
+                warnings.warn(f"{path} row {rownum}: " + "; ".join(env), stacklevel=2)
+            specimens.append(s)
+    if problems:
+        raise DataError(f"{path}: {len(problems)} bad row(s):\n" + "\n".join(problems))
+    return Dataset(specimens=tuple(specimens))
+
+
+def _outcome(loader, path, range_mode):
+    """(specimens or DataError text, warning texts in order) of one load."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = loader(path, range_mode=range_mode).specimens
+        except DataError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# every bad-row kind, between good rows and out-of-envelope ones
+MIXED_ROWS = [
+    "100,5,300,300,30,650,good-a",            # 2
+    "100,5,300,300,30,650",                   # 3 short row
+    "100,five,300,abc,30,650,text",           # 4 two non-numeric cells
+    "nan,5,300,300,30,650,nan-D",             # 5
+    "100,5,inf,300,30,650,inf-L",             # 6
+    "100,60,300,300,30,650,thick",            # 7 D <= 2t
+    "2000,5,3000,300,30,50000,big",           # 8 D above the envelope
+    "",                                       # 9 blank, skipped
+    "100,5,300,1200,250,650,strong",          # 10 fy and fc outside
+    "100,5,300,-300,30,-inf,negative",        # 11
+    "100,5,300,300,30,650,x,extra",           # 12 too many fields
+    "100,5,300,300,30,650,good-b",            # 13
+    "60,40,300,300,30,nan,both",              # 14 D <= 2t and N nan
+    "40,5,300,300,30,650,small",              # 15 D below the envelope
+    "50,25,300,300,30,650,no-core",           # 16 D == 2t inside the envelope
+    "44.95,0.52,114.3,178.28,6.41,650,low",   # 17 on the lower envelope bounds
+    "1020,30,5560,1153,200,650,high",         # 18 on the upper envelope bounds
+    "100,5,300,300,30,inf,inf-N",             # 19 N has no envelope
+    "100,5,300,300,30,0,zero-N",              # 20
+]
+
+MIXED_ERROR = """{path}: 12 bad row(s):
+row 3: expected 7 fields, got 6
+row 4: non-numeric t value 'five'
+row 4: non-numeric fy value 'abc'
+row 5: D=nan must be a positive finite number
+row 6: L=inf must be a positive finite number
+row 7: D=100.0 must exceed 2*t=120.0
+row 11: fy=-300.0 must be a positive finite number; N=-inf must be a positive finite number
+row 12: expected 7 fields, got 8
+row 14: N=nan must be a positive finite number; D=60.0 must exceed 2*t=80.0
+row 16: D=50.0 must exceed 2*t=50.0
+row 19: N=inf must be a positive finite number
+row 20: N=0.0 must be a positive finite number"""
+
+MIXED_REJECTED = """
+row 8: D=2000.0 outside envelope [44.95, 1020.0]
+row 10: fy=1200.0 outside envelope [178.28, 1153.0]; fc=250.0 outside envelope [6.41, 200.0]
+row 15: D=40.0 outside envelope [44.95, 1020.0]"""
+
+MIXED_WARNINGS = [
+    "row 8: D=2000.0 outside envelope [44.95, 1020.0]",
+    "row 10: fy=1200.0 outside envelope [178.28, 1153.0]; fc=250.0 outside envelope [6.41, 200.0]",
+    "row 15: D=40.0 outside envelope [44.95, 1020.0]",
+]
+
+
+class TestArrayCheckedLoad:
+    """load_csv against the per-row loader: the same DataError text, the
+    same warnings in the same order, and equal specimens."""
+
+    def test_mixed_bad_rows_warn_mode(self, tmp_path):
+        p = write(tmp_path, HEADER + "\n".join(MIXED_ROWS) + "\n")
+        got = _outcome(load_csv, p, "warn")
+        assert got == _outcome(_per_row_load_csv, p, "warn")
+        assert got[0] == MIXED_ERROR.format(path=p)
+        assert got[1] == [(UserWarning, f"{p} {w}") for w in MIXED_WARNINGS]
+
+    def test_mixed_bad_rows_reject_mode(self, tmp_path):
+        p = write(tmp_path, HEADER + "\n".join(MIXED_ROWS) + "\n")
+        got = _outcome(load_csv, p, "reject")
+        assert got == _outcome(_per_row_load_csv, p, "reject")
+        # the envelope rows join the problems in row order
+        lines = (MIXED_ERROR + MIXED_REJECTED).format(path=p).split("\n")
+        want = [lines[0].replace("12 bad", "15 bad")] + sorted(
+            lines[1:], key=lambda line: int(line.split(":")[0].split()[1]))
+        assert got == ("\n".join(want), [])
+
+    @pytest.mark.parametrize("range_mode", ["warn", "reject"])
+    def test_envelope_rows_only(self, tmp_path, range_mode):
+        kept = ("good-a", "big", "strong", "good-b", "small", "low", "high")
+        rows = [r for r in MIXED_ROWS if r.endswith(kept)]
+        p = write(tmp_path, HEADER + "\n".join(rows) + "\n")
+        got = _outcome(load_csv, p, range_mode)
+        assert got == _outcome(_per_row_load_csv, p, range_mode)
+        if range_mode == "warn":
+            assert [s.source_id for s in got[0]] == list(kept)
+            assert len(got[1]) == 3
+
+    def test_large_round_trip(self, tmp_path):
+        ds = generate_synthetic(25_600, 9, 0.1)
+        p = tmp_path / "large.csv"
+        save_csv(ds, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_csv(p)
+        assert loaded.specimens == ds.specimens
+        assert _per_row_load_csv(p).specimens == loaded.specimens
 
 
 class TestSplit:

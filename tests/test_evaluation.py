@@ -1,11 +1,15 @@
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from cfstcap.data import Specimen, generate_synthetic
 from cfstcap.errors import DataError
-from cfstcap.evaluation import (ClassBounds, compute_metrics,
-                                interval_breakdown, perturb_labels,
-                                robustness_sweep, sensitivity)
+from cfstcap.evaluation import (CONCRETE_CLASSES, STEEL_CLASSES, ClassBounds,
+                                IntervalBreakdown, MetricsReport, StrengthCell,
+                                compute_metrics, interval_breakdown,
+                                perturb_labels, robustness_sweep, sensitivity)
 from cfstcap.network import TrainConfig
 
 
@@ -91,6 +95,121 @@ class TestIntervalBreakdown:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             interval_breakdown([], [])
+
+    @pytest.mark.parametrize("n_preds", [9, 11])
+    def test_prediction_count_mismatch_rejected(self, n_preds):
+        specs = list(generate_synthetic(10, 4, 0.1).specimens)
+        with pytest.raises(DataError, match=f"{n_preds} predictions for 10 specimens"):
+            interval_breakdown(specs, np.full(n_preds, 650.0))
+
+
+# ---------------------------------------------------------------- oracle
+# The wrapper-based metrics and the per-specimen classification that the
+# one-reduction path replaced, kept verbatim as the reference.
+
+def _wrapper_compute_metrics(targets, preds, paper_literal_mape=False):
+    t = np.asarray(targets, dtype=float)
+    a = np.asarray(preds, dtype=float)
+    if t.shape != a.shape or t.size == 0:
+        raise DataError("targets/preds must be nonempty and equal length")
+    if np.any(t <= 0):
+        raise DataError("targets must be positive")
+    err = t - a
+    rmse = float(np.sqrt(np.mean(err**2)))
+    denom = a if paper_literal_mape else t
+    if paper_literal_mape and np.any(denom == 0):
+        raise DataError("zero predicted value with literal MAPE denominator")
+    mape = float(np.mean(np.abs(err / denom)) * 100.0)
+    sstot = float(np.sum((t - t.mean()) ** 2))
+    ssres = float(np.sum(err**2))
+    r2 = 1.0 - ssres / sstot if sstot > 0 else (1.0 if ssres == 0 else -math.inf)
+    ratio = t / a
+    cov = float(ratio.std() / ratio.mean()) if ratio.mean() != 0 else math.inf
+    rel = np.abs(err) / t
+    return MetricsReport(rmse=rmse, mape=mape, r2=r2, cov=cov, n=t.size,
+                         within_10pct=float(np.mean(rel < 0.10) * 100.0),
+                         within_20pct=float(np.mean(rel < 0.20) * 100.0))
+
+
+def _scalar_classify(value, cuts):
+    if value < cuts[0]:
+        return 0
+    if value < cuts[1]:
+        return 1
+    return 2
+
+
+def _per_specimen_breakdown(specimens, preds, bounds=None):
+    if not specimens:
+        raise DataError("no specimens")
+    bounds = bounds or ClassBounds()
+    preds = np.asarray(preds, dtype=float)
+    targets = np.array([s.N for s in specimens])
+    si = np.array([_scalar_classify(s.fy, bounds.steel) for s in specimens])
+    ci = np.array([_scalar_classify(s.fc, bounds.concrete) for s in specimens])
+
+    def maybe_metrics(mask):
+        if not mask.any():
+            return None
+        return _wrapper_compute_metrics(targets[mask], preds[mask])
+
+    cells = []
+    for i, sc in enumerate(STEEL_CLASSES):
+        for j, cc in enumerate(CONCRETE_CLASSES):
+            mask = (si == i) & (ci == j)
+            cells.append(StrengthCell(sc, cc, maybe_metrics(mask), int(mask.sum())))
+    steel_marg = {sc: maybe_metrics(si == i) for i, sc in enumerate(STEEL_CLASSES)}
+    conc_marg = {cc: maybe_metrics(ci == j) for j, cc in enumerate(CONCRETE_CLASSES)}
+    return IntervalBreakdown(cells=cells, steel_marginals=steel_marg,
+                             concrete_marginals=conc_marg,
+                             total=_wrapper_compute_metrics(targets, preds))
+
+
+def _random_batch(rng, k):
+    """targets and predictions of one random batch; every few cases has
+    n = 1, constant targets (sstot == 0) or exact predictions (sse == 0)."""
+    n = 1 if k % 10 == 0 else int(rng.integers(2, 400))
+    t = rng.lognormal(rng.uniform(2, 9), rng.uniform(0.01, 1.5), n)
+    if k % 10 == 3:
+        t = np.full(n, t[0])
+    a = t * rng.uniform(0.5, 1.5, n) + rng.normal(0, 1, n)
+    if k % 10 == 5:
+        a = t.copy()
+    return t, a
+
+
+class TestReductionOracle:
+    """compute_metrics and interval_breakdown against the wrapper-based
+    path, compared with ==: every figure bit-identical."""
+
+    @pytest.mark.parametrize("literal", [False, True], ids=["target", "literal"])
+    def test_metrics_match_wrappers(self, literal):
+        rng = np.random.default_rng(11)
+        for k in range(1500):
+            t, a = _random_batch(rng, k)
+            got = compute_metrics(t, a, paper_literal_mape=literal)
+            want = _wrapper_compute_metrics(t, a, literal)
+            assert got == want, (k, len(t))
+            assert list(map(type, astuple(got))) == list(map(type, astuple(want)))
+
+    def test_breakdown_matches_per_specimen_path(self):
+        rng = np.random.default_rng(12)
+        # strengths on the class cuts, around them, and NaN
+        fy_pool = [300.0, 459.999, 460.0, 500.0, 700.0, 700.001, 900.0, math.nan]
+        fc_pool = [20.0, 49.999, 50.0, 80.0, 100.0, 100.001, 150.0, math.nan]
+        bounds = [None, ClassBounds(concrete=(25.0, 40.0), steel=(250.0, 400.0)),
+                  ClassBounds(concrete=(100.0, 50.0), steel=(700.0, 460.0))]
+        for k in range(300):
+            t, a = _random_batch(rng, k)
+            specs = [Specimen(D=100, t=5, L=300, fy=float(rng.choice(fy_pool)),
+                              fc=float(rng.choice(fc_pool)), N=float(v)) for v in t]
+            b = bounds[k % 3]
+            assert interval_breakdown(specs, a, b) == _per_specimen_breakdown(specs, a, b), k
+
+    def test_nan_strength_is_top_class(self):
+        b = interval_breakdown([Specimen(100, 5, 300, math.nan, math.nan, 650)], [600.0])
+        cell = next(c for c in b.cells if c.n)
+        assert (cell.steel_class, cell.concrete_class) == ("UHSS", "UHSC")
 
 
 class TestPerturbLabels:

@@ -7,7 +7,7 @@ from cfstcap.trees import (RandomForest, Tree, average_path_length,
                            detect_anomalies, fit_gradient_boosting,
                            fit_isolation_forest, fit_random_forest,
                            fit_regression_tree, mdi_importance)
-from cfstcap.trees.cart import best_split
+from cfstcap.trees.cart import best_split, mean_var
 from cfstcap.trees.isolation import _scores
 from cfstcap.errors import DataError
 
@@ -188,6 +188,20 @@ class TestPresortedKernel:
         for min_leaf in (1, 2, 5):
             assert (best_split(X, y, order, features, min_leaf)
                     == reference_split(X, y, rows, features, min_leaf))
+
+    def test_mean_var_matches_numpy(self):
+        # the node statistics the builder records, bit for bit against
+        # ndarray.mean/var, across the pairwise-summation block sizes
+        rng = np.random.default_rng(0)
+        for k in range(2000):
+            n = int(rng.integers(1, 1201))
+            y = rng.normal(rng.normal(0, 1e3), 10.0 ** rng.integers(-3, 4), n)
+            if k % 4 == 1:
+                y = np.round(y)
+            elif k % 4 == 2:
+                y = rng.lognormal(0, 2, n)
+            assert mean_var(y) == (float(y.mean()), float(y.var())), (k, n)
+        assert mean_var(np.array([3.5])) == (3.5, 0.0)
 
     def test_no_valid_split(self):
         X = np.ones((6, 2))
