@@ -55,14 +55,12 @@ def _design_predict(model: NetworkParameters):
     return fn
 
 
-def _run_ga(evaluate, lows, highs, config: GaConfig, rng, repair=None,
-            initial=None):
+def _run_ga(evaluate, lows, highs, config: GaConfig, rng, repair=None):
     """Real-valued GA over many independent cells at once: tournament-3
     selection, BLX-0.5 blend crossover, Gaussian mutation, elitism.
 
     lows/highs are (cells, genes) bounds; evaluate maps a (cells, pop,
-    genes) array to (cells, pop) fitness (lower is better); initial, if
-    given, is the (cells, pop, genes) first population. Every cell uses
+    genes) array to (cells, pop) fitness (lower is better). Every cell uses
     the same random draws, scaled to its own bounds (common random
     numbers), so a cell's run does not depend on the other cells.
     Returns (best (cells, genes), best_fit (cells,), history
@@ -73,10 +71,7 @@ def _run_ga(evaluate, lows, highs, config: GaConfig, rng, repair=None,
     n_child = n_pop - n_elite
     span = highs - lows
     lo, hi, step = lows[:, None, :], highs[:, None, :], span[:, None, :]
-    if initial is None:
-        pop = lo + step * rng.uniform(size=(n_pop, n_genes))
-    else:
-        pop = np.array(initial, dtype=float)
+    pop = lo + step * rng.uniform(size=(n_pop, n_genes))
     if repair is not None:
         pop = repair(pop)
     fit = evaluate(pop)

@@ -22,6 +22,10 @@ MODEL_FORMAT_VERSION = 1
 
 DEFAULT_MONOTONE = ("As", "Ac", "Asc", "D", "C", "Nu0", "Ns", "Vs", "Vc")
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class ConstraintSpec:
@@ -69,9 +73,6 @@ class TrainConfig:
     epochs: int = 500
     batch_size: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     early_stop_patience: int = 50
     seed: int = 0
     hidden_layers: int = 5
@@ -82,9 +83,8 @@ class TrainConfig:
                      "hidden_layers", "hidden_units"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if not (self.learning_rate > 0 and 0 < self.beta1 < 1 and 0 < self.beta2 < 1
-                and self.eps > 0):
-            raise ConfigError("invalid optimizer settings")
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate must be positive")
 
 
 @dataclass
@@ -97,17 +97,13 @@ class NetworkParameters:
     input_mean: np.ndarray
     input_std: np.ndarray
     feature_order: tuple[str, ...]
-    label_transform: str = "log"
-    # features span several decades, so standardization happens in the log
-    # domain; every canonical feature is strictly positive
-    input_transform: str = "log"
     constraint: ConstraintSpec = field(default_factory=ConstraintSpec)
     seed: int = 0
 
     def normalize(self, X_raw) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X_raw, dtype=float))
-        if self.input_transform == "log":
-            X = np.log(X)
+        # features span several decades, so standardization happens in the
+        # log domain; every canonical feature is strictly positive
+        X = np.log(np.atleast_2d(np.asarray(X_raw, dtype=float)))
         return (X - self.input_mean) / self.input_std
 
 
@@ -394,11 +390,11 @@ def train(dataset: Dataset, feature_order=PAPER_SELECTED,
                 raise NumericError(f"training diverged at epoch {epoch}: loss={total}")
             g = _flatten(grads_w, grads_b)
             step += 1
-            bc1 = 1.0 - config.beta1**step
-            bc2 = 1.0 - config.beta2**step
-            m = config.beta1 * m + (1 - config.beta1) * g
-            v = config.beta2 * v + (1 - config.beta2) * g ** 2
-            theta -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+            bc1 = 1.0 - ADAM_BETA1**step
+            bc2 = 1.0 - ADAM_BETA2**step
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g ** 2
+            theta -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             ep_sup += sup
             ep_app += l_app
             ep_mono += l_mono
@@ -425,10 +421,7 @@ def train(dataset: Dataset, feature_order=PAPER_SELECTED,
 
 def predict_rows(params: NetworkParameters, X_raw) -> np.ndarray:
     """Capacity in kN for raw feature rows ordered per params.feature_order."""
-    pred = forward(params, params.normalize(X_raw))
-    if params.label_transform == "log":
-        return transform_label(pred, "inverse")
-    return pred
+    return transform_label(forward(params, params.normalize(X_raw)), "inverse")
 
 
 def predict(params: NetworkParameters, specimen) -> float:
@@ -452,8 +445,8 @@ def params_to_dict(params: NetworkParameters) -> dict:
         "input_mean": params.input_mean.tolist(),
         "input_std": params.input_std.tolist(),
         "feature_order": list(params.feature_order),
-        "label_transform": params.label_transform,
-        "input_transform": params.input_transform,
+        "label_transform": "log",
+        "input_transform": "log",
         "constraint": {
             "gamma": params.constraint.gamma,
             "lower_factor": params.constraint.lower_factor,
@@ -469,6 +462,9 @@ def params_to_dict(params: NetworkParameters) -> dict:
 def params_from_dict(doc: dict) -> NetworkParameters:
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {doc.get('format_version')!r}")
+    for key in ("label_transform", "input_transform"):
+        if doc.get(key) != "log":
+            raise DataError(f"unsupported {key} {doc.get(key)!r}; only 'log' is trained")
     c = doc["constraint"]
     upper = math.inf if c["upper_factor"] == "inf" else float(c["upper_factor"])
     spec = ConstraintSpec(gamma=c["gamma"], lower_factor=c["lower_factor"],
@@ -482,8 +478,6 @@ def params_from_dict(doc: dict) -> NetworkParameters:
         input_mean=np.array(doc["input_mean"], dtype=float),
         input_std=np.array(doc["input_std"], dtype=float),
         feature_order=tuple(doc["feature_order"]),
-        label_transform=doc["label_transform"],
-        input_transform=doc["input_transform"],
         constraint=spec,
         seed=doc["seed"],
     )

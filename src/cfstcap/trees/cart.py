@@ -23,9 +23,10 @@ class Tree:
     value: np.ndarray       # CART: mean label; isolation: depth + c(n_samples)
     n_samples: np.ndarray
     impurity: np.ndarray    # CART: label variance; isolation: 0
+    n_features: int         # width of the training matrix
 
     @classmethod
-    def from_nodes(cls, nodes) -> Tree:
+    def from_nodes(cls, nodes, n_features: int) -> Tree:
         """Tree from [feature, threshold, left, right, value, n, impurity] rows."""
         cols = list(zip(*nodes))
         return cls(
@@ -36,6 +37,7 @@ class Tree:
             value=np.array(cols[4], dtype=float),
             n_samples=np.array(cols[5], dtype=np.int64),
             impurity=np.array(cols[6], dtype=float),
+            n_features=n_features,
         )
 
     def __len__(self) -> int:
@@ -78,6 +80,7 @@ class NodeTable:
     value: np.ndarray
     roots: np.ndarray
     depth: int
+    n_features: int
 
     @classmethod
     def stack(cls, trees) -> NodeTable:
@@ -99,6 +102,7 @@ class NodeTable:
             value=np.concatenate([t.value for t in trees]),
             roots=roots,
             depth=max(int(node_depths(t).max()) for t in trees),
+            n_features=trees[0].n_features,
         )
 
     def leaf_values(self, X) -> np.ndarray:
@@ -109,6 +113,8 @@ class NodeTable:
         """
         X = np.asarray(X, dtype=float)
         n, m = X.shape
+        if m != self.n_features:
+            raise DataError(f"input width {m} != training width {self.n_features}")
         flat = X.ravel()
         row_start = np.arange(n) * m
         idx = np.repeat(self.roots[:, None], n, axis=1)
@@ -243,4 +249,4 @@ def fit_regression_tree(X, y, max_depth: int = 8, min_leaf: int = 1,
         rng = np.random.default_rng(seed)
     b = _Builder(X, y, max_depth, min_leaf, max_features, rng)
     b.build(np.arange(X.shape[0]), np.argsort(b.X, axis=0, kind="stable"), 0)
-    return Tree.from_nodes(b.nodes)
+    return Tree.from_nodes(b.nodes, X.shape[1])

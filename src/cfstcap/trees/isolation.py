@@ -81,7 +81,7 @@ def fit_isolation_forest(X, n_trees: int = 100, subsample: int = 256,
         rows = rng.choice(n, size=subsample, replace=False)
         nodes = []
         _grow(X, rows, 0, depth_cap, rng, nodes)
-        trees.append(Tree.from_nodes(nodes))
+        trees.append(Tree.from_nodes(nodes, X.shape[1]))
     return IsolationForest(trees=trees, subsample_size=subsample, seed=seed)
 
 

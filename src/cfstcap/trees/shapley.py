@@ -12,35 +12,50 @@ from ..errors import DataError
 EXACT_MAX_FEATURES = 12
 
 
+def _check_inputs(rows, background):
+    """rows and background as 2-D float arrays of one width."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    background = np.atleast_2d(np.asarray(background, dtype=float))
+    if background.shape[0] == 0:
+        raise DataError("empty background sample")
+    if rows.shape[1] != background.shape[1]:
+        raise DataError(f"rows have {rows.shape[1]} features, background {background.shape[1]}")
+    return rows, background
+
+
+def _coalition_values(predict_fn, x, background, masks):
+    """Mean prediction over the background of each coalition in masks
+    (coalitions, features): x's value where the mask is set, the
+    background row's elsewhere. One predict_fn call for all hybrids."""
+    z = np.where(masks[:, None, :], x, background)
+    return predict_fn(z.reshape(-1, len(x))).reshape(len(masks), len(background)).mean(axis=1)
+
+
 def shapley_permutation(predict_fn, rows, background, n_permutations: int = 200,
                         seed: int = 0):
     """Permutation-sampled Shapley values with background replacement.
 
     Returns (phi, phi0): phi has shape (n_rows, n_features); phi0 is the
     mean background prediction. phi0 + phi.sum(axis=1) converges to the
-    row predictions as n_permutations grows.
+    row predictions as n_permutations grows. The m + 1 prefix coalitions
+    of every permutation of a row go to predict_fn in one call, so the
+    model is called n_rows + 1 times.
     """
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    background = np.atleast_2d(np.asarray(background, dtype=float))
-    if background.shape[0] == 0:
-        raise DataError("empty background sample")
+    rows, background = _check_inputs(rows, background)
     n, m = rows.shape
     rng = np.random.default_rng(seed)
     phi = np.zeros((n, m))
     phi0 = float(np.mean(predict_fn(background)))
+    sizes = np.arange(m + 1)[:, None]
     for r in range(n):
-        x = rows[r]
-        for _ in range(n_permutations):
-            perm = rng.permutation(m)
-            z = background.copy()
-            prev = float(np.mean(predict_fn(z)))
-            for j in perm:
-                z[:, j] = x[j]
-                cur = float(np.mean(predict_fn(z)))
-                phi[r, j] += cur - prev
-                prev = cur
+        perms = np.array([rng.permutation(m) for _ in range(n_permutations)])
+        # prefix k of a permutation holds the features it ranks below k
+        masks = np.argsort(perms, axis=1)[:, None, :] < sizes
+        values = _coalition_values(predict_fn, rows[r], background, masks.reshape(-1, m))
+        # each feature's marginal contributions, summed in permutation order
+        np.add.at(phi[r], perms, np.diff(values.reshape(n_permutations, m + 1), axis=1))
     phi /= n_permutations
     return phi, phi0
 
@@ -54,34 +69,24 @@ def shapley_exact(predict_fn, rows, background):
     model is called n_rows + 1 times. Only for small feature counts;
     raises beyond EXACT_MAX_FEATURES.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    background = np.atleast_2d(np.asarray(background, dtype=float))
-    if background.shape[0] == 0:
-        raise DataError("empty background sample")
+    rows, background = _check_inputs(rows, background)
     n, m = rows.shape
     if m > EXACT_MAX_FEATURES:
         raise ValueError(f"exact enumeration limited to {EXACT_MAX_FEATURES} features, got {m}")
-    subsets = list(itertools.product((False, True), repeat=m))
-    masks = np.array(subsets, dtype=bool)  # (2^m, m)
-    sizes = masks.sum(axis=1)
+    masks = np.array(list(itertools.product((False, True), repeat=m)), dtype=bool)
     # weight of the marginal contribution v(S+i) - v(S) given |S| = s
     w = np.array([math.factorial(s) * math.factorial(m - s - 1) / math.factorial(m)
                   for s in range(m)])
+    # in product order feature i is bit 2^(m-1-i) of a coalition's index:
+    # row i lists the coalitions without i, ascending, and with_ adds i
+    without = np.nonzero(~masks.T)[1].reshape(m, -1)
+    with_ = without + (1 << np.arange(m - 1, -1, -1))[:, None]
+    weight = w[masks.sum(axis=1)[without]]
     phi = np.zeros((n, m))
     phi0 = float(np.mean(predict_fn(background)))
-    # index of each mask for O(1) lookup of S + {i}
-    code = masks @ (1 << np.arange(m))
-    pos = np.empty(code.max() + 1, dtype=int)
-    pos[code] = np.arange(len(masks))
-    n_bg = len(background)
     for r in range(n):
-        z = np.where(masks[:, None, :], rows[r], background[None, :, :])
-        values = predict_fn(z.reshape(-1, m)).reshape(len(masks), n_bg).mean(axis=1)
-        for i in range(m):
-            without = ~masks[:, i]
-            s_idx = np.flatnonzero(without)
-            with_idx = pos[code[s_idx] + (1 << i)]
-            phi[r, i] = np.sum(w[sizes[s_idx]] * (values[with_idx] - values[s_idx]))
+        values = _coalition_values(predict_fn, rows[r], background, masks)
+        phi[r] = np.sum(weight * (values[with_] - values[without]), axis=1)
     return phi, phi0
 
 

@@ -298,13 +298,13 @@ class TestBatchedGa:
             assert np.array_equal(history[:, c], h1[:, 0])
 
     def test_zero_generations_returns_argmin_of_initial(self):
-        rng = np.random.default_rng(0)
+        # the first population, drawn as _run_ga draws it from the same seed
         span = self.HIGHS - self.LOWS
-        initial = self.LOWS[:, None, :] + span[:, None, :] * rng.uniform(
-            size=(len(self.LOWS), self.CONFIG.population, 2))
+        initial = self.LOWS[:, None, :] + span[:, None, :] * np.random.default_rng(
+            0).uniform(size=(self.CONFIG.population, 2))
         config = GaConfig(population=10, generations=0)
         best, fit, history = _run_ga(center_distance(self.CENTERS), self.LOWS,
-                                     self.HIGHS, config, rng, initial=initial)
+                                     self.HIGHS, config, np.random.default_rng(0))
         fitness = center_distance(self.CENTERS)(initial)
         for c in range(len(self.LOWS)):
             k = int(np.argmin(fitness[c]))

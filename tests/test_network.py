@@ -6,7 +6,8 @@ import pytest
 from cfstcap.data import generate_synthetic, split
 from cfstcap.errors import ConfigError, DataError, NumericError
 from cfstcap.features import PAPER_SELECTED
-from cfstcap.network import (ConstraintSpec, NetworkParameters, TrainConfig,
+from cfstcap.network import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ConstraintSpec,
+                             NetworkParameters, TrainConfig,
                              TrainingHistory, _backward, _dominance_relation,
                              _forward_cached, _training_arrays, dominance_pairs,
                              forward,
@@ -26,7 +27,6 @@ def tiny_net(w_list, b_list):
         biases=[np.asarray(b, dtype=float) for b in b_list],
         input_mean=np.zeros(sizes[0]), input_std=np.ones(sizes[0]),
         feature_order=tuple(f"f{i}" for i in range(sizes[0])),
-        input_transform="none",
     )
 
 
@@ -234,8 +234,6 @@ class TestConfigValidation:
             TrainConfig(epochs=0)
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=-1.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(beta1=1.5)
 
     def test_variant_family(self):
         assert variant_spec("ANN").gamma == 0.0
@@ -374,17 +372,17 @@ def reference_train(dataset, feature_order, spec, config):
                 spec, pair_rng)
             grads_w, grads_b = _backward(params.weights, acts, zs, dpred)
             step += 1
-            bc1 = 1.0 - config.beta1**step
-            bc2 = 1.0 - config.beta2**step
+            bc1 = 1.0 - ADAM_BETA1**step
+            bc2 = 1.0 - ADAM_BETA2**step
             for l in range(len(params.weights)):
-                m_w[l] = config.beta1 * m_w[l] + (1 - config.beta1) * grads_w[l]
-                v_w[l] = config.beta2 * v_w[l] + (1 - config.beta2) * grads_w[l] ** 2
+                m_w[l] = ADAM_BETA1 * m_w[l] + (1 - ADAM_BETA1) * grads_w[l]
+                v_w[l] = ADAM_BETA2 * v_w[l] + (1 - ADAM_BETA2) * grads_w[l] ** 2
                 params.weights[l] -= config.learning_rate * (m_w[l] / bc1) / (
-                    np.sqrt(v_w[l] / bc2) + config.eps)
-                m_b[l] = config.beta1 * m_b[l] + (1 - config.beta1) * grads_b[l]
-                v_b[l] = config.beta2 * v_b[l] + (1 - config.beta2) * grads_b[l] ** 2
+                    np.sqrt(v_w[l] / bc2) + ADAM_EPS)
+                m_b[l] = ADAM_BETA1 * m_b[l] + (1 - ADAM_BETA1) * grads_b[l]
+                v_b[l] = ADAM_BETA2 * v_b[l] + (1 - ADAM_BETA2) * grads_b[l] ** 2
                 params.biases[l] -= config.learning_rate * (m_b[l] / bc1) / (
-                    np.sqrt(v_b[l] / bc2) + config.eps)
+                    np.sqrt(v_b[l] / bc2) + ADAM_EPS)
             ep_sup += sup
             ep_app += l_app
             ep_mono += l_mono
@@ -460,4 +458,19 @@ class TestSerialization:
         doc = params_to_dict(params)
         doc["format_version"] = 42
         with pytest.raises(DataError, match="format version"):
+            params_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["label_transform", "input_transform"])
+    def test_non_log_transform_rejected(self, key):
+        # training always works in the log domain, so a model file naming
+        # another transform cannot be predicted with
+        config = TrainConfig(hidden_layers=1, hidden_units=2)
+        doc = params_to_dict(init_parameters(("f0",), config, ConstraintSpec()))
+        assert doc[key] == "log"
+        params_from_dict(doc)
+        doc[key] = "none"
+        with pytest.raises(DataError, match=key):
+            params_from_dict(doc)
+        del doc[key]
+        with pytest.raises(DataError, match=key):
             params_from_dict(doc)

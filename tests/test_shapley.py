@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cfstcap.errors import DataError
+from cfstcap.trees import fit_gradient_boosting, fit_random_forest
 from cfstcap.trees.shapley import (EXACT_MAX_FEATURES, global_importance,
                                    shapley_exact, shapley_permutation)
 
@@ -87,6 +88,70 @@ class TestPermutation:
         with pytest.raises(ValueError):
             shapley_permutation(product_model, np.zeros((1, 3)),
                                 np.zeros((2, 3)), n_permutations=0)
+
+
+def reference_shapley_permutation(predict_fn, rows, background, n_permutations,
+                                  seed):
+    """The former sampler, kept as the oracle: one predict_fn call per
+    coalition on a background copy mutated column by column."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    background = np.atleast_2d(np.asarray(background, dtype=float))
+    n, m = rows.shape
+    rng = np.random.default_rng(seed)
+    phi = np.zeros((n, m))
+    phi0 = float(np.mean(predict_fn(background)))
+    for r in range(n):
+        x = rows[r]
+        for _ in range(n_permutations):
+            perm = rng.permutation(m)
+            z = background.copy()
+            prev = float(np.mean(predict_fn(z)))
+            for j in perm:
+                z[:, j] = x[j]
+                cur = float(np.mean(predict_fn(z)))
+                phi[r, j] += cur - prev
+                prev = cur
+    phi /= n_permutations
+    return phi, phi0
+
+
+class TestBatchedPermutation:
+    """One model call per row against the former per-coalition loop, bit
+    for bit."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_reference_on_tree_ensembles(self, m):
+        rng = np.random.default_rng(m)
+        X = rng.uniform(size=(150, m))
+        y = np.sin(3 * X[:, 0]) + X @ rng.normal(size=m)
+        models = (fit_gradient_boosting(X, y, n_trees=15, max_depth=3, seed=m),
+                  fit_random_forest(X, y, n_trees=8, max_depth=5, seed=m))
+        for model in models:
+            for n_perm in (1, 4, 13):
+                got = shapley_permutation(model.predict, X[:3], X[60:69], n_perm, seed=m)
+                want = reference_shapley_permutation(model.predict, X[:3], X[60:69],
+                                                     n_perm, seed=m)
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_one_model_call_per_row(self):
+        rng = np.random.default_rng(6)
+        rows = rng.uniform(size=(4, 3))
+        bg = rng.uniform(size=(5, 3))
+        calls = []
+
+        def model(Z):
+            calls.append(len(Z))
+            return product_model(Z)
+
+        shapley_permutation(model, rows, bg, n_permutations=7, seed=0)
+        assert calls == [len(bg)] + [7 * (3 + 1) * len(bg)] * len(rows)
+
+
+@pytest.mark.parametrize("estimator", [shapley_exact, shapley_permutation])
+@pytest.mark.parametrize("row_width", [3, 5])
+def test_width_mismatch_rejected(estimator, row_width):
+    with pytest.raises(DataError, match="features"):
+        estimator(lambda Z: Z.sum(axis=1), np.ones((1, row_width)), np.ones((4, 4)))
 
 
 class TestGlobalImportance:

@@ -136,7 +136,7 @@ def reference_tree(X, y, max_depth=8, min_leaf=1, seed=None, max_features=None,
         return idx
 
     build(np.arange(len(y)), 0)
-    return Tree.from_nodes(nodes)
+    return Tree.from_nodes(nodes, m)
 
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples",
@@ -369,6 +369,20 @@ class TestFlatTraversal:
             assert model.predict(empty).shape == (0,)
         forest = fit_isolation_forest(X, n_trees=4, subsample=32)
         assert forest.mean_path_length(empty).shape == (0,)
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_width_mismatch_rejected(self, width):
+        # a wider X used to be read by its leading columns, a narrower one
+        # died in np.take
+        X, y, _ = self._data(n=60)
+        Z = np.ones((3, width))
+        models = [fit_regression_tree(X, y).predict,
+                  fit_gradient_boosting(X, y, n_trees=4).predict,
+                  fit_random_forest(X, y, n_trees=4, seed=0).predict,
+                  fit_isolation_forest(X, n_trees=4, subsample=32).mean_path_length]
+        for predict in models:
+            with pytest.raises(DataError, match=f"input width {width} != training width 5"):
+                predict(Z)
 
 
 class TestRandomForest:
