@@ -300,8 +300,8 @@ class TestBatchedGa:
     def test_zero_generations_returns_argmin_of_initial(self):
         # the first population, drawn as _run_ga draws it from the same seed
         span = self.HIGHS - self.LOWS
-        initial = self.LOWS[:, None, :] + span[:, None, :] * np.random.default_rng(
-            0).uniform(size=(self.CONFIG.population, 2))
+        draws = np.random.default_rng(0).uniform(size=(self.CONFIG.population, 2))
+        initial = self.LOWS[:, None, :] + span[:, None, :] * draws
         config = GaConfig(population=10, generations=0)
         best, fit, history = _run_ga(center_distance(self.CENTERS), self.LOWS,
                                      self.HIGHS, config, np.random.default_rng(0))
