@@ -3,14 +3,16 @@ grid sensitivity analysis."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
-from .data import Dataset
-from .errors import DataError
-from .network import ConstraintSpec, TrainConfig, predict_specimens, train, variant_spec
+from .data import Dataset, split as split_dataset
+from .errors import DataError, NumericError
+# train is not called here, but perfbench/tracing.py wraps it under this name
+from .network import (ConstraintSpec, TrainConfig, predict_specimens, train,
+                      train_many, variant_spec)
 from .seeding import child_rng
 
 
@@ -158,7 +160,12 @@ def robustness_sweep(dataset: Dataset, variants=("ANN", "ANNWT"),
                      config: TrainConfig | None = None,
                      feature_order=None, seed: int = 0) -> list[RobustnessCell]:
     """Train each variant on noise-perturbed training labels, evaluate on
-    the clean validation split; one MAPE cell per (variant, level)."""
+    the clean validation split; one MAPE cell per (variant, level).
+
+    Every (level, variant) network trains in one train_many call. A
+    network whose training diverges becomes an error cell; every other
+    failure propagates.
+    """
     from .features import PAPER_SELECTED
 
     if sweep not in ("vary_p", "vary_d"):
@@ -166,31 +173,31 @@ def robustness_sweep(dataset: Dataset, variants=("ANN", "ANNWT"),
     if levels is None:
         levels = [0.1, 0.2, 0.3, 0.4, 0.5] if sweep == "vary_p" \
             else [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
-    config = config or TrainConfig()
     feature_order = feature_order or PAPER_SELECTED
-    from .data import split as split_dataset
 
     tr, va = split_dataset(dataset, dataset.split_fraction, dataset.split_seed)
     specimens = dataset.specimens
-    cells = []
+    clean = np.fromiter(map(attrgetter("N"), specimens), float, len(specimens))
+    labels, specs, cells = [], [], []
     for level_i, level in enumerate(levels):
         p, d = (level, fixed_d) if sweep == "vary_p" else (fixed_p, level)
         noise_seed = int(child_rng(seed, level_i).integers(2**31))
-        labels = np.array([s.N for s in specimens])
-        perturbed = labels.copy()
-        perturbed[tr] = perturb_labels(labels[tr], p, d, seed=noise_seed)
-        noisy = Dataset(specimens=tuple(
-            replace(s, N=float(perturbed[i])) for i, s in enumerate(specimens)),
-            split_seed=dataset.split_seed, split_fraction=dataset.split_fraction)
+        perturbed = clean.copy()
+        perturbed[tr] = perturb_labels(clean[tr], p, d, seed=noise_seed)
         for variant in variants:
-            spec = variant_spec(variant, base_spec)
-            try:
-                params, _ = train(noisy, feature_order, spec, config)
-                preds = predict_specimens(params, [specimens[i] for i in va])
-                m = compute_metrics(labels[va], preds)
-                cells.append(RobustnessCell(variant, level, m.mape))
-            except Exception as exc:  # annotate, never fabricate
-                cells.append(RobustnessCell(variant, level, None, error=str(exc)))
+            labels.append(perturbed)
+            specs.append(variant_spec(variant, base_spec))
+            cells.append(RobustnessCell(variant, level, None))
+    if not cells:
+        return cells
+    validation = [specimens[i] for i in va]
+    for cell, result in zip(cells, train_many(dataset, np.array(labels), specs,
+                                              feature_order, config)):
+        if isinstance(result, NumericError):  # annotate, never fabricate
+            cell.error = str(result)
+        else:
+            cell.mape = compute_metrics(clean[va],
+                                        predict_specimens(result[0], validation)).mape
     return cells
 
 

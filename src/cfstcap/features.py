@@ -80,6 +80,9 @@ class FeatureFrame:
         return self.X[:, self.names.index(name)]
 
     def select(self, names) -> "FeatureFrame":
+        unknown = [n for n in names if n not in self.names]
+        if unknown:
+            raise DataError(f"unknown features {unknown}; the frame has {list(self.names)}")
         idx = [self.names.index(n) for n in names]
         return FeatureFrame(tuple(names), self.X[:, idx].copy(), self.y)
 

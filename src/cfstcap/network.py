@@ -128,18 +128,21 @@ def init_parameters(feature_order, config: TrainConfig,
                              constraint=constraint, seed=config.seed)
 
 
-def forward(params: NetworkParameters, X: np.ndarray) -> np.ndarray:
-    """Predictions in transformed (log) label space for normalized inputs."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != params.layer_sizes[0]:
-        raise DataError(f"input width {X.shape[1]} != {params.layer_sizes[0]}")
+def _output(weights, biases, X):
+    """Output column for rows X: (n,) for one network's (in, out) weights,
+    (K, n) for K networks' stacked (K, in, out) weights."""
     a = X
-    for w, b in zip(params.weights, params.biases):
-        a = relu(a @ w + b)
-    return a[:, 0]
+    for w, b in zip(weights, biases):
+        a = a @ w
+        a += b[..., None, :]
+        np.maximum(a, 0.0, out=a)
+    return a[..., 0]
 
 
 def _forward_cached(weights, biases, X):
+    """One network's activations [X, a1, ..., aL] and pre-activations
+    [z1, ..., zL] in fresh arrays. Gradient checks read the
+    pre-activations to keep their probes away from the ReLU kinks."""
     a = X
     acts = [X]
     zs = []
@@ -151,26 +154,31 @@ def _forward_cached(weights, biases, X):
     return acts, zs
 
 
-def _backward(weights, acts, zs, dpred):
-    """Gradients of a scalar loss given dL/dpred for the output column."""
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
-    delta = dpred[:, None] * (zs[-1] > 0)
-    for l in range(len(weights) - 1, -1, -1):
-        grads_w[l] = acts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = (delta @ weights[l].T) * (zs[l - 1] > 0)
-    return grads_w, grads_b
+def forward(params: NetworkParameters, X: np.ndarray) -> np.ndarray:
+    """Predictions in transformed (log) label space for normalized inputs."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != params.layer_sizes[0]:
+        raise DataError(f"input width {X.shape[1]} != {params.layer_sizes[0]}")
+    return _output(params.weights, params.biases, X)
 
 
 def loss_supervised(pred, target):
-    """Mean squared error in transformed label space."""
+    """Mean squared error in transformed label space, over the last axis:
+    a float for one prediction vector, one value per row of a
+    (models, rows) stack."""
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape or pred.size == 0:
         raise DataError("pred/target must be nonempty and equal length")
-    return float(np.mean((pred - target) ** 2))
+    diff = pred - target
+    # np.mean's own arithmetic: one np.add.reduce, then the division
+    loss = np.add.reduce(diff * diff, axis=-1) / diff.shape[-1]
+    return float(loss) if loss.ndim == 0 else loss
+
+
+def _check_band(yl, yu):
+    if np.any(yl >= yu):
+        raise DataError("approximate bounds must satisfy yl < yu")
 
 
 def loss_approx(pred, yl, yu):
@@ -178,8 +186,7 @@ def loss_approx(pred, yl, yu):
     pred = np.asarray(pred, dtype=float)
     yl = np.asarray(yl, dtype=float)
     yu = np.asarray(yu, dtype=float)
-    if np.any(yl >= yu):
-        raise DataError("approximate bounds must satisfy yl < yu")
+    _check_band(yl, yu)
     return float(np.mean(relu(yl - pred) + relu(pred - yu)))
 
 
@@ -212,26 +219,22 @@ def _batch_pairs(F, spec: ConstraintSpec) -> np.ndarray:
 def _dominance_relation(F, spec: ConstraintSpec) -> np.ndarray:
     """(n, n) bool matrix, true at [a, b] where row b dominates row a.
 
-    The pairs of any batch of rows `pos` are np.argwhere(R[np.ix_(pos,
-    pos)]), in the order _batch_pairs(F[pos]) gives them.
+    The pairs of any batch of rows `pos` are np.argwhere(R[pos][:, pos]),
+    in the order _batch_pairs(F[pos]) gives them.
     """
     relation = np.zeros((len(F), len(F)), dtype=bool)
     relation[tuple(_batch_pairs(F, spec).T)] = True
     return relation
 
 
-def _monotone_term(pred, pairs, spec: ConstraintSpec, rng):
-    """Mean rectified violation over the given pairs, subsampled beyond
-    pair_budget; returns (value, pairs used)."""
-    if len(pairs) == 0:
-        return 0.0, pairs
-    if len(pairs) > spec.pair_budget:
+def _subsample(pairs, budget: int, rng):
+    """At most budget of the pairs, drawn with rng, in their given order."""
+    if len(pairs) > budget:
         if rng is None:
             rng = np.random.default_rng(0)
-        keep = rng.choice(len(pairs), size=spec.pair_budget, replace=False)
+        keep = rng.choice(len(pairs), size=budget, replace=False)
         pairs = pairs[np.sort(keep)]
-    viol = relu(pred[pairs[:, 0]] - pred[pairs[:, 1]])
-    return float(viol.mean()), pairs
+    return pairs
 
 
 def loss_monotone(pred, F, spec: ConstraintSpec, rng=None):
@@ -239,52 +242,14 @@ def loss_monotone(pred, F, spec: ConstraintSpec, rng=None):
 
     F holds the raw monotone-feature values per batch row. Beyond
     pair_budget, pairs are subsampled with the given rng (seeded by the
-    trainer); zero when no dominated pair exists.
+    trainer); zero when no dominated pair exists. Returns (value, pairs
+    used).
     """
     pred = np.asarray(pred, dtype=float)
-    return _monotone_term(pred, _batch_pairs(F, spec), spec, rng)
-
-
-def _loss_and_grads(params: NetworkParameters, Xn, target, yl, yu, pairs,
-                    spec: ConstraintSpec, rng):
-    """Forward pass, the three loss terms and backpropagation for one batch
-    whose dominance pairs (batch row indices) are given.
-
-    Returns ((total, supervised, approx, monotone), grads_w, grads_b).
-    """
-    acts, zs = _forward_cached(params.weights, params.biases, Xn)
-    pred = acts[-1][:, 0]
-    n = len(pred)
-    sup = loss_supervised(pred, target)
-    dpred = 2.0 * (pred - target) / n
-    l_app = loss_approx(pred, yl, yu)
-    if spec.gamma > 0:
-        d_app = (-(pred < yl).astype(float) + (pred > yu).astype(float)) / n
-        dpred = dpred + spec.gamma * d_app
-    l_mono, pairs = _monotone_term(pred, pairs, spec, rng)
-    if spec.gamma > 0 and len(pairs):
-        viol = pred[pairs[:, 0]] > pred[pairs[:, 1]]
-        if viol.any():
-            scale = spec.gamma / len(pairs)
-            np.add.at(dpred, pairs[viol, 0], scale)
-            np.add.at(dpred, pairs[viol, 1], -scale)
-    total = sup + spec.gamma * (l_app + l_mono)
-    grads_w, grads_b = _backward(params.weights, acts, zs, dpred)
-    return (total, sup, l_app, l_mono), grads_w, grads_b
-
-
-def loss_total(params: NetworkParameters, Xn, target, yl, yu, F,
-               spec: ConstraintSpec | None = None, rng=None):
-    """Total hybrid loss and its gradients w.r.t. every weight and bias.
-
-    Returns (loss, grads_w, grads_b). Inputs are normalized rows; target
-    and bounds live in transformed label space.
-    """
-    spec = spec or params.constraint
-    (total, *_terms), grads_w, grads_b = _loss_and_grads(
-        params, np.atleast_2d(np.asarray(Xn, dtype=float)),
-        np.asarray(target, dtype=float), yl, yu, _batch_pairs(F, spec), spec, rng)
-    return total, grads_w, grads_b
+    pairs = _subsample(_batch_pairs(F, spec), spec.pair_budget, rng)
+    if len(pairs) == 0:
+        return 0.0, pairs
+    return float(np.mean(relu(pred[pairs[:, 0]] - pred[pairs[:, 1]]))), pairs
 
 
 def _flatten(weights, biases) -> np.ndarray:
@@ -293,14 +258,179 @@ def _flatten(weights, biases) -> np.ndarray:
 
 
 def _layer_views(theta: np.ndarray, sizes):
-    """Weight and bias views into a vector laid out as _flatten writes it."""
+    """Weight and bias views into vectors laid out as _flatten writes them:
+    (in, out) and (out,) for one vector, (K, in, out) and (K, out) for
+    the rows of a (K, P) array."""
+    lead = theta.shape[:-1]
     weights, biases, at = [], [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(theta[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        weights.append(theta[..., at:at + fan_in * fan_out].reshape(lead + (fan_in, fan_out)))
         at += fan_in * fan_out
-        biases.append(theta[at:at + fan_out])
+        biases.append(theta[..., at:at + fan_out])
         at += fan_out
     return weights, biases
+
+
+class _Stack:
+    """K networks of one layer shape, one flat parameter row each.
+
+    theta is (K, P); weights[l] (K, in, out) and biases[l] (K, out) are
+    views into it, and grad_w / grad_b the same views into grad. The
+    activation and backprop buffers of each batch length are allocated
+    once, so a training step writes into existing memory.
+    """
+
+    def __init__(self, theta: np.ndarray, sizes):
+        self.theta = theta
+        self.sizes = sizes
+        self.weights, self.biases = _layer_views(theta, sizes)
+        self.grad = np.empty_like(theta)
+        self.grad_w, self.grad_b = _layer_views(self.grad, sizes)
+        self._buffers = {}
+
+    def _buffers_for(self, n: int):
+        if n not in self._buffers:
+            shapes = [(len(self.theta), n, out) for out in self.sizes[1:]]
+            self._buffers[n] = ([np.empty(s) for s in shapes],
+                                [np.empty(s) for s in shapes])
+        return self._buffers[n]
+
+    def forward(self, X):
+        """Every layer's activations relu(a @ w + b) for a batch X
+        (n, in) shared by all models; each layer's buffer is rectified in
+        place, so its positive entries mark the live units."""
+        acts, _ = self._buffers_for(len(X))
+        a = X
+        for w, b, z in zip(self.weights, self.biases, acts):
+            np.matmul(a, w, out=z)
+            z += b[:, None, :]
+            np.maximum(z, 0.0, out=z)
+            a = z
+        return acts
+
+    def backward(self, X, acts, dpred):
+        """Gradients of each model's loss into grad, given dL/dpred (K, n)."""
+        _, deltas = self._buffers_for(len(X))
+        delta = deltas[-1]
+        np.multiply(dpred[:, :, None], acts[-1] > 0, out=delta)
+        for l in range(len(self.weights) - 1, -1, -1):
+            inputs = acts[l - 1] if l else X
+            np.matmul(inputs.swapaxes(-1, -2), delta, out=self.grad_w[l])
+            np.add.reduce(delta, axis=1, out=self.grad_b[l])
+            if l:
+                np.matmul(delta, self.weights[l].swapaxes(-1, -2), out=deltas[l - 1])
+                delta = deltas[l - 1]
+                delta *= inputs > 0
+
+
+def _loss_and_grads(stack: _Stack, X, target, yl, yu, gamma, groups):
+    """Forward pass, the three loss terms and backpropagation for one
+    batch X of every model in the stack; gradients land in stack.grad.
+
+    target, yl and yu are (K, n), gamma is (K,). groups lists (rows,
+    pairs): stack rows that share a monotone-feature set and the batch's
+    dominance pairs (batch row indices) under it. Returns (total,
+    supervised, approx, monotone), each (K,).
+    """
+    acts = stack.forward(X)
+    pred = acts[-1][:, :, 0]
+    n = pred.shape[1]
+    sup = loss_supervised(pred, target)
+    dpred = 2.0 * (pred - target) / n
+    # np.add.reduce(x, axis=1) / count is np.mean's own arithmetic
+    app = np.add.reduce(relu(yl - pred) + relu(pred - yu), axis=1) / n
+    hinge = np.flatnonzero(gamma > 0)
+    if len(hinge):
+        h = slice(None) if len(hinge) == len(gamma) else hinge
+        p = pred[h]
+        # +1 above the band, -1 below it
+        d_app = np.subtract(p > yu[h], p < yl[h], dtype=float) / n
+        dpred[h] += gamma[h, None] * d_app
+    mono = np.zeros(len(gamma))
+    for rows, pairs in groups:
+        if len(pairs) == 0:
+            continue
+        # take keeps each model's violations contiguous, so they are
+        # summed pairwise, as for one model (p[:, idx] would lay them out
+        # column-major and sum them in sequence)
+        p = pred[rows]
+        gap = p.take(pairs[:, 0], axis=1) - p.take(pairs[:, 1], axis=1)
+        mono[rows] = np.add.reduce(relu(gap), axis=1) / len(pairs)
+        # np.add.at applies one model's updates in pair order, all
+        # increments before all decrements, as for one model; gap > 0 is
+        # exactly pred[a] > pred[b]. dpred is a fresh (K, n) array, so
+        # its flat view indexes model * n + row.
+        live = np.flatnonzero(gamma[rows] > 0)
+        k, j = np.nonzero(gap[live] > 0)
+        if len(k):
+            model = rows[live][k]
+            scale = gamma[model] / len(pairs)
+            flat = dpred.reshape(-1)
+            np.add.at(flat, model * n + pairs[j, 0], scale)
+            np.add.at(flat, model * n + pairs[j, 1], -scale)
+    total = sup + gamma * (app + mono)
+    stack.backward(X, acts, dpred)
+    return total, sup, app, mono
+
+
+def loss_total(params: NetworkParameters, Xn, target, yl, yu, F,
+               spec: ConstraintSpec | None = None, rng=None):
+    """Total hybrid loss and its gradients w.r.t. every weight and bias.
+
+    Returns (loss, grads_w, grads_b). Inputs are normalized rows; target
+    and bounds live in transformed label space. The trainer's step runs
+    the same code, as the one-model stack.
+    """
+    spec = spec or params.constraint
+    yl = np.asarray(yl, dtype=float)
+    yu = np.asarray(yu, dtype=float)
+    _check_band(yl, yu)
+    stack = _Stack(_flatten(params.weights, params.biases)[None], params.layer_sizes)
+    pairs = _subsample(_batch_pairs(F, spec), spec.pair_budget, rng)
+    total, *_terms = _loss_and_grads(
+        stack, np.atleast_2d(np.asarray(Xn, dtype=float)),
+        np.asarray(target, dtype=float)[None], yl[None], yu[None],
+        np.array([spec.gamma]), [(np.array([0]), pairs)])
+    return (float(total[0]), [w[0] for w in stack.grad_w],
+            [b[0] for b in stack.grad_b])
+
+
+class _Adam:
+    """Adam moments of a (K, P) parameter array, updated in place."""
+
+    def __init__(self, shape):
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self._num = np.empty(shape)
+        self._den = np.empty(shape)
+        self.step = 0
+
+    def take(self, keep) -> None:
+        """Keep only the rows of the models still training."""
+        self.m, self.v = self.m[keep], self.v[keep]
+        self._num, self._den = self._num[keep], self._den[keep]
+
+    def update(self, theta, g, learning_rate: float) -> None:
+        """theta -= lr * m_hat / (sqrt(v_hat) + eps), each operation the
+        one the expression evaluates, in its order."""
+        self.step += 1
+        bc1 = 1.0 - ADAM_BETA1**self.step
+        bc2 = 1.0 - ADAM_BETA2**self.step
+        m, v, num, den = self.m, self.v, self._num, self._den
+        m *= ADAM_BETA1
+        np.multiply(g, 1 - ADAM_BETA1, out=num)
+        m += num
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=den)
+        den *= 1 - ADAM_BETA2
+        v += den
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        np.divide(m, bc1, out=num)
+        num *= learning_rate
+        num /= den
+        theta -= num
 
 
 @dataclass
@@ -316,19 +446,14 @@ class TrainingHistory:
                    self.loss_monotone, self.val_loss)
 
 
-def _training_arrays(dataset: Dataset, feature_order, spec: ConstraintSpec):
-    frame = build_frame(dataset.specimens)
-    X = frame.select(list(feature_order)).X
-    y_log = transform_label(frame.y, "forward")
-    nu0 = frame.column("Nu0")
+def _band(nu0, spec: ConstraintSpec):
+    """Per-row capacity band [yl, yu] in log-label space."""
     with np.errstate(divide="ignore"):
         yl = np.log(spec.lower_factor * nu0) if spec.lower_factor > 0 \
             else np.full(len(nu0), -np.inf)
         yu = np.log(spec.upper_factor * nu0) if math.isfinite(spec.upper_factor) \
             else np.full(len(nu0), np.inf)
-    F = (frame.select(list(spec.monotone_features)).X
-         if spec.monotone_features else np.zeros((len(frame), 0)))
-    return X, y_log, yl, yu, F
+    return yl, yu
 
 
 def train(dataset: Dataset, feature_order=PAPER_SELECTED,
@@ -337,14 +462,51 @@ def train(dataset: Dataset, feature_order=PAPER_SELECTED,
     """Minibatch Adam training with early stopping on validation MSE.
 
     The train/validation split comes from the dataset's split_fraction and
-    split_seed. Returns (NetworkParameters, TrainingHistory).
+    split_seed. Returns (NetworkParameters, TrainingHistory). This is the
+    one-model case of train_many.
     """
-    spec = spec or ConstraintSpec()
+    labels = np.fromiter((s.N for s in dataset.specimens), float, len(dataset))
+    (result,) = train_many(dataset, labels[None], [spec or ConstraintSpec()],
+                           feature_order, config)
+    if isinstance(result, NumericError):
+        raise result
+    return result
+
+
+def train_many(dataset: Dataset, labels, specs, feature_order=PAPER_SELECTED,
+               config: TrainConfig | None = None) -> list:
+    """Train K networks in lockstep, one per (label row, spec).
+
+    labels is (K, n): model k's capacities in kN for the dataset's
+    specimens, in place of their N. All models share the features, the
+    split, the config and so every seed: the initial weights, the shuffle
+    order and, per monotone-feature set and pair budget, the
+    pair-subsample draws. Each step is one stacked forward and backward
+    pass and one Adam update over the models still training; a model
+    leaves the stack when it stops early or its loss turns non-finite.
+
+    Returns one entry per model: (NetworkParameters, TrainingHistory),
+    equal to what train gives on that model's labels and spec, or the
+    NumericError train would raise for a model that diverged.
+    """
     config = config or TrainConfig()
+    specs = list(specs)
+    labels = np.asarray(labels, dtype=float)
+    if labels.shape != (len(specs), len(dataset)):
+        raise DataError(f"labels of shape {labels.shape} for {len(specs)} models "
+                        f"of {len(dataset)} specimens")
     if config.batch_size > len(dataset):
         raise ConfigError("batch_size exceeds dataset size")
-    X, y_log, yl, yu, F = _training_arrays(dataset, feature_order, spec)
+    if np.any(labels <= 0):
+        raise DataError("capacity labels must be positive")
+    frame = build_frame(dataset.specimens)
+    X = frame.select(list(feature_order)).X
+    y_log = transform_label(labels, "forward")
+    nu0 = frame.column("Nu0")
+    yl, yu = (np.array(b) for b in zip(*(_band(nu0, s) for s in specs)))
     tr, va = split_dataset(dataset, dataset.split_fraction, dataset.split_seed)
+    # the band is fixed per row, so one check covers every batch
+    _check_band(yl[:, tr], yu[:, tr])
 
     Xf = np.log(X)
     mean = Xf[tr].mean(axis=0)
@@ -352,71 +514,120 @@ def train(dataset: Dataset, feature_order=PAPER_SELECTED,
     std[std == 0] = 1.0
     Xn = (Xf - mean) / std
 
-    params = init_parameters(feature_order, config, spec)
-    params.input_mean = mean
-    params.input_std = std
-    theta = _flatten(params.weights, params.biases)
-    params.weights, params.biases = _layer_views(theta, params.layer_sizes)
+    K = len(specs)
+    init = init_parameters(feature_order, config, ConstraintSpec())
+    sizes = init.layer_sizes
+    stack = _Stack(np.tile(_flatten(init.weights, init.biases), (K, 1)), sizes)
     # start the rectified output in the live region around the label mean
-    params.biases[-1][:] = float(np.mean(y_log[tr]))
+    for k in range(K):
+        stack.biases[-1][k] = float(np.mean(y_log[k, tr]))
+    gamma = np.array([s.gamma for s in specs])
 
-    # dominance is a property of the training rows: find it once, then
-    # read each batch's pairs from the relation
-    dominates = _dominance_relation(F[tr], spec)
+    # dominance is a property of the training rows: find it once per
+    # monotone-feature set, then read each batch's pairs from the
+    # relation; models of one set and pair budget share their draws
+    relations, group_keys = {}, {}
+    group_of = np.full(K, -1)
+    for k, s in enumerate(specs):
+        if s.monotone_features:
+            if s.monotone_features not in relations:
+                F = frame.select(list(s.monotone_features)).X
+                relations[s.monotone_features] = _dominance_relation(F[tr], s)
+            group_of[k] = group_keys.setdefault(
+                (s.monotone_features, s.pair_budget), len(group_keys))
+    pair_draws = [(relations[features], budget, child_rng(config.seed, 2))
+                  for features, budget in group_keys]
 
     shuffle_rng = child_rng(config.seed, 1)
-    pair_rng = child_rng(config.seed, 2)
+    adam = _Adam(stack.theta.shape)
+    histories = [TrainingHistory() for _ in range(K)]
+    results = [None] * K
+    best_val = np.full(K, math.inf)
+    best_theta = [None] * K
+    stale = np.zeros(K, dtype=int)
+    active = np.arange(K)           # the model of each stack row
 
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    step = 0
+    targets = np.stack([y_log, yl, yu])     # (3, K, n): label and band per model
 
-    history = TrainingHistory()
-    best_val = math.inf
-    best_theta = None
-    stale = 0
+    def per_row():
+        return (targets[:, active], gamma[active],
+                [np.flatnonzero(group_of[active] == g) for g in range(len(pair_draws))])
 
+    def drop(keep):
+        """Only the stack rows where keep is set go on training."""
+        nonlocal stack, active, rows_targets, rows_gamma, group_rows
+        stack = _Stack(stack.theta[keep], sizes)
+        adam.take(keep)
+        active = active[keep]
+        rows_targets, rows_gamma, group_rows = per_row()
+
+    def finish(rows):
+        for r in rows:
+            k = active[r]
+            theta = best_theta[k] if best_theta[k] is not None else stack.theta[r].copy()
+            weights, biases = _layer_views(theta, sizes)
+            results[k] = (NetworkParameters(
+                layer_sizes=sizes, weights=weights, biases=biases,
+                input_mean=mean.copy(), input_std=std.copy(),
+                feature_order=tuple(feature_order), constraint=specs[k],
+                seed=config.seed), histories[k])
+
+    rows_targets, rows_gamma, group_rows = per_row()
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(tr))
-        ep_sup = ep_app = ep_mono = 0.0
+        ep_sup, ep_app, ep_mono = np.zeros((3, len(active)))
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             pos = order[start:start + config.batch_size]
             batch = tr[pos]
-            (total, sup, l_app, l_mono), grads_w, grads_b = _loss_and_grads(
-                params, Xn[batch], y_log[batch], yl[batch], yu[batch],
-                np.argwhere(dominates[np.ix_(pos, pos)]), spec, pair_rng)
-            if not math.isfinite(total):
-                raise NumericError(f"training diverged at epoch {epoch}: loss={total}")
-            g = _flatten(grads_w, grads_b)
-            step += 1
-            bc1 = 1.0 - ADAM_BETA1**step
-            bc2 = 1.0 - ADAM_BETA2**step
-            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g ** 2
-            theta -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            groups = [(rows, _subsample(np.argwhere(relation.take(pos, 0).take(pos, 1)),
+                                        budget, pair_rng))
+                      for rows, (relation, budget, pair_rng) in zip(group_rows, pair_draws)
+                      if len(rows)]
+            total, sup, app, mono = _loss_and_grads(
+                stack, Xn[batch], *rows_targets[:, :, batch], rows_gamma, groups)
+            adam.update(stack.theta, stack.grad, config.learning_rate)
             ep_sup += sup
-            ep_app += l_app
-            ep_mono += l_mono
+            ep_app += app
+            ep_mono += mono
             n_batches += 1
-        val_pred = forward(params, Xn[va])
-        val = loss_supervised(val_pred, y_log[va])
-        history.epochs.append(epoch)
-        history.loss_supervised.append(ep_sup / n_batches)
-        history.loss_approx.append(ep_app / n_batches)
-        history.loss_monotone.append(ep_mono / n_batches)
-        history.val_loss.append(val)
-        if val < best_val - 1e-12:
-            best_val = val
-            best_theta = theta.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.early_stop_patience:
+            finite = np.isfinite(total)
+            if not finite.all():
+                for r in np.flatnonzero(~finite):
+                    results[active[r]] = NumericError(
+                        f"training diverged at epoch {epoch}: loss={float(total[r])}")
+                drop(finite)
+                ep_sup, ep_app, ep_mono = ep_sup[finite], ep_app[finite], ep_mono[finite]
+                if not len(active):
+                    break
+        if not len(active):
+            break
+        val = loss_supervised(_output(stack.weights, stack.biases, Xn[va]),
+                              rows_targets[0][:, va])
+        stopped = np.zeros(len(active), dtype=bool)
+        for r, (k, sup_k, app_k, mono_k, val_k) in enumerate(zip(
+                active.tolist(), (ep_sup / n_batches).tolist(), (ep_app / n_batches).tolist(),
+                (ep_mono / n_batches).tolist(), val.tolist())):
+            h = histories[k]
+            h.epochs.append(epoch)
+            h.loss_supervised.append(sup_k)
+            h.loss_approx.append(app_k)
+            h.loss_monotone.append(mono_k)
+            h.val_loss.append(val_k)
+            if val_k < best_val[k] - 1e-12:
+                best_val[k] = val_k
+                best_theta[k] = stack.theta[r].copy()
+                stale[k] = 0
+            else:
+                stale[k] += 1
+                stopped[r] = stale[k] >= config.early_stop_patience
+        if stopped.any():
+            finish(np.flatnonzero(stopped))
+            drop(~stopped)
+            if not len(active):
                 break
-    if best_theta is not None:
-        theta[:] = best_theta
-    return params, history
+    finish(range(len(active)))
+    return results
 
 
 def predict_rows(params: NetworkParameters, X_raw) -> np.ndarray:

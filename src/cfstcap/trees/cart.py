@@ -10,6 +10,8 @@ import numpy as np
 from ..errors import DataError
 
 LEAF = -1
+# (tree, row) pairs that NodeTable.leaf_values walks at once
+LEAF_BLOCK = 1 << 14
 
 
 @dataclass
@@ -108,25 +110,45 @@ class NodeTable:
     def leaf_values(self, X) -> np.ndarray:
         """Leaf value reached by every (tree, row) pair, shape (trees, rows).
 
-        One numpy step per depth level walks all pairs together; a row
-        goes left when its feature value is <= the node's threshold.
+        One numpy step per depth level walks all pairs of a block of rows
+        (about LEAF_BLOCK pairs) together; a row goes left when its feature
+        value is <= the node's threshold. Each block walks in place in a
+        few (trees, block) buffers, so the walk's memory does not grow
+        with the row count.
         """
         X = np.asarray(X, dtype=float)
         n, m = X.shape
         if m != self.n_features:
             raise DataError(f"input width {m} != training width {self.n_features}")
         flat = X.ravel()
-        row_start = np.arange(n) * m
-        idx = np.repeat(self.roots[:, None], n, axis=1)
-        for _ in range(self.depth):
-            go_left = flat.take(row_start + self.feature.take(idx)) <= self.threshold.take(idx)
-            idx = self.children.take(2 * idx + go_left)
-        return self.value.take(idx)
+        out = np.empty((len(self.roots), n))
+        block = max(1, LEAF_BLOCK // len(self.roots))
+        for lo in range(0, n, block):
+            rows = min(block, n - lo)
+            idx = np.repeat(self.roots[:, None], rows, axis=1)
+            pos = np.empty_like(idx)
+            x, threshold = np.empty(idx.shape), np.empty(idx.shape)
+            go_left = np.empty(idx.shape, dtype=bool)
+            row_start = np.arange(lo, lo + rows) * m
+            # every index is a valid node or cell, so "clip" never clips;
+            # it lets take write into out= without a buffered copy
+            for _ in range(self.depth):
+                self.feature.take(idx, out=pos, mode="clip")
+                pos += row_start
+                flat.take(pos, out=x, mode="clip")
+                self.threshold.take(idx, out=threshold, mode="clip")
+                np.less_equal(x, threshold, out=go_left)
+                np.multiply(idx, 2, out=pos)
+                pos += go_left
+                self.children.take(pos, out=idx, mode="clip")
+            self.value.take(idx, out=out[:, lo:lo + rows], mode="clip")
+        return out
 
     def sum_leaf_values(self, X, start: float = 0.0, scale: float = 1.0) -> np.ndarray:
         """start + scale * v_0 + scale * v_1 + ... for every row, v_k being
         tree k's leaf value, added in tree order as a loop over trees would."""
-        steps = scale * self.leaf_values(X)
+        steps = self.leaf_values(X)
+        steps *= scale
         acc = np.full(steps.shape[1], start)
         for step in steps:
             acc += step

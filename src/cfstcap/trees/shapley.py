@@ -37,9 +37,11 @@ def shapley_permutation(predict_fn, rows, background, n_permutations: int = 200,
 
     Returns (phi, phi0): phi has shape (n_rows, n_features); phi0 is the
     mean background prediction. phi0 + phi.sum(axis=1) converges to the
-    row predictions as n_permutations grows. The m + 1 prefix coalitions
-    of every permutation of a row go to predict_fn in one call, so the
-    model is called n_rows + 1 times.
+    row predictions as n_permutations grows. Every permutation of a row
+    starts at the all-background coalition and ends at the all-row one,
+    so those two are valued once per row; they and the m - 1 inner prefix
+    coalitions of every sampled permutation go to predict_fn in one call,
+    so the model is called n_rows + 1 times.
     """
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
@@ -48,14 +50,20 @@ def shapley_permutation(predict_fn, rows, background, n_permutations: int = 200,
     rng = np.random.default_rng(seed)
     phi = np.zeros((n, m))
     phi0 = float(np.mean(predict_fn(background)))
-    sizes = np.arange(m + 1)[:, None]
+    inner = np.arange(1, m)[:, None]
+    ends = np.array([np.zeros(m, dtype=bool), np.ones(m, dtype=bool)])
     for r in range(n):
         perms = np.array([rng.permutation(m) for _ in range(n_permutations)])
         # prefix k of a permutation holds the features it ranks below k
-        masks = np.argsort(perms, axis=1)[:, None, :] < sizes
-        values = _coalition_values(predict_fn, rows[r], background, masks.reshape(-1, m))
+        masks = np.argsort(perms, axis=1)[:, None, :] < inner
+        values = _coalition_values(predict_fn, rows[r], background,
+                                   np.concatenate([ends, masks.reshape(-1, m)]))
+        # each permutation's m + 1 prefix values, the shared ends spliced in
+        chain = np.empty((n_permutations, m + 1))
+        chain[:, 0], chain[:, m] = values[0], values[1]
+        chain[:, 1:m] = values[2:].reshape(n_permutations, m - 1)
         # each feature's marginal contributions, summed in permutation order
-        np.add.at(phi[r], perms, np.diff(values.reshape(n_permutations, m + 1), axis=1))
+        np.add.at(phi[r], perms, np.diff(chain, axis=1))
     phi /= n_permutations
     return phi, phi0
 

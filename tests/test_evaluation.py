@@ -4,8 +4,9 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import cfstcap.evaluation as evaluation
 from cfstcap.data import Specimen, generate_synthetic
-from cfstcap.errors import DataError
+from cfstcap.errors import ConfigError, DataError
 from cfstcap.evaluation import (CONCRETE_CLASSES, STEEL_CLASSES, ClassBounds,
                                 IntervalBreakdown, MetricsReport, StrengthCell,
                                 compute_metrics, interval_breakdown,
@@ -258,11 +259,52 @@ class TestRobustnessSweep:
         assert all(c.error == "" for c in cells)
 
     def test_failures_annotated_not_fabricated(self):
+        # only a diverged network becomes an error cell; a config error
+        # stops the sweep
         ds = generate_synthetic(20, 3, 0.05)
         bad = TrainConfig(epochs=2, batch_size=500)  # larger than the dataset
-        cells = robustness_sweep(ds, variants=("ANN",), levels=[0.1], config=bad)
-        assert cells[0].mape is None
-        assert "batch_size" in cells[0].error
+        with pytest.raises(ConfigError, match="batch_size"):
+            robustness_sweep(ds, variants=("ANN",), levels=[0.1], config=bad)
+
+    def test_misspelt_feature_raises(self):
+        ds = generate_synthetic(80, 2, 0.05)
+        with pytest.raises(DataError, match="nosuch"):
+            robustness_sweep(ds, variants=("ANN",), levels=[0.1], config=self.CONFIG,
+                             feature_order=["D", "nosuch"])
+
+    def test_diverged_model_is_the_only_error_cell(self, monkeypatch):
+        # a NaN perturbed label makes that level's training loss non-finite
+        perturb = evaluation.perturb_labels
+
+        def nan_at_second_level(labels, p, d, seed=0):
+            y = perturb(labels, p, d, seed)
+            if p == 0.3:
+                y[0] = np.nan
+            return y
+
+        monkeypatch.setattr(evaluation, "perturb_labels", nan_at_second_level)
+        ds = generate_synthetic(80, 2, 0.05)
+        levels = [0.1, 0.3, 0.5]
+        cells = robustness_sweep(ds, variants=("ANN",), levels=levels, config=self.CONFIG)
+        monkeypatch.setattr(evaluation, "perturb_labels", perturb)
+        clean = robustness_sweep(ds, variants=("ANN",), levels=levels, config=self.CONFIG)
+        assert [c.error != "" for c in cells] == [False, True, False]
+        assert cells[1].mape is None and "diverged" in cells[1].error
+        assert [cells[0].mape, cells[2].mape] == [clean[0].mape, clean[2].mape]
+
+    def test_one_train_many_call_per_sweep(self, monkeypatch):
+        calls = []
+        train_many = evaluation.train_many
+
+        def spy(dataset, labels, specs, *args):
+            calls.append(len(specs))
+            return train_many(dataset, labels, specs, *args)
+
+        monkeypatch.setattr(evaluation, "train_many", spy)
+        ds = generate_synthetic(80, 2, 0.05)
+        cells = robustness_sweep(ds, variants=("ANN", "ANNWT"), levels=[0.1, 0.3],
+                                 config=self.CONFIG)
+        assert calls == [4] and len(cells) == 4
 
     def test_bad_sweep_name(self):
         ds = generate_synthetic(20, 3, 0.05)

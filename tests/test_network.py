@@ -1,22 +1,234 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cfstcap.data import generate_synthetic, split
+import cfstcap.network as net
+from cfstcap.data import Dataset, generate_synthetic, split, transform_label
+from cfstcap.data import split as split_dataset
 from cfstcap.errors import ConfigError, DataError, NumericError
-from cfstcap.features import PAPER_SELECTED
+from cfstcap.features import PAPER_SELECTED, build_frame
 from cfstcap.network import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ConstraintSpec,
                              NetworkParameters, TrainConfig,
-                             TrainingHistory, _backward, _dominance_relation,
-                             _forward_cached, _training_arrays, dominance_pairs,
+                             TrainingHistory, _dominance_relation, _flatten,
+                             _layer_views, dominance_pairs,
                              forward,
                              init_parameters,
                              load_model, loss_approx, loss_monotone,
                              loss_supervised, loss_total, params_from_dict,
-                             params_to_dict, predict, predict_specimens,
-                             save_model, train, variant_spec)
+                             params_to_dict, predict, predict_specimens, relu,
+                             save_model, train, train_many, variant_spec)
 from cfstcap.seeding import child_rng
+
+VARIANTS = ("ANN", "ANNWA", "ANNWM", "ANNWT")
+
+
+# The one-model trainer that train_many replaced, kept verbatim as the
+# oracle (its public names carry a head_ prefix): fresh arrays for every
+# activation and gradient, Adam over one flat vector, and the batch pairs
+# and the capacity band looked up and checked per batch.
+
+def head_forward(params: NetworkParameters, X: np.ndarray) -> np.ndarray:
+    """Predictions in transformed (log) label space for normalized inputs."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != params.layer_sizes[0]:
+        raise DataError(f"input width {X.shape[1]} != {params.layer_sizes[0]}")
+    a = X
+    for w, b in zip(params.weights, params.biases):
+        a = relu(a @ w + b)
+    return a[:, 0]
+
+
+def _forward_cached(weights, biases, X):
+    a = X
+    acts = [X]
+    zs = []
+    for w, b in zip(weights, biases):
+        z = a @ w + b
+        a = relu(z)
+        zs.append(z)
+        acts.append(a)
+    return acts, zs
+
+
+def _backward(weights, acts, zs, dpred):
+    """Gradients of a scalar loss given dL/dpred for the output column."""
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    delta = dpred[:, None] * (zs[-1] > 0)
+    for l in range(len(weights) - 1, -1, -1):
+        grads_w[l] = acts[l].T @ delta
+        grads_b[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ weights[l].T) * (zs[l - 1] > 0)
+    return grads_w, grads_b
+
+
+def head_loss_supervised(pred, target):
+    """Mean squared error in transformed label space."""
+    pred = np.asarray(pred, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if pred.shape != target.shape or pred.size == 0:
+        raise DataError("pred/target must be nonempty and equal length")
+    return float(np.mean((pred - target) ** 2))
+
+
+def head_loss_approx(pred, yl, yu):
+    """Mean rectified distance outside the per-row band [yl, yu]."""
+    pred = np.asarray(pred, dtype=float)
+    yl = np.asarray(yl, dtype=float)
+    yu = np.asarray(yu, dtype=float)
+    if np.any(yl >= yu):
+        raise DataError("approximate bounds must satisfy yl < yu")
+    return float(np.mean(relu(yl - pred) + relu(pred - yu)))
+
+
+def _monotone_term(pred, pairs, spec: ConstraintSpec, rng):
+    """Mean rectified violation over the given pairs, subsampled beyond
+    pair_budget; returns (value, pairs used)."""
+    if len(pairs) == 0:
+        return 0.0, pairs
+    if len(pairs) > spec.pair_budget:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        keep = rng.choice(len(pairs), size=spec.pair_budget, replace=False)
+        pairs = pairs[np.sort(keep)]
+    viol = relu(pred[pairs[:, 0]] - pred[pairs[:, 1]])
+    return float(viol.mean()), pairs
+
+
+def _loss_and_grads(params: NetworkParameters, Xn, target, yl, yu, pairs,
+                    spec: ConstraintSpec, rng):
+    """Forward pass, the three loss terms and backpropagation for one batch
+    whose dominance pairs (batch row indices) are given.
+
+    Returns ((total, supervised, approx, monotone), grads_w, grads_b).
+    """
+    acts, zs = _forward_cached(params.weights, params.biases, Xn)
+    pred = acts[-1][:, 0]
+    n = len(pred)
+    sup = head_loss_supervised(pred, target)
+    dpred = 2.0 * (pred - target) / n
+    l_app = head_loss_approx(pred, yl, yu)
+    if spec.gamma > 0:
+        d_app = (-(pred < yl).astype(float) + (pred > yu).astype(float)) / n
+        dpred = dpred + spec.gamma * d_app
+    l_mono, pairs = _monotone_term(pred, pairs, spec, rng)
+    if spec.gamma > 0 and len(pairs):
+        viol = pred[pairs[:, 0]] > pred[pairs[:, 1]]
+        if viol.any():
+            scale = spec.gamma / len(pairs)
+            np.add.at(dpred, pairs[viol, 0], scale)
+            np.add.at(dpred, pairs[viol, 1], -scale)
+    total = sup + spec.gamma * (l_app + l_mono)
+    grads_w, grads_b = _backward(params.weights, acts, zs, dpred)
+    return (total, sup, l_app, l_mono), grads_w, grads_b
+
+
+def _training_arrays(dataset: Dataset, feature_order, spec: ConstraintSpec):
+    frame = build_frame(dataset.specimens)
+    X = frame.select(list(feature_order)).X
+    y_log = transform_label(frame.y, "forward")
+    nu0 = frame.column("Nu0")
+    with np.errstate(divide="ignore"):
+        yl = np.log(spec.lower_factor * nu0) if spec.lower_factor > 0 \
+            else np.full(len(nu0), -np.inf)
+        yu = np.log(spec.upper_factor * nu0) if math.isfinite(spec.upper_factor) \
+            else np.full(len(nu0), np.inf)
+    F = (frame.select(list(spec.monotone_features)).X
+         if spec.monotone_features else np.zeros((len(frame), 0)))
+    return X, y_log, yl, yu, F
+
+
+def head_train(dataset: Dataset, feature_order=PAPER_SELECTED,
+               spec: ConstraintSpec | None = None,
+               config: TrainConfig | None = None):
+    """Minibatch Adam training with early stopping on validation MSE.
+
+    The train/validation split comes from the dataset's split_fraction and
+    split_seed. Returns (NetworkParameters, TrainingHistory).
+    """
+    spec = spec or ConstraintSpec()
+    config = config or TrainConfig()
+    if config.batch_size > len(dataset):
+        raise ConfigError("batch_size exceeds dataset size")
+    X, y_log, yl, yu, F = _training_arrays(dataset, feature_order, spec)
+    tr, va = split_dataset(dataset, dataset.split_fraction, dataset.split_seed)
+
+    Xf = np.log(X)
+    mean = Xf[tr].mean(axis=0)
+    std = Xf[tr].std(axis=0)
+    std[std == 0] = 1.0
+    Xn = (Xf - mean) / std
+
+    params = init_parameters(feature_order, config, spec)
+    params.input_mean = mean
+    params.input_std = std
+    theta = _flatten(params.weights, params.biases)
+    params.weights, params.biases = _layer_views(theta, params.layer_sizes)
+    # start the rectified output in the live region around the label mean
+    params.biases[-1][:] = float(np.mean(y_log[tr]))
+
+    # dominance is a property of the training rows: find it once, then
+    # read each batch's pairs from the relation
+    dominates = _dominance_relation(F[tr], spec)
+
+    shuffle_rng = child_rng(config.seed, 1)
+    pair_rng = child_rng(config.seed, 2)
+
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    step = 0
+
+    history = TrainingHistory()
+    best_val = math.inf
+    best_theta = None
+    stale = 0
+
+    for epoch in range(config.epochs):
+        order = shuffle_rng.permutation(len(tr))
+        ep_sup = ep_app = ep_mono = 0.0
+        n_batches = 0
+        for start in range(0, len(order), config.batch_size):
+            pos = order[start:start + config.batch_size]
+            batch = tr[pos]
+            (total, sup, l_app, l_mono), grads_w, grads_b = _loss_and_grads(
+                params, Xn[batch], y_log[batch], yl[batch], yu[batch],
+                np.argwhere(dominates[np.ix_(pos, pos)]), spec, pair_rng)
+            if not math.isfinite(total):
+                raise NumericError(f"training diverged at epoch {epoch}: loss={total}")
+            g = _flatten(grads_w, grads_b)
+            step += 1
+            bc1 = 1.0 - ADAM_BETA1**step
+            bc2 = 1.0 - ADAM_BETA2**step
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g ** 2
+            theta -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            ep_sup += sup
+            ep_app += l_app
+            ep_mono += l_mono
+            n_batches += 1
+        val_pred = head_forward(params, Xn[va])
+        val = head_loss_supervised(val_pred, y_log[va])
+        history.epochs.append(epoch)
+        history.loss_supervised.append(ep_sup / n_batches)
+        history.loss_approx.append(ep_app / n_batches)
+        history.loss_monotone.append(ep_mono / n_batches)
+        history.val_loss.append(val)
+        if val < best_val - 1e-12:
+            best_val = val
+            best_theta = theta.copy()
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.early_stop_patience:
+                break
+    if best_theta is not None:
+        theta[:] = best_theta
+    return params, history
+
+
 
 
 def tiny_net(w_list, b_list):
@@ -142,7 +354,6 @@ class TestGradients:
         # relu and hinge kinks, so the setup keeps every pre-activation,
         # band boundary and dominance-pair gap clear of zero by a margin
         # far above the probe step
-        from cfstcap.network import _forward_cached
         rng = np.random.default_rng(seed)
         config = TrainConfig(hidden_layers=1, hidden_units=4, seed=seed)
         spec = ConstraintSpec(gamma=0.3, pair_budget=10_000)
@@ -474,3 +685,110 @@ class TestSerialization:
         del doc[key]
         with pytest.raises(DataError, match=key):
             params_from_dict(doc)
+
+
+def relabelled(dataset, labels):
+    """The dataset with each specimen's N replaced by the given label."""
+    return Dataset(tuple(replace(s, N=float(n)) for s, n in zip(dataset.specimens, labels)),
+                   split_seed=dataset.split_seed, split_fraction=dataset.split_fraction)
+
+
+def assert_same_fit(got, want):
+    (params, hist), (ref, ref_hist) = got, want
+    assert len(params.weights) == len(ref.weights)
+    for a, b in zip(params.weights + params.biases, ref.weights + ref.biases):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert params_to_dict(params) == params_to_dict(ref)
+    for name in ("epochs", "loss_supervised", "loss_approx", "loss_monotone", "val_loss"):
+        assert getattr(hist, name) == getattr(ref_hist, name), name
+
+
+STOPS_EARLY = TrainConfig(epochs=300, batch_size=32, learning_rate=3e-2,
+                          early_stop_patience=4, seed=1, hidden_layers=2,
+                          hidden_units=9)
+
+
+class TestLockstepOracle:
+    """train_many against one head_train per model, bit for bit."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("config", [small_config(seed=3, epochs=12), STOPS_EARLY],
+                             ids=["full-run", "stops-early"])
+    def test_one_model_matches_oracle(self, variant, config):
+        ds = generate_synthetic(200, 21, 0.1)
+        spec = variant_spec(variant)
+        got = train(ds, PAPER_SELECTED, spec, config)
+        want = head_train(ds, PAPER_SELECTED, spec, config)
+        assert_same_fit(got, want)
+        X = np.random.default_rng(0).normal(size=(50, len(PAPER_SELECTED)))
+        assert np.array_equal(forward(got[0], X), head_forward(want[0], X))
+
+    def test_mixed_stack_matches_separate_trains(self, monkeypatch):
+        # four variants (ANNWA has no pairs) and two pair-budgeted specs on
+        # two label vectors, one stack; models stop at different epochs
+        ds = generate_synthetic(240, 21, 0.1)
+        clean = np.array([s.N for s in ds.specimens])
+        label_sets = [clean, clean * np.random.default_rng(4).uniform(0.8, 1.2, len(clean))]
+        specs = [variant_spec(v) for v in VARIANTS] + [
+            ConstraintSpec(pair_budget=40),
+            ConstraintSpec(gamma=0.3, pair_budget=40, monotone_features=("D", "fy"))]
+        labels = np.array([y for y in label_sets for _ in specs])
+        stack_specs = specs * len(label_sets)
+        over_budget = []
+        subsample = net._subsample
+
+        def spy(pairs, budget, rng):
+            over_budget.append(len(pairs) > budget)
+            return subsample(pairs, budget, rng)
+
+        monkeypatch.setattr(net, "_subsample", spy)
+        got = train_many(ds, labels, stack_specs, PAPER_SELECTED, STOPS_EARLY)
+        assert any(over_budget)
+        for result, y, spec in zip(got, labels, stack_specs):
+            assert_same_fit(result, head_train(relabelled(ds, y), PAPER_SELECTED, spec,
+                                               STOPS_EARLY))
+        stops = {len(hist.epochs) for _, hist in got}
+        assert len(stops) > 1 and max(stops) < STOPS_EARLY.epochs
+
+    def test_diverged_model_carries_the_error(self):
+        ds = generate_synthetic(120, 3, 0.05)
+        clean = np.array([s.N for s in ds.specimens])
+        tr, _ = split(ds, ds.split_fraction, ds.split_seed)
+        broken = clean.copy()
+        broken[tr[0]] = math.nan
+        spec = variant_spec("ANNWT")
+        config = small_config(epochs=6)
+        got = train_many(ds, np.array([clean, broken, 1.1 * clean]), [spec] * 3,
+                         PAPER_SELECTED, config)
+        with pytest.raises(NumericError) as raised:
+            head_train(relabelled(ds, broken), PAPER_SELECTED, spec, config)
+        assert isinstance(got[1], NumericError) and str(got[1]) == str(raised.value)
+        assert_same_fit(got[0], head_train(ds, PAPER_SELECTED, spec, config))
+        assert_same_fit(got[2], head_train(relabelled(ds, 1.1 * clean), PAPER_SELECTED,
+                                           spec, config))
+
+    def test_loss_total_matches_oracle_step(self):
+        rng = np.random.default_rng(2)
+        spec = ConstraintSpec(gamma=0.4, pair_budget=15)
+        params = init_parameters(("f0", "f1", "f2"), TrainConfig(hidden_layers=2,
+                                                                 hidden_units=6), spec)
+        Xn = rng.normal(size=(24, 3))
+        target = rng.normal(size=24)
+        yl, yu = target - 0.3, target + 0.2
+        F = rng.uniform(size=(24, 2))
+        loss, gw, gb = loss_total(params, Xn, target, yl, yu, F, spec,
+                                  rng=np.random.default_rng(7))
+        (total, *_), want_w, want_b = _loss_and_grads(
+            params, Xn, target, yl, yu, dominance_pairs(F), spec, np.random.default_rng(7))
+        assert loss == total
+        for a, b in zip(gw + gb, want_w + want_b):
+            assert np.array_equal(a, b)
+
+    def test_label_validation(self):
+        ds = generate_synthetic(40, 1, 0.05)
+        clean = np.array([s.N for s in ds.specimens])
+        specs = [variant_spec("ANN")] * 2
+        with pytest.raises(DataError, match="shape"):
+            train_many(ds, clean[None], specs, config=small_config(epochs=1))
+        with pytest.raises(DataError, match="positive"):
+            train_many(ds, np.array([clean, -clean]), specs, config=small_config(epochs=1))

@@ -7,6 +7,7 @@ from cfstcap.trees import (RandomForest, Tree, average_path_length,
                            detect_anomalies, fit_gradient_boosting,
                            fit_isolation_forest, fit_random_forest,
                            fit_regression_tree, mdi_importance)
+from cfstcap.trees import cart
 from cfstcap.trees.cart import best_split, mean_var
 from cfstcap.trees.isolation import _scores
 from cfstcap.errors import DataError
@@ -338,6 +339,16 @@ class TestFlatTraversal:
         assert np.array_equal(scores, walk_isolation_scores(forest, X))
         Z = _on_thresholds(forest.trees[0], X)
         assert np.array_equal(_scores(forest, Z), walk_isolation_scores(forest, Z))
+
+    @pytest.mark.parametrize("block", [1, 64, 1000, cart.LEAF_BLOCK])
+    def test_row_blocks_match_walk(self, block, monkeypatch):
+        # the walk goes block by block, the last block partial; one
+        # (tree, row) pair per block up to every row in one block
+        X, y, Xt = self._data(seed=7)
+        g = fit_gradient_boosting(X, y, n_trees=30, max_depth=6, seed=3)
+        monkeypatch.setattr(cart, "LEAF_BLOCK", block)
+        Z = np.vstack([X, Xt, X[::7]])
+        assert np.array_equal(g.predict(Z), walk_boosting(g, Z))
 
     def test_single_leaf_trees(self):
         X = np.arange(10.0).reshape(-1, 1)
