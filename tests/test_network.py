@@ -25,11 +25,11 @@ VARIANTS = ("ANN", "ANNWA", "ANNWM", "ANNWT")
 
 
 # The one-model trainer that train_many replaced, kept verbatim as the
-# oracle (its public names carry a head_ prefix): fresh arrays for every
+# oracle (its public names carry a former_ prefix): fresh arrays for every
 # activation and gradient, Adam over one flat vector, and the batch pairs
 # and the capacity band looked up and checked per batch.
 
-def head_forward(params: NetworkParameters, X: np.ndarray) -> np.ndarray:
+def former_forward(params: NetworkParameters, X: np.ndarray) -> np.ndarray:
     """Predictions in transformed (log) label space for normalized inputs."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != params.layer_sizes[0]:
@@ -65,7 +65,7 @@ def _backward(weights, acts, zs, dpred):
     return grads_w, grads_b
 
 
-def head_loss_supervised(pred, target):
+def former_loss_supervised(pred, target):
     """Mean squared error in transformed label space."""
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -74,7 +74,7 @@ def head_loss_supervised(pred, target):
     return float(np.mean((pred - target) ** 2))
 
 
-def head_loss_approx(pred, yl, yu):
+def former_loss_approx(pred, yl, yu):
     """Mean rectified distance outside the per-row band [yl, yu]."""
     pred = np.asarray(pred, dtype=float)
     yl = np.asarray(yl, dtype=float)
@@ -108,9 +108,9 @@ def _loss_and_grads(params: NetworkParameters, Xn, target, yl, yu, pairs,
     acts, zs = _forward_cached(params.weights, params.biases, Xn)
     pred = acts[-1][:, 0]
     n = len(pred)
-    sup = head_loss_supervised(pred, target)
+    sup = former_loss_supervised(pred, target)
     dpred = 2.0 * (pred - target) / n
-    l_app = head_loss_approx(pred, yl, yu)
+    l_app = former_loss_approx(pred, yl, yu)
     if spec.gamma > 0:
         d_app = (-(pred < yl).astype(float) + (pred > yu).astype(float)) / n
         dpred = dpred + spec.gamma * d_app
@@ -141,7 +141,7 @@ def _training_arrays(dataset: Dataset, feature_order, spec: ConstraintSpec):
     return X, y_log, yl, yu, F
 
 
-def head_train(dataset: Dataset, feature_order=PAPER_SELECTED,
+def former_train(dataset: Dataset, feature_order=PAPER_SELECTED,
                spec: ConstraintSpec | None = None,
                config: TrainConfig | None = None):
     """Minibatch Adam training with early stopping on validation MSE.
@@ -209,8 +209,8 @@ def head_train(dataset: Dataset, feature_order=PAPER_SELECTED,
             ep_app += l_app
             ep_mono += l_mono
             n_batches += 1
-        val_pred = head_forward(params, Xn[va])
-        val = head_loss_supervised(val_pred, y_log[va])
+        val_pred = former_forward(params, Xn[va])
+        val = former_loss_supervised(val_pred, y_log[va])
         history.epochs.append(epoch)
         history.loss_supervised.append(ep_sup / n_batches)
         history.loss_approx.append(ep_app / n_batches)
@@ -709,7 +709,7 @@ STOPS_EARLY = TrainConfig(epochs=300, batch_size=32, learning_rate=3e-2,
 
 
 class TestLockstepOracle:
-    """train_many against one head_train per model, bit for bit."""
+    """train_many against one former_train per model, bit for bit."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("config", [small_config(seed=3, epochs=12), STOPS_EARLY],
@@ -718,10 +718,10 @@ class TestLockstepOracle:
         ds = generate_synthetic(200, 21, 0.1)
         spec = variant_spec(variant)
         got = train(ds, PAPER_SELECTED, spec, config)
-        want = head_train(ds, PAPER_SELECTED, spec, config)
+        want = former_train(ds, PAPER_SELECTED, spec, config)
         assert_same_fit(got, want)
         X = np.random.default_rng(0).normal(size=(50, len(PAPER_SELECTED)))
-        assert np.array_equal(forward(got[0], X), head_forward(want[0], X))
+        assert np.array_equal(forward(got[0], X), former_forward(want[0], X))
 
     def test_mixed_stack_matches_separate_trains(self, monkeypatch):
         # four variants (ANNWA has no pairs) and two pair-budgeted specs on
@@ -745,7 +745,7 @@ class TestLockstepOracle:
         got = train_many(ds, labels, stack_specs, PAPER_SELECTED, STOPS_EARLY)
         assert any(over_budget)
         for result, y, spec in zip(got, labels, stack_specs):
-            assert_same_fit(result, head_train(relabelled(ds, y), PAPER_SELECTED, spec,
+            assert_same_fit(result, former_train(relabelled(ds, y), PAPER_SELECTED, spec,
                                                STOPS_EARLY))
         stops = {len(hist.epochs) for _, hist in got}
         assert len(stops) > 1 and max(stops) < STOPS_EARLY.epochs
@@ -761,10 +761,10 @@ class TestLockstepOracle:
         got = train_many(ds, np.array([clean, broken, 1.1 * clean]), [spec] * 3,
                          PAPER_SELECTED, config)
         with pytest.raises(NumericError) as raised:
-            head_train(relabelled(ds, broken), PAPER_SELECTED, spec, config)
+            former_train(relabelled(ds, broken), PAPER_SELECTED, spec, config)
         assert isinstance(got[1], NumericError) and str(got[1]) == str(raised.value)
-        assert_same_fit(got[0], head_train(ds, PAPER_SELECTED, spec, config))
-        assert_same_fit(got[2], head_train(relabelled(ds, 1.1 * clean), PAPER_SELECTED,
+        assert_same_fit(got[0], former_train(ds, PAPER_SELECTED, spec, config))
+        assert_same_fit(got[2], former_train(relabelled(ds, 1.1 * clean), PAPER_SELECTED,
                                            spec, config))
 
     def test_loss_total_matches_oracle_step(self):
