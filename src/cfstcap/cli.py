@@ -18,7 +18,7 @@ import yaml
 
 from . import __version__
 from .codes import CODE_IDS, CodeOptions, predict_all
-from .data import Dataset, generate_synthetic, load_csv, save_csv, split
+from .data import ENVELOPE, Dataset, generate_synthetic, load_csv, save_csv, split
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import (compute_metrics, interval_breakdown,
                          robustness_sweep, sensitivity)
@@ -136,6 +136,13 @@ def load_config(path: str | None, overrides) -> dict:
         deep_update(cfg, doc)
     check_selection_mode(cfg["features"]["selection_mode"])
     CodeOptions(**cfg["codes"])
+    # the settings each stage turns into objects, refused before any stage runs
+    _train_config(cfg)
+    variants = cfg["robustness"]["variants"]
+    if not isinstance(variants, list):
+        raise ConfigError(f"robustness.variants must be a list, got {variants!r}")
+    for variant in [cfg["train"]["variant"]] + variants:
+        variant_spec(variant, _constraint_spec(cfg))
     return cfg
 
 
@@ -280,8 +287,11 @@ def stage_features(cfg, outdir: Path, inputs: dict) -> list[Path]:
               [list(frame.X[i]) + [float(frame.y[i])] for i in range(len(frame))])
     corr = correlation_matrix(frame)
     cpath = outdir / "correlations.csv"
+    # a cell left undefined by a constant column stays empty
     write_csv(cpath, ["feature"] + list(corr.names),
-              [[corr.names[i]] + list(corr.values[i]) for i in range(len(corr.names))])
+              [[name] + ["" if flagged else float(v)
+                         for v, flagged in zip(corr.values[i], corr.flagged[i])]
+               for i, name in enumerate(corr.names)])
     return [fpath, cpath]
 
 
@@ -389,10 +399,9 @@ def stage_evaluate(cfg, outdir: Path, inputs: dict) -> list[Path]:
     grid = interval_breakdown(specimens, preds)
     gpath = outdir / "interval_grid.csv"
     write_csv(gpath, ["steel_class", "concrete_class", "n", "mape", "rmse", "r2"],
-              [[c.steel_class, c.concrete_class, c.n,
-                float(c.metrics.mape) if c.metrics else "",
-                float(c.metrics.rmse) if c.metrics else "",
-                float(c.metrics.r2) if c.metrics else ""] for c in grid.cells])
+              [[c.steel_class, c.concrete_class, c.n]
+               + ([float(c.metrics.mape), float(c.metrics.rmse), float(c.metrics.r2)]
+                  if c.metrics else [""] * 3) for c in grid.cells])
     return [mjson, gpath]
 
 
@@ -436,24 +445,19 @@ def stage_explain(cfg, outdir: Path, inputs: dict) -> list[Path]:
         target = float(np.median([s.N for s in ds.specimens]))
     ga = GaConfig(population=e["population"], generations=e["generations"],
                   seed=named_seed(cfg["master_seed"], "explain") % 2**31)
-    fc_lo, fc_hi = ga.bounds["fc"]
     samples = build_dependence_grid(
         params, target,
-        fc_grid=np.linspace(fc_lo, fc_hi, e["fc_points"]),
+        fc_grid=np.linspace(*ENVELOPE["fc"], e["fc_points"]),
         alpha_grid=np.linspace(0.05, 0.5, e["alpha_points"]),
         config=ga, shap_background_size=e["shap_background"])
     dpath = outdir / "dependence.csv"
     write_csv(dpath, ["fc_MPa", "alpha_sc", "D_mm", "t_mm", "L_mm", "fy_MPa",
                       "pred_kN", "shap_fc", "shap_alpha", "valid"],
-              [[float(s.fc), float(s.alpha_sc),
-                float(s.specimen.D) if s.valid else "",
-                float(s.specimen.t) if s.valid else "",
-                float(s.specimen.L) if s.valid else "",
-                float(s.specimen.fy) if s.valid else "",
-                float(s.pred_kn) if s.valid else "",
-                float(s.shap_fc) if s.shap_fc is not None else "",
-                float(s.shap_alpha) if s.shap_alpha is not None else "",
-                int(s.valid)] for s in samples])
+              [[float(s.fc), float(s.alpha_sc)]
+               + ([float(v) for v in (s.specimen.D, s.specimen.t, s.specimen.L,
+                                      s.specimen.fy, s.pred_kn)] if s.valid else [""] * 5)
+               + ["" if v is None else float(v) for v in (s.shap_fc, s.shap_alpha)]
+               + [int(s.valid)] for s in samples])
     curve = optimal_alpha_curve(samples)
     gpath = outdir / "guidance.csv"
     write_csv(gpath, ["fc_MPa", "optimal_alpha_sc"],

@@ -48,10 +48,9 @@ class CodePrediction(NamedTuple):
     message: str = ""
 
 
-def _confinement(D, t, fy, fc, fck=None):
-    """As, Ac, fck (fc unless given) and theta = As fy / (Ac fck)."""
+def _confinement(D, t, fy, fck):
+    """As, Ac, fck and theta = As fy / (Ac fck)."""
     As, Ac = section_areas(D, t)
-    fck = fc if fck is None else fck
     return As, Ac, fck, As * fy / (Ac * fck)
 
 
@@ -97,19 +96,16 @@ def aci_capacity_kn(D, t, fy, fc):
     return _aci(*section_areas(D, t), fy, fc)
 
 
-def gb_capacity_kn(D, t, fy, fc, fck=None):
-    return _gb(*_confinement(D, t, fy, fc, fck))
+def gb_capacity_kn(D, t, fy, fc):
+    return _gb(*_confinement(D, t, fy, fc))
 
 
-def han_capacity_kn(D, t, fy, fc, fck=None):
-    return _han(*_confinement(D, t, fy, fc, fck))
+def han_capacity_kn(D, t, fy, fc):
+    return _han(*_confinement(D, t, fy, fc))
 
 
-def wan_capacity_kn(D, t, fy, fc, intermediates=None):
-    cap, eta_a, eta_c = _wan(*section_areas(D, t), D, t, fy, fc)
-    if intermediates is not None:
-        intermediates.update(eta_a=eta_a, eta_c=eta_c)
-    return cap
+def wan_capacity_kn(D, t, fy, fc):
+    return _wan(*section_areas(D, t), D, t, fy, fc)[0]
 
 
 def ec4_relative_slenderness(D, t, L, fy, fc):
@@ -139,7 +135,7 @@ def predict_all(specimens, options: CodeOptions | None = None) -> list[CodePredi
         raise ValueError("specimen list is empty")
     opts = options or CodeOptions()
     D, t, L, fy, fc = np.array([(s.D, s.t, s.L, s.fy, s.fc) for s in specimens], float).T
-    As, Ac, fck, theta = _confinement(D, t, fy, fc, fc / 0.8 if opts.fck_mode == "cube" else fc)
+    As, Ac, fck, theta = _confinement(D, t, fy, fc / 0.8 if opts.fck_mode == "cube" else fc)
     geometric = 4.0 * L / D
     lam = (geometric if opts.ec4_slenderness == "literal"
            else _ec4_slenderness(As, Ac, D, t, L, fy, fc))
@@ -185,10 +181,3 @@ def predict_all(specimens, options: CodeOptions | None = None) -> list[CodePredi
         out[k::len(CODE_IDS)] = preds
     return out
 
-
-def predict_code(code_id: str, specimen, options: CodeOptions | None = None) -> CodePrediction:
-    """Evaluate one baseline formula for a specimen: a one-row view of predict_all."""
-    code_id = code_id.upper()
-    if code_id not in CODE_IDS:
-        raise ValueError(f"unknown code id {code_id!r}; expected one of {CODE_IDS}")
-    return predict_all([specimen], options)[CODE_IDS.index(code_id)]

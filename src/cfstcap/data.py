@@ -1,4 +1,4 @@
-"""Specimen records, CSV ingestion, splits, label transforms and synthetic data.
+"""Specimen records, CSV ingestion, splits and synthetic data.
 
 Units are fixed repo-wide: lengths in mm, strengths in MPa, capacities in kN.
 """
@@ -13,7 +13,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 # Experimental envelope of the source database (per-variable min/max).
 ENVELOPE = {
@@ -81,12 +81,13 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
     checks run over arrays; only a flagged row builds its messages.
     """
     if range_mode not in ("warn", "reject"):
-        raise ValueError(f"range_mode must be 'warn' or 'reject', got {range_mode!r}")
+        raise ConfigError(f"range_mode must be 'warn' or 'reject', got {range_mode!r}")
     specimens = []
     rownums = []
     problems = []  # (row number, message)
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        # utf-8-sig also reads a file saved with a byte-order mark
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from None
     with fh:
@@ -141,6 +142,8 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
         problems.sort(key=itemgetter(0))
         raise DataError(f"{path}: {len(problems)} bad row(s):\n"
                         + "\n".join(f"row {rownum}: {msg}" for rownum, msg in problems))
+    if not specimens:
+        raise DataError(f"{path}: no data rows")
     return Dataset(specimens=tuple(specimens))
 
 
@@ -163,7 +166,7 @@ def split(dataset: Dataset, fraction: float, seed: int) -> tuple[np.ndarray, np.
     if n < 2:
         raise DataError(f"need at least 2 specimens to split, have {n}")
     if not 0 < fraction < 1:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+        raise ConfigError(f"fraction must be in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     k = int(round(fraction * n))
@@ -171,28 +174,14 @@ def split(dataset: Dataset, fraction: float, seed: int) -> tuple[np.ndarray, np.
     return perm[:k].copy(), perm[k:].copy()
 
 
-def transform_label(y, direction: str = "forward"):
-    """Natural-log label transform (forward) and its exact inverse."""
-    arr = np.asarray(y, dtype=float)
-    if direction == "forward":
-        if np.any(arr <= 0):
-            raise ValueError("forward label transform requires positive values")
-        out = np.log(arr)
-    elif direction == "inverse":
-        out = np.exp(arr)
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return float(out) if np.isscalar(y) else out
-
-
 def generate_synthetic(n: int, seed: int, noise_cov: float = 0.0) -> Dataset:
     """Sample specimens log-uniformly in the envelope; labels follow the Han
     closed-form capacity times lognormal noise with the given CoV.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ConfigError(f"n must be >= 1, got {n}")
     if noise_cov < 0:
-        raise ValueError(f"noise_cov must be >= 0, got {noise_cov}")
+        raise ConfigError(f"noise_cov must be >= 0, got {noise_cov}")
     from .codes import han_capacity_kn
 
     rng = np.random.default_rng(seed)

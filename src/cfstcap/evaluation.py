@@ -9,7 +9,7 @@ from operator import attrgetter
 import numpy as np
 
 from .data import Dataset, split as split_dataset
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 # train is not called here, but perfbench/tracing.py wraps it under this name
 from .network import (ConstraintSpec, TrainConfig, predict_specimens, train,
                       train_many, variant_spec)
@@ -63,14 +63,9 @@ def compute_metrics(targets, preds, paper_literal_mape: bool = False) -> Metrics
                          within_20pct=float(np.count_nonzero(rel < 0.20) / n * 100.0))
 
 
-@dataclass(frozen=True)
-class ClassBounds:
-    """Strength class boundaries, MPa."""
-
-    concrete: tuple[float, float] = (50.0, 100.0)   # NSC < 50 <= HSC < 100 <= UHSC
-    steel: tuple[float, float] = (460.0, 700.0)     # NSS < 460 <= HSS < 700 <= UHSS
-
-
+# strength class boundaries, MPa
+CONCRETE_CUTS = (50.0, 100.0)   # NSC < 50 <= HSC < 100 <= UHSC
+STEEL_CUTS = (460.0, 700.0)     # NSS < 460 <= HSS < 700 <= UHSS
 CONCRETE_CLASSES = ("NSC", "HSC", "UHSC")
 STEEL_CLASSES = ("NSS", "HSS", "UHSS")
 
@@ -85,10 +80,7 @@ class StrengthCell:
 
 @dataclass
 class IntervalBreakdown:
-    cells: list[StrengthCell]
-    steel_marginals: dict[str, MetricsReport | None]
-    concrete_marginals: dict[str, MetricsReport | None]
-    total: MetricsReport
+    cells: list[StrengthCell]   # steel class outer, concrete class inner
 
 
 def _classify(values, cuts: tuple[float, float]) -> np.ndarray:
@@ -96,18 +88,16 @@ def _classify(values, cuts: tuple[float, float]) -> np.ndarray:
     return np.where(values < cuts[0], 0, 2 - (values < cuts[1]))
 
 
-def interval_breakdown(specimens, preds,
-                       bounds: ClassBounds | None = None) -> IntervalBreakdown:
-    """3x3 metric grid over (steel class, concrete class) plus marginals."""
+def interval_breakdown(specimens, preds) -> IntervalBreakdown:
+    """3x3 metric grid over (steel class, concrete class)."""
     if not specimens:
         raise DataError("no specimens")
-    bounds = bounds or ClassBounds()
     preds = np.asarray(preds, dtype=float)
     if preds.shape != (len(specimens),):
         raise DataError(f"{preds.size} predictions for {len(specimens)} specimens")
     targets, fy, fc = (np.fromiter(map(attrgetter(name), specimens), float, len(specimens))
                        for name in ("N", "fy", "fc"))
-    si, ci = _classify(fy, bounds.steel), _classify(fc, bounds.concrete)
+    si, ci = _classify(fy, STEEL_CUTS), _classify(fc, CONCRETE_CUTS)
 
     def maybe_metrics(mask):
         if not mask.any():
@@ -119,11 +109,7 @@ def interval_breakdown(specimens, preds,
         for j, cc in enumerate(CONCRETE_CLASSES):
             mask = (si == i) & (ci == j)
             cells.append(StrengthCell(sc, cc, maybe_metrics(mask), int(mask.sum())))
-    steel_marg = {sc: maybe_metrics(si == i) for i, sc in enumerate(STEEL_CLASSES)}
-    conc_marg = {cc: maybe_metrics(ci == j) for j, cc in enumerate(CONCRETE_CLASSES)}
-    return IntervalBreakdown(cells=cells, steel_marginals=steel_marg,
-                             concrete_marginals=conc_marg,
-                             total=compute_metrics(targets, preds))
+    return IntervalBreakdown(cells=cells)
 
 
 def perturb_labels(labels, p: float, d: float, seed: int = 0) -> np.ndarray:
@@ -133,9 +119,9 @@ def perturb_labels(labels, p: float, d: float, seed: int = 0) -> np.ndarray:
     with delta ~ U(-d, d); otherwise unchanged.
     """
     if not 0 <= p <= 1:
-        raise ValueError("p must be in [0, 1]")
+        raise ConfigError(f"p must be in [0, 1], got {p}")
     if d < 0:
-        raise ValueError("d must be >= 0")
+        raise ConfigError(f"d must be >= 0, got {d}")
     y = np.array(labels, dtype=float)
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=len(y))
@@ -169,7 +155,7 @@ def robustness_sweep(dataset: Dataset, variants=("ANN", "ANNWT"),
     from .features import PAPER_SELECTED
 
     if sweep not in ("vary_p", "vary_d"):
-        raise ValueError("sweep must be 'vary_p' or 'vary_d'")
+        raise ConfigError(f"sweep must be 'vary_p' or 'vary_d', got {sweep!r}")
     if levels is None:
         levels = [0.1, 0.2, 0.3, 0.4, 0.5] if sweep == "vary_p" \
             else [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
@@ -211,7 +197,7 @@ def sensitivity(predict_fn, X, grid_points: int = 21) -> np.ndarray:
     if X.shape[0] == 0:
         raise DataError("empty frame")
     if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+        raise ConfigError("grid_points must be >= 2")
     m = X.shape[1]
     means = X.mean(axis=0)
     ranges = np.zeros(m)

@@ -1,49 +1,44 @@
-"""Network explanations: genetic-algorithm inverse design, the
-steel-ratio/concrete-strength dependence study and Shapley attributions."""
+"""Network explanations: the steel-ratio/concrete-strength dependence
+study, realized by a genetic algorithm, and Shapley attributions."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ENVELOPE, Specimen
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .features import design_matrix
 from .network import NetworkParameters, predict_rows
 from .seeding import child_rng
 from .trees.shapley import shapley_exact
 
-GENE_NAMES = ("D", "t", "L", "fy", "fc")
+# GA operators: BLX-0.5 crossover rate, per-gene Gaussian mutation rate and
+# scale (a fraction of the gene's range), and the elites kept each generation
+CROSSOVER_RATE = 0.9
+MUTATION_RATE = 0.1
+MUTATION_SCALE = 0.1
+ELITE_COUNT = 2
+# an fc column of the guidance curve needs this many valid cells
+MIN_VALID_CELLS = 3
 
 
 @dataclass(frozen=True)
 class GaConfig:
     population: int = 60
     generations: int = 100
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.1
-    mutation_scale: float = 0.1   # fraction of each gene's range
-    elite_count: int = 2
     seed: int = 0
-    bounds: dict = field(default_factory=lambda: dict(ENVELOPE))
 
     def __post_init__(self):
+        check_field_types(self)
         if self.population < 4:
             raise ConfigError("population must be >= 4")
-        for r in (self.crossover_rate, self.mutation_rate):
-            if not 0 <= r <= 1:
-                raise ConfigError("rates must be in [0, 1]")
-        if not 0 <= self.elite_count < self.population:
-            raise ConfigError("elite_count must be in [0, population)")
-        for name, (lo, hi) in self.bounds.items():
-            if lo >= hi:
-                raise ConfigError(f"bounds for {name} are not ordered")
 
-
-def _repair_thickness(D, t):
-    """Keep the wall thickness below the D > 2t boundary."""
-    return np.minimum(t, 0.499 * D)
+    @property
+    def bounds(self) -> dict:
+        """Every gene evolves within the experimental envelope."""
+        return ENVELOPE
 
 
 def _design_predict(model: NetworkParameters):
@@ -55,7 +50,7 @@ def _design_predict(model: NetworkParameters):
     return fn
 
 
-def _run_ga(evaluate, lows, highs, config: GaConfig, rng, repair=None):
+def _run_ga(evaluate, lows, highs, config: GaConfig, rng):
     """Real-valued GA over many independent cells at once: tournament-3
     selection, BLX-0.5 blend crossover, Gaussian mutation, elitism.
 
@@ -67,18 +62,16 @@ def _run_ga(evaluate, lows, highs, config: GaConfig, rng, repair=None):
     (generations + 1, cells) of the best fitness per generation).
     """
     n_cells, n_genes = lows.shape
-    n_pop, n_elite = config.population, config.elite_count
-    n_child = n_pop - n_elite
+    n_pop = config.population
+    n_child = n_pop - ELITE_COUNT
     span = highs - lows
     lo, hi, step = lows[:, None, :], highs[:, None, :], span[:, None, :]
     pop = lo + step * rng.uniform(size=(n_pop, n_genes))
-    if repair is not None:
-        pop = repair(pop)
     fit = evaluate(pop)
     cells = np.arange(n_cells)[:, None]
     history = [fit.min(axis=1)]
     for _gen in range(config.generations):
-        elite = np.argsort(fit, axis=1, kind="stable")[:, :n_elite]
+        elite = np.argsort(fit, axis=1, kind="stable")[:, :ELITE_COUNT]
         parents = []
         for _ in range(2):
             entrants = rng.integers(n_pop, size=(n_child, 3))
@@ -86,72 +79,19 @@ def _run_ga(evaluate, lows, highs, config: GaConfig, rng, repair=None):
             winner = np.argmin(fit[:, entrants], axis=2)
             parents.append(pop[cells, entrants[np.arange(n_child), winner]])
         pa, pb = parents
-        cross = rng.uniform(size=(n_child, 1)) < config.crossover_rate
+        cross = rng.uniform(size=(n_child, 1)) < CROSSOVER_RATE
         u = rng.uniform(size=(n_child, n_genes))
         pmin = np.minimum(pa, pb)
         d = np.maximum(pa, pb) - pmin
         child = np.where(cross, pmin - 0.5 * d + 2.0 * d * u, pa)
-        mutate = rng.uniform(size=(n_child, n_genes)) < config.mutation_rate
+        mutate = rng.uniform(size=(n_child, n_genes)) < MUTATION_RATE
         z = rng.standard_normal(size=(n_child, n_genes))
-        child = np.clip(child + mutate * config.mutation_scale * step * z, lo, hi)
+        child = np.clip(child + mutate * MUTATION_SCALE * step * z, lo, hi)
         pop = np.concatenate([pop[cells, elite], child], axis=1)
-        if repair is not None:
-            pop = repair(pop)
         fit = evaluate(pop)
         history.append(fit.min(axis=1))
     best = np.argmin(fit, axis=1)
     return pop[cells[:, 0], best], fit[cells[:, 0], best], np.array(history)
-
-
-def ga_invert(model: NetworkParameters, target_capacity: float,
-              fixed: dict | None = None,
-              config: GaConfig | None = None):
-    """Search for a specimen whose predicted capacity matches the target.
-
-    fixed pins a subset of (D, t, L, fy, fc); the rest evolve within the
-    configured bounds. Returns (Specimen, fitness, per-generation best).
-    """
-    fixed = dict(fixed or {})
-    config = config or GaConfig()
-    unknown = set(fixed) - set(GENE_NAMES)
-    if unknown:
-        raise ConfigError(f"cannot fix unknown genes {sorted(unknown)}")
-    if "D" in fixed and "t" in fixed and fixed["D"] <= 2 * fixed["t"]:
-        raise ConfigError("fixed assignment violates D > 2t")
-    free = [g for g in GENE_NAMES if g not in fixed]
-    if not free:
-        raise ConfigError("all genes fixed; nothing to optimize")
-    lows = np.array([config.bounds[g][0] for g in free])
-    highs = np.array([config.bounds[g][1] for g in free])
-    predict = _design_predict(model)
-    rng = np.random.default_rng(child_rng(config.seed, 0).integers(2**63))
-
-    def decode(pop):
-        cols = {g: pop[..., i] for i, g in enumerate(free)}
-        for g in GENE_NAMES:
-            if g in fixed:
-                cols[g] = np.full(pop.shape[:-1], float(fixed[g]))
-        return cols
-
-    def repair(pop):
-        cols = decode(pop)
-        pop[..., free.index("t")] = _repair_thickness(cols["D"], cols["t"])
-        return pop
-
-    def evaluate(pop):
-        cols = decode(pop[0])
-        preds = predict(cols["D"], cols["t"], cols["L"], cols["fy"], cols["fc"])
-        fit = np.abs(preds - target_capacity)
-        fit[(cols["D"] <= 2 * cols["t"]) | ~np.isfinite(fit)] = np.inf
-        return fit[None, :]
-
-    best, fitness, history = _run_ga(evaluate, lows[None, :], highs[None, :], config,
-                                     rng, repair=repair if "t" in free else None)
-    cols = decode(best)
-    s = Specimen(D=float(cols["D"][0]), t=float(cols["t"][0]), L=float(cols["L"][0]),
-                 fy=float(cols["fy"][0]), fc=float(cols["fc"][0]),
-                 N=float(target_capacity), source_id="ga")
-    return s, float(fitness[0]), history[:, 0].tolist()
 
 
 def thickness_for_steel_ratio(D, alpha_sc):
@@ -168,24 +108,20 @@ class DependenceSample:
     pred_kn: float | None
     shap_fc: float | None
     shap_alpha: float | None
-    valid: bool = True
-    message: str = ""
+    valid: bool = True   # False where the steel ratio is unrealizable in the envelope
 
 
-def _alpha_feasible_D_range(alpha_sc, bounds):
-    """D interval keeping t(alpha, D) inside the thickness bounds."""
+def _alpha_feasible_D_range(alpha_sc):
+    """D interval keeping t(alpha, D) inside the envelope's thickness range."""
     r = 1.0 / math.sqrt(1.0 + alpha_sc)
-    t_lo, t_hi = bounds["t"]
-    d_lo = 2.0 * t_lo / (1.0 - r)
-    d_hi = 2.0 * t_hi / (1.0 - r)
-    lo = max(d_lo, bounds["D"][0])
-    hi = min(d_hi, bounds["D"][1])
+    t_lo, t_hi = ENVELOPE["t"]
+    lo = max(2.0 * t_lo / (1.0 - r), ENVELOPE["D"][0])
+    hi = min(2.0 * t_hi / (1.0 - r), ENVELOPE["D"][1])
     return (lo, hi) if lo < hi else None
 
 
-def build_dependence_grid(model: NetworkParameters, target: float,
-                          fc_grid=None, alpha_grid=None,
-                          config: GaConfig | None = None,
+def build_dependence_grid(model: NetworkParameters, target: float, fc_grid, alpha_grid,
+                          config: GaConfig,
                           shap_background_size: int = 32) -> list[DependenceSample]:
     """GA-realized samples over an (fc, alpha_sc) grid with Shapley values.
 
@@ -194,26 +130,21 @@ def build_dependence_grid(model: NetworkParameters, target: float,
     target capacity. Attributions are exact Shapley values over the five
     design coordinates (D, alpha_sc, L, fy, fc).
     """
-    config = config or GaConfig()
-    fc_grid = np.asarray(fc_grid if fc_grid is not None
-                         else np.linspace(ENVELOPE["fc"][0], ENVELOPE["fc"][1], 20))
-    alpha_grid = np.asarray(alpha_grid if alpha_grid is not None
-                            else np.linspace(0.05, 0.5, 24))
+    fc_grid, alpha_grid = np.asarray(fc_grid), np.asarray(alpha_grid)
     if fc_grid.size == 0 or alpha_grid.size == 0:
         raise ConfigError("grids must be nonempty")
     predict = _design_predict(model)
     cells = [(float(fc), float(alpha)) for fc in fc_grid for alpha in alpha_grid]
-    d_ranges = [_alpha_feasible_D_range(alpha, config.bounds) for _fc, alpha in cells]
+    d_ranges = [_alpha_feasible_D_range(alpha) for _fc, alpha in cells]
     feasible = [i for i, r in enumerate(d_ranges) if r is not None]
-    samples = [DependenceSample(fc, alpha, None, None, None, None, valid=False,
-                                message="steel ratio unrealizable in bounds")
+    samples = [DependenceSample(fc, alpha, None, None, None, None, valid=False)
                for fc, alpha in cells]
     if not feasible:
         return samples
     # D's range depends on alpha; L and fy share the envelope
-    lows = np.array([[d_ranges[i][0], config.bounds["L"][0], config.bounds["fy"][0]]
+    lows = np.array([[d_ranges[i][0], ENVELOPE["L"][0], ENVELOPE["fy"][0]]
                      for i in feasible])
-    highs = np.array([[d_ranges[i][1], config.bounds["L"][1], config.bounds["fy"][1]]
+    highs = np.array([[d_ranges[i][1], ENVELOPE["L"][1], ENVELOPE["fy"][1]]
                       for i in feasible])
     fc = np.array([cells[i][0] for i in feasible])
     alpha = np.array([cells[i][1] for i in feasible])
@@ -256,7 +187,8 @@ def _attach_shapley(model, samples, config, background_size):
 
     def design_fn(Z):
         D, alpha, L, fy, fc = (Z[:, i] for i in range(5))
-        t = _repair_thickness(D, thickness_for_steel_ratio(D, alpha))
+        # keep the wall thickness below the D > 2t boundary
+        t = np.minimum(thickness_for_steel_ratio(D, alpha), 0.499 * D)
         return predict(D, t, L, fy, fc)
 
     phi, _phi0 = shapley_exact(design_fn, coords, bg)
@@ -265,11 +197,11 @@ def _attach_shapley(model, samples, config, background_size):
         s.shap_alpha = float(row[1])
 
 
-def optimal_alpha_curve(samples, min_valid: int = 3):
+def optimal_alpha_curve(samples):
     """Per-fc steel ratio maximizing the alpha_sc attribution.
 
     Ties break toward the smaller ratio; fc columns with fewer than
-    min_valid valid cells are omitted. Returns [(fc, alpha_opt), ...]
+    MIN_VALID_CELLS valid cells are omitted. Returns [(fc, alpha_opt), ...]
     sorted by fc.
     """
     by_fc: dict[float, list] = {}
@@ -279,7 +211,7 @@ def optimal_alpha_curve(samples, min_valid: int = 3):
     curve = []
     for fc in sorted(by_fc):
         cells = by_fc[fc]
-        if len(cells) < min_valid:
+        if len(cells) < MIN_VALID_CELLS:
             continue
         best = min(cells, key=lambda c: (-c.shap_alpha, c.alpha_sc))
         curve.append((fc, best.alpha_sc))

@@ -166,14 +166,14 @@ def select_features(rank_pcc, rank_shap, rank_mdi, k: int,
     """
     check_selection_mode(mode)
     if mode == "paper_fixed":
-        if k > len(PAPER_SELECTED):
-            raise ValueError(f"k={k} exceeds the published list of {len(PAPER_SELECTED)}")
+        if not 1 <= k <= len(PAPER_SELECTED):
+            raise ConfigError(f"k={k} must be in [1, {len(PAPER_SELECTED)}] (published list)")
         return PAPER_SELECTED[:k]
     vocab = set(rank_pcc)
     if set(rank_shap) != vocab or set(rank_mdi) != vocab:
         raise ValueError("rankings must cover the same candidate vocabulary")
-    if k > len(vocab):
-        raise ValueError(f"k={k} exceeds vocabulary size {len(vocab)}")
+    if not 1 <= k <= len(vocab):
+        raise ConfigError(f"k={k} must be in [1, {len(vocab)}], the vocabulary size")
     sums = {n: rank_pcc.index(n) + rank_shap.index(n) + rank_mdi.index(n) for n in vocab}
     ordered = sorted(vocab, key=lambda n: (sums[n], FEATURE_VOCAB.index(n)
                                            if n in FEATURE_VOCAB else len(FEATURE_VOCAB)))

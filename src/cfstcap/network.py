@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, split as split_dataset, transform_label
-from .errors import ConfigError, DataError, NumericError
+from .data import Dataset, split as split_dataset
+from .errors import ConfigError, DataError, NumericError, check_field_types
 from .features import PAPER_SELECTED, build_frame
 from .seeding import child_rng
 
@@ -43,6 +43,7 @@ class ConstraintSpec:
     pair_budget: int = 2000
 
     def __post_init__(self):
+        check_field_types(self)
         if self.gamma < 0:
             raise ConfigError("gamma must be >= 0")
         if not 0 <= self.lower_factor < self.upper_factor:
@@ -56,7 +57,7 @@ class ConstraintSpec:
 def variant_spec(variant: str, base: ConstraintSpec | None = None) -> ConstraintSpec:
     """The four ablation family members share one code path."""
     base = base or ConstraintSpec()
-    v = variant.upper()
+    v = variant.upper() if isinstance(variant, str) else variant
     if v == "ANN":
         return replace(base, gamma=0.0)
     if v == "ANNWA":
@@ -79,6 +80,7 @@ class TrainConfig:
     hidden_units: int = 32
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("epochs", "batch_size", "early_stop_patience",
                      "hidden_layers", "hidden_units"):
             if getattr(self, name) < 1:
@@ -501,7 +503,7 @@ def train_many(dataset: Dataset, labels, specs, feature_order=PAPER_SELECTED,
         raise DataError("capacity labels must be positive")
     frame = build_frame(dataset.specimens)
     X = frame.select(list(feature_order)).X
-    y_log = transform_label(labels, "forward")
+    y_log = np.log(labels)
     nu0 = frame.column("Nu0")
     yl, yu = (np.array(b) for b in zip(*(_band(nu0, s) for s in specs)))
     tr, va = split_dataset(dataset, dataset.split_fraction, dataset.split_seed)
@@ -632,7 +634,7 @@ def train_many(dataset: Dataset, labels, specs, feature_order=PAPER_SELECTED,
 
 def predict_rows(params: NetworkParameters, X_raw) -> np.ndarray:
     """Capacity in kN for raw feature rows ordered per params.feature_order."""
-    return transform_label(forward(params, params.normalize(X_raw)), "inverse")
+    return np.exp(forward(params, params.normalize(X_raw)))
 
 
 def predict(params: NetworkParameters, specimen) -> float:

@@ -10,12 +10,8 @@ import hashlib
 import numpy as np
 
 
-def child_seed(master: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(master), int(index)])
-
-
 def child_rng(master: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(child_seed(master, index))
+    return np.random.default_rng(np.random.SeedSequence([int(master), int(index)]))
 
 
 def named_seed(master: int, label: str) -> int:

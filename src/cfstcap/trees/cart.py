@@ -155,7 +155,7 @@ class NodeTable:
         return acc
 
 
-def best_split(X, y, order, features, min_leaf):
+def best_split(X, y, order, features):
     """Split minimizing summed child SSE over one node's rows.
 
     order[:, f] lists the node's rows by ascending X[:, f], ties by
@@ -168,7 +168,7 @@ def best_split(X, y, order, features, min_leaf):
     Returns (feature, threshold, score) or None when no valid split exists.
     """
     n = order.shape[0]
-    if n < 2 * min_leaf:
+    if n < 2:
         return None
     rows = order[:, features]
     vs = X[rows, features]
@@ -178,7 +178,7 @@ def best_split(X, y, order, features, min_leaf):
     total = csum[-1]
     total2 = csum2[-1]
     k = np.arange(1, n)[:, None]
-    valid = (vs[1:] > vs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
+    valid = vs[1:] > vs[:-1]
     left = csum2[:-1] - csum[:-1] ** 2 / k
     right = (total2 - csum2[:-1]) - (total - csum[:-1]) ** 2 / (n - k)
     score = np.where(valid, left + right, np.inf)
@@ -207,11 +207,10 @@ class _Builder:
     node sorts again.
     """
 
-    def __init__(self, X, y, max_depth, min_leaf, max_features, rng):
+    def __init__(self, X, y, max_depth, max_features, rng):
         self.X = np.ascontiguousarray(X, dtype=float)
         self.y = np.ascontiguousarray(y, dtype=float)
         self.max_depth = max_depth
-        self.min_leaf = min_leaf
         self.max_features = max_features
         self.rng = rng
         self.goes_left = np.zeros(len(self.y), dtype=bool)
@@ -228,10 +227,9 @@ class _Builder:
         mean, var = mean_var(self.y[rows])
         idx = len(self.nodes)
         self.nodes.append([LEAF, 0.0, LEAF, LEAF, mean, len(rows), var])
-        if depth >= self.max_depth or var == 0.0 or len(rows) < 2 * self.min_leaf:
+        if depth >= self.max_depth or var == 0.0 or len(rows) < 2:
             return idx
-        split = best_split(self.X, self.y, order, self._candidate_features(),
-                           self.min_leaf)
+        split = best_split(self.X, self.y, order, self._candidate_features())
         if split is None:
             return idx
         f, thr, _score = split
@@ -251,13 +249,12 @@ class _Builder:
         return idx
 
 
-def fit_regression_tree(X, y, max_depth: int = 8, min_leaf: int = 1,
-                        seed: int | None = None, max_features=None,
+def fit_regression_tree(X, y, max_depth: int = 8, max_features=None,
                         rng=None) -> Tree:
     """Greedy variance-minimizing regression tree.
 
     max_features limits the candidate features per split (random forest
-    column subsampling); rng/seed only matter when it is set.
+    column subsampling); rng (a Generator or a seed) only matters when set.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -265,10 +262,6 @@ def fit_regression_tree(X, y, max_depth: int = 8, min_leaf: int = 1,
         raise DataError("empty or non-matrix training input")
     if X.shape[0] != y.shape[0]:
         raise DataError("row count mismatch between X and y")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    b = _Builder(X, y, max_depth, min_leaf, max_features, rng)
+    b = _Builder(X, y, max_depth, max_features, np.random.default_rng(rng))
     b.build(np.arange(X.shape[0]), np.argsort(b.X, axis=0, kind="stable"), 0)
     return Tree.from_nodes(b.nodes, X.shape[1])

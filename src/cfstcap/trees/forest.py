@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from ..seeding import child_rng
 from .cart import LEAF, NodeTable, Tree, fit_regression_tree
 
@@ -16,7 +16,6 @@ from .cart import LEAF, NodeTable, Tree, fit_regression_tree
 class RandomForest:
     trees: list[Tree]
     n_features: int
-    seed: int
 
     @cached_property
     def _table(self) -> NodeTable:
@@ -27,25 +26,23 @@ class RandomForest:
 
 
 def fit_random_forest(X, y, n_trees: int = 100, max_depth: int = 12,
-                      min_leaf: int = 1, seed: int = 0,
-                      max_features="sqrt") -> RandomForest:
+                      seed: int = 0, max_features="sqrt") -> RandomForest:
     """Bagged variance-splitting trees with sqrt(M) feature subsampling."""
+    if n_trees < 1:
+        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataError("empty training input")
     n, m = X.shape
-    if max_features == "sqrt":
-        mf = max(1, int(math.sqrt(m)))
-    else:
-        mf = max_features
+    mf = max(1, int(math.sqrt(m))) if max_features == "sqrt" else max_features
     trees = []
     for i in range(n_trees):
         rng = child_rng(seed, i)
         rows = rng.integers(0, n, size=n)
         trees.append(fit_regression_tree(X[rows], y[rows], max_depth=max_depth,
-                                         min_leaf=min_leaf, max_features=mf, rng=rng))
-    return RandomForest(trees=trees, n_features=m, seed=seed)
+                                         max_features=mf, rng=rng))
+    return RandomForest(trees=trees, n_features=m)
 
 
 def tree_mdi(tree: Tree, n_features: int) -> np.ndarray:

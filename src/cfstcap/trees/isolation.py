@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from ..seeding import child_rng
 from .cart import LEAF, NodeTable, Tree
 
@@ -28,7 +28,6 @@ def average_path_length(n: int) -> float:
 class IsolationForest:
     trees: list[Tree]       # leaf value: depth + c(leaf size)
     subsample_size: int
-    seed: int
 
     @cached_property
     def _table(self) -> NodeTable:
@@ -71,9 +70,9 @@ def fit_isolation_forest(X, n_trees: int = 100, subsample: int = 256,
         raise DataError("empty training input")
     n = X.shape[0]
     if subsample > n:
-        raise ValueError(f"subsample {subsample} exceeds dataset size {n}")
+        raise ConfigError(f"subsample {subsample} exceeds dataset size {n}")
     if subsample < 2 or n_trees < 1:
-        raise ValueError("need subsample >= 2 and n_trees >= 1")
+        raise ConfigError("need subsample >= 2 and n_trees >= 1")
     depth_cap = math.ceil(math.log2(subsample))
     trees = []
     for i in range(n_trees):
@@ -82,13 +81,11 @@ def fit_isolation_forest(X, n_trees: int = 100, subsample: int = 256,
         nodes = []
         _grow(X, rows, 0, depth_cap, rng, nodes)
         trees.append(Tree.from_nodes(nodes, X.shape[1]))
-    return IsolationForest(trees=trees, subsample_size=subsample, seed=seed)
+    return IsolationForest(trees=trees, subsample_size=subsample)
 
 
 def _scores(forest: IsolationForest, X) -> np.ndarray:
     """S(x, n) = 2^(-E(h(x)) / c(n)) of every row of X."""
-    if not forest.trees:
-        raise DataError("unfitted forest")
     c = average_path_length(forest.subsample_size)
     # Python's scalar pow, once per row: np.power and np.exp2 round some
     # inputs differently in the last bit
@@ -103,7 +100,7 @@ def detect_anomalies(X, contamination: float = 0.02, n_trees: int = 100,
     descending score.
     """
     if not 0 <= contamination < 0.5:
-        raise ValueError("contamination must be in [0, 0.5)")
+        raise ConfigError(f"contamination must be in [0, 0.5), got {contamination}")
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     forest = fit_isolation_forest(X, n_trees=n_trees,

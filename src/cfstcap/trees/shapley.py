@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 
 EXACT_MAX_FEATURES = 12
 
@@ -44,7 +44,7 @@ def shapley_permutation(predict_fn, rows, background, n_permutations: int = 200,
     so the model is called n_rows + 1 times.
     """
     if n_permutations < 1:
-        raise ValueError("n_permutations must be >= 1")
+        raise ConfigError(f"n_permutations must be >= 1, got {n_permutations}")
     rows, background = _check_inputs(rows, background)
     n, m = rows.shape
     rng = np.random.default_rng(seed)

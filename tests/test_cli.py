@@ -2,12 +2,14 @@ import csv
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cfstcap.cli import (DEFAULT_CONFIG, READS, STAGES, config_hash, deep_update,
                          load_config, main)
+from cfstcap.data import Dataset, generate_synthetic, save_csv
 from cfstcap.network import load_model
 
 
@@ -230,6 +232,42 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv",
                                                               "manifest_synth.json"]
 
+    @pytest.mark.parametrize("stage, setting", [
+        ("select", "features.gb_trees=0"),
+        ("select", "features.shap_permutations=0"),
+        ("select", "features.rf_trees=0"),
+        ("robustness", "robustness.sweep=vary_q"),
+        ("robustness", "robustness.levels=[2.0]"),
+        ("screen", "anomaly.contamination=0.7"),
+        ("codes", "data.range_mode=strict"),
+        ("train", "features.k=50"),
+        ("train", "train.epochs=abc"),
+        ("train", "constraints.upper_factor=abc"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, stage, setting):
+        small = ["data.synthetic.n=60"]
+        assert run("synth", tmp_path, extra=small) == 0
+        capsys.readouterr()
+        assert run(stage, tmp_path, extra=small + [setting]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv",
+                                                              "manifest_synth.json"]
+
+    @pytest.mark.parametrize("upper", ["inf", "null"])
+    def test_unbounded_upper_factor_accepted(self, tmp_path, capsys, upper):
+        assert run("synth", tmp_path) == 0
+        assert run("train", tmp_path, extra=[f"constraints.upper_factor={upper}"]) == 0
+        capsys.readouterr()
+        assert load_model(tmp_path / "model.json").constraint.upper_factor == float("inf")
+
+    @pytest.mark.parametrize("stage", ["codes", "train"])
+    def test_csv_without_rows_is_data_error(self, tmp_path, capsys, stage):
+        source = tmp_path / "empty.csv"
+        source.write_text("D_mm,t_mm,L_mm,fy_MPa,fc_MPa,N_kN,source_id\n")
+        assert run(stage, tmp_path, extra=[f"data.source={source}"]) == 2
+        assert capsys.readouterr().err == f"data error: {source}: no data rows\n"
+        assert not (tmp_path / f"manifest_{stage}.json").exists()
+
     def test_stage_without_dataset(self, tmp_path, capsys):
         assert run("features", tmp_path) == 2
         assert "synth stage" in capsys.readouterr().err
@@ -277,6 +315,27 @@ class TestStages:
         assert len(codes) - 1 == 7 * n_screened
         features = (tmp_path / "features.csv").read_text().splitlines()
         assert len(features) - 1 == 80  # features reads the unscreened source
+
+    def test_undefined_correlations_left_empty(self, tmp_path, capsys):
+        # every fc is 40, so fc's correlation with any other column is undefined
+        ds = generate_synthetic(30, 3, 0.1)
+        source = tmp_path / "constant_fc.csv"
+        save_csv(Dataset(tuple(replace(s, fc=40.0) for s in ds.specimens)), source)
+        assert run("features", tmp_path, extra=[f"data.source={source}"]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "correlations.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        names = header[1:]
+        fc = names.index("fc")
+        for i, row in enumerate(rows):
+            assert row[0] == names[i]
+            for j, cell in enumerate(row[1:]):
+                if i == j:
+                    assert cell == "1.0"
+                elif fc in (i, j):
+                    assert cell == "", (names[i], names[j])
+                else:
+                    assert -1.0 <= float(cell) <= 1.0
 
     def test_screen_reads_unscreened_source(self, tmp_path, capsys):
         assert run("synth", tmp_path) == 0

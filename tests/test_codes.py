@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 from cfstcap.codes import (CODE_IDS, CodeOptions, CodePrediction, aci_capacity_kn,
                            aij_capacity_kn, ec4_relative_slenderness,
                            gb_capacity_kn, han_capacity_kn, predict_all,
-                           predict_code, wan_capacity_kn)
+                           wan_capacity_kn)
 from cfstcap.data import Specimen, generate_synthetic
 
 REF = Specimen(D=100, t=5, L=300, fy=300, fc=30, N=650)
+
+
+def one_code(code_id, specimen, options=None):
+    """One code's row of predict_all for one specimen."""
+    return predict_all([specimen], options)[CODE_IDS.index(code_id)]
 
 
 class TestHandOracles:
@@ -31,7 +36,7 @@ class TestHandOracles:
 
     def test_dispatch_matches_direct(self):
         for code, fn in (("ACI", aci_capacity_kn), ("AIJ", aij_capacity_kn)):
-            pred = predict_code(code, REF)
+            pred = one_code(code, REF)
             assert pred.valid
             assert pred.capacity_kn == pytest.approx(fn(100, 5, 300, 30), rel=1e-12)
 
@@ -61,23 +66,22 @@ class TestStructuralProperties:
                 == pytest.approx(s * s * fn(100, 5, 300, 30), rel=1e-9)
 
     def test_gb_theta_intermediate(self):
-        pred = predict_code("GB50936", REF)
+        pred = one_code("GB50936", REF)
         As = math.pi * (100**2 - 90**2) / 4
         Ac = math.pi * 90**2 / 4
         assert pred.intermediates["theta"] == pytest.approx(As * 300 / (Ac * 30), rel=1e-12)
 
     def test_cube_mode_changes_fck(self):
-        cyl = predict_code("HAN", REF)
-        cube = predict_code("HAN", REF, CodeOptions(fck_mode="cube"))
+        cyl = one_code("HAN", REF)
+        cube = one_code("HAN", REF, CodeOptions(fck_mode="cube"))
         assert cube.intermediates["fck"] == pytest.approx(30 / 0.8)
         assert cube.capacity_kn != pytest.approx(cyl.capacity_kn)
 
     def test_wan_intermediates_recorded(self):
-        inter = {}
-        cap = wan_capacity_kn(100, 5, 300, 30, inter)
+        cap = wan_capacity_kn(100, 5, 300, 30)
         assert cap > 0
-        assert set(inter) == {"eta_a", "eta_c"}
-        pred = predict_code("WAN", REF)
+        pred = one_code("WAN", REF)
+        assert set(pred.intermediates) == {"eta_a", "eta_c"}
         assert pred.valid
         assert pred.capacity_kn == pytest.approx(cap, rel=1e-12)
 
@@ -91,20 +95,20 @@ class TestEc4:
     def test_short_column_confinement_boost(self):
         # a stocky column keeps eta_c > 0, giving capacity above the plain
         # plastic resistance reduced by eta_s <= 1
-        pred = predict_code("EC4", REF)
+        pred = one_code("EC4", REF)
         assert pred.valid
         assert pred.intermediates["eta_s"] <= 1.0
         assert pred.intermediates["eta_c"] >= 0.0
 
     def test_eta_formulas(self):
-        pred = predict_code("EC4", REF)
+        pred = one_code("EC4", REF)
         lam = pred.intermediates["lambda_bar"]
         assert pred.intermediates["eta_s_raw"] == pytest.approx(0.25 * (3 + 2 * lam), rel=1e-12)
         assert pred.intermediates["eta_c_raw"] == pytest.approx(
             4.9 - 18.5 * lam + 17 * lam * lam, rel=1e-12)
 
     def test_literal_mode_uses_geometric_ratio(self):
-        pred = predict_code("EC4", REF, CodeOptions(ec4_slenderness="literal"))
+        pred = one_code("EC4", REF, CodeOptions(ec4_slenderness="literal"))
         assert pred.intermediates["lambda_bar"] == pytest.approx(12.0)
 
     def test_negative_eta_c_clamped_to_zero(self):
@@ -112,7 +116,7 @@ class TestEc4:
         s = Specimen(D=100, t=5, L=1400, fy=300, fc=30, N=650)
         lam = ec4_relative_slenderness(100, 5, 1400, 300, 30)
         assert 0.456 < lam < 0.632  # interval where eta_c_raw < 0
-        clamped = predict_code("EC4", s)
+        clamped = one_code("EC4", s)
         assert clamped.intermediates["eta_c_raw"] < 0
         assert clamped.valid and clamped.intermediates["eta_c"] == 0.0
 
@@ -120,13 +124,13 @@ class TestEc4:
 class TestGep:
     def test_low_fc_flagged_invalid(self):
         s = Specimen(D=100, t=5, L=300, fy=300, fc=3.0, N=650)
-        pred = predict_code("GEP", s)
+        pred = one_code("GEP", s)
         assert not pred.valid
         assert pred.capacity_kn is None
         assert "radicand" in pred.message
 
     def test_valid_in_domain(self):
-        pred = predict_code("GEP", REF)
+        pred = one_code("GEP", REF)
         assert pred.valid
         assert pred.capacity_kn > 0
 
@@ -147,10 +151,6 @@ class TestPredictAll:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             predict_all([])
-
-    def test_unknown_code(self):
-        with pytest.raises(ValueError, match="unknown code"):
-            predict_code("BS5400", REF)
 
 
 # ---------------------------------------------------------------- oracle
@@ -256,12 +256,6 @@ class TestArrayPathOracle:
             assert ec4.intermediates["eta_c_raw"] < 0
             assert ec4.intermediates["eta_c"] == 0.0
 
-    @pytest.mark.parametrize("opts", ORACLE_OPTIONS, ids=repr)
-    def test_predict_code_is_one_row_of_predict_all(self, oracle_specimens, opts):
-        for s in oracle_specimens[:5] + oracle_specimens[-2:]:
-            row = predict_all([s], opts)
-            assert [predict_code(code, s, opts) for code in CODE_IDS] == row
-
 
 class TestPredictAllRows:
     """What a caller scoring batches reads from predict_all: rows in
@@ -282,7 +276,7 @@ class TestPredictAllRows:
             rows = preds[CODE_IDS.index(code)::per]
             assert len(rows) == len(batch)
             assert all(p.code_id == code for p in rows)
-            assert rows[:3] == [predict_code(code, s) for s in batch[:3]]
+            assert rows[:3] == [one_code(code, s) for s in batch[:3]]
 
     def test_aij_aci_closed_forms(self, batch):
         preds = predict_all(batch)

@@ -1,12 +1,11 @@
 import csv
-import math
 import warnings
 
 import numpy as np
 import pytest
 
 from cfstcap.data import (CSV_HEADER, Dataset, Specimen, generate_synthetic,
-                          load_csv, save_csv, split, transform_label)
+                          load_csv, save_csv, split)
 from cfstcap.errors import DataError
 
 
@@ -62,6 +61,19 @@ class TestLoadCsv:
         p = write(tmp_path, HEADER.replace("\n", "\r\n")
                   + "100,5,300,300,30,650,a\r\n")
         assert len(load_csv(p)) == 1
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+        text = HEADER + "100,5,300,300,30,650,a\n" + "200,6,900,400,50,2100,b\n"
+        plain = write(tmp_path, text)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_csv(bom) == load_csv(plain)
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_no_data_rows_rejected(self, tmp_path, body):
+        with pytest.raises(DataError, match="no data rows"):
+            load_csv(write(tmp_path, HEADER + body))
 
     def test_round_trip(self, tmp_path):
         ds = generate_synthetic(25, 3, 0.1)
@@ -264,22 +276,6 @@ class TestSplit:
         ds = Dataset(specimens=(Specimen(100, 5, 300, 300, 30, 650),))
         with pytest.raises(DataError):
             split(ds, 0.5, 0)
-
-
-class TestTransformLabel:
-    def test_ln_one(self):
-        assert transform_label(1.0, "forward") == 0.0
-
-    def test_round_trip(self):
-        assert transform_label(transform_label(650.0, "forward"), "inverse") \
-            == pytest.approx(650.0, rel=1e-9)
-
-    def test_ln_e(self):
-        assert transform_label(math.e, "forward") == pytest.approx(1.0, rel=1e-12)
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            transform_label(-1.0, "forward")
 
 
 class TestGenerateSynthetic:

@@ -7,8 +7,8 @@ import pytest
 import cfstcap.evaluation as evaluation
 from cfstcap.data import Specimen, generate_synthetic
 from cfstcap.errors import ConfigError, DataError
-from cfstcap.evaluation import (CONCRETE_CLASSES, STEEL_CLASSES, ClassBounds,
-                                IntervalBreakdown, MetricsReport, StrengthCell,
+from cfstcap.evaluation import (CONCRETE_CLASSES, CONCRETE_CUTS, STEEL_CLASSES,
+                                STEEL_CUTS, IntervalBreakdown, MetricsReport, StrengthCell,
                                 compute_metrics, interval_breakdown,
                                 perturb_labels, robustness_sweep, sensitivity)
 from cfstcap.network import TrainConfig
@@ -70,26 +70,17 @@ class TestIntervalBreakdown:
         b = interval_breakdown(specs, [640.0, 660.0])
         cell = next(c for c in b.cells if c.n and c.steel_class == "HSS")
         assert cell.concrete_class == "UHSC" and cell.n == 1
-        assert b.steel_marginals["HSS"].n == 1
-        assert b.concrete_marginals["NSC"].n == 1
-        assert b.steel_marginals["UHSS"] is None
 
     def test_partition_sums(self):
         ds = generate_synthetic(200, 1, 0.1)
         preds = np.array([s.N for s in ds.specimens]) * 1.02
         b = interval_breakdown(ds.specimens, preds)
         assert sum(c.n for c in b.cells) == 200
-        assert b.total.n == 200
+        assert sum(c.metrics.n for c in b.cells if c.metrics) == 200
 
     def test_boundary_values_go_up(self):
         # class cuts are inclusive on the upper side: 50 MPa is HSC, 460 is HSS
         b = interval_breakdown([self.spec(460, 50)], [650.0])
-        cell = next(c for c in b.cells if c.n)
-        assert (cell.steel_class, cell.concrete_class) == ("HSS", "HSC")
-
-    def test_custom_bounds(self):
-        b = interval_breakdown([self.spec(300, 30)], [650.0],
-                               ClassBounds(concrete=(25.0, 40.0), steel=(250.0, 400.0)))
         cell = next(c for c in b.cells if c.n)
         assert (cell.steel_class, cell.concrete_class) == ("HSS", "HSC")
 
@@ -140,14 +131,13 @@ def _scalar_classify(value, cuts):
     return 2
 
 
-def _per_specimen_breakdown(specimens, preds, bounds=None):
+def _per_specimen_breakdown(specimens, preds):
     if not specimens:
         raise DataError("no specimens")
-    bounds = bounds or ClassBounds()
     preds = np.asarray(preds, dtype=float)
     targets = np.array([s.N for s in specimens])
-    si = np.array([_scalar_classify(s.fy, bounds.steel) for s in specimens])
-    ci = np.array([_scalar_classify(s.fc, bounds.concrete) for s in specimens])
+    si = np.array([_scalar_classify(s.fy, STEEL_CUTS) for s in specimens])
+    ci = np.array([_scalar_classify(s.fc, CONCRETE_CUTS) for s in specimens])
 
     def maybe_metrics(mask):
         if not mask.any():
@@ -159,11 +149,7 @@ def _per_specimen_breakdown(specimens, preds, bounds=None):
         for j, cc in enumerate(CONCRETE_CLASSES):
             mask = (si == i) & (ci == j)
             cells.append(StrengthCell(sc, cc, maybe_metrics(mask), int(mask.sum())))
-    steel_marg = {sc: maybe_metrics(si == i) for i, sc in enumerate(STEEL_CLASSES)}
-    conc_marg = {cc: maybe_metrics(ci == j) for j, cc in enumerate(CONCRETE_CLASSES)}
-    return IntervalBreakdown(cells=cells, steel_marginals=steel_marg,
-                             concrete_marginals=conc_marg,
-                             total=_wrapper_compute_metrics(targets, preds))
+    return IntervalBreakdown(cells=cells)
 
 
 def _random_batch(rng, k):
@@ -198,14 +184,11 @@ class TestReductionOracle:
         # strengths on the class cuts, around them, and NaN
         fy_pool = [300.0, 459.999, 460.0, 500.0, 700.0, 700.001, 900.0, math.nan]
         fc_pool = [20.0, 49.999, 50.0, 80.0, 100.0, 100.001, 150.0, math.nan]
-        bounds = [None, ClassBounds(concrete=(25.0, 40.0), steel=(250.0, 400.0)),
-                  ClassBounds(concrete=(100.0, 50.0), steel=(700.0, 460.0))]
         for k in range(300):
             t, a = _random_batch(rng, k)
             specs = [Specimen(D=100, t=5, L=300, fy=float(rng.choice(fy_pool)),
                               fc=float(rng.choice(fc_pool)), N=float(v)) for v in t]
-            b = bounds[k % 3]
-            assert interval_breakdown(specs, a, b) == _per_specimen_breakdown(specs, a, b), k
+            assert interval_breakdown(specs, a) == _per_specimen_breakdown(specs, a), k
 
     def test_nan_strength_is_top_class(self):
         b = interval_breakdown([Specimen(100, 5, 300, math.nan, math.nan, 650)], [600.0])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cfstcap.network as net
-from cfstcap.data import Dataset, generate_synthetic, split, transform_label
+from cfstcap.data import Dataset, generate_synthetic, split
 from cfstcap.data import split as split_dataset
 from cfstcap.errors import ConfigError, DataError, NumericError
 from cfstcap.features import PAPER_SELECTED, build_frame
@@ -129,7 +129,7 @@ def _loss_and_grads(params: NetworkParameters, Xn, target, yl, yu, pairs,
 def _training_arrays(dataset: Dataset, feature_order, spec: ConstraintSpec):
     frame = build_frame(dataset.specimens)
     X = frame.select(list(feature_order)).X
-    y_log = transform_label(frame.y, "forward")
+    y_log = np.log(frame.y)
     nu0 = frame.column("Nu0")
     with np.errstate(divide="ignore"):
         yl = np.log(spec.lower_factor * nu0) if spec.lower_factor > 0 \

@@ -48,21 +48,13 @@ class TestCart:
         t = fit_regression_tree(X, y, max_depth=12)
         assert np.allclose(t.predict(X), y, atol=1e-12)
 
-    def test_min_leaf_respected(self):
-        rng = np.random.default_rng(1)
-        X = rng.uniform(size=(100, 2))
-        y = rng.uniform(size=100)
-        t = fit_regression_tree(X, y, max_depth=10, min_leaf=5)
-        leaves = t.feature == -1
-        assert np.all(t.n_samples[leaves] >= 5)
-
     @pytest.mark.parametrize("seed", range(10))
     def test_kernel_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         X = np.round(rng.uniform(size=(30, 4)), 1)  # ties on purpose
         y = rng.normal(size=30)
-        got = best_split(X, y, np.argsort(X, axis=0, kind="stable"), np.arange(4), 2)
-        want = brute_force_split(X, y, min_leaf=2)
+        got = best_split(X, y, np.argsort(X, axis=0, kind="stable"), np.arange(4))
+        want = brute_force_split(X, y)
         assert got is not None
         assert got[0] == want[0]
         assert got[1] == pytest.approx(want[1])
@@ -167,9 +159,10 @@ def oracle_data(kind, n=160, m=6, seed=0):
     return X, y
 
 
-ORACLE_CASES = [(kind, min_leaf, depth)
+# reference_tree at min_leaf = 1, the only leaf minimum fit_regression_tree has
+ORACLE_CASES = [(kind, 1, depth)
                 for kind in ("uniform", "ties", "constant_column", "duplicate_rows")
-                for min_leaf, depth in ((1, 6), (3, 12))]
+                for depth in (6, 12)]
 
 
 class TestPresortedKernel:
@@ -186,9 +179,7 @@ class TestPresortedKernel:
         features = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)),
                                       replace=False))
         order = rows[np.argsort(X[rows], axis=0, kind="stable")]
-        for min_leaf in (1, 2, 5):
-            assert (best_split(X, y, order, features, min_leaf)
-                    == reference_split(X, y, rows, features, min_leaf))
+        assert best_split(X, y, order, features) == reference_split(X, y, rows, features, 1)
 
     def test_mean_var_matches_numpy(self):
         # the node statistics the builder records, bit for bit against
@@ -207,13 +198,13 @@ class TestPresortedKernel:
     def test_no_valid_split(self):
         X = np.ones((6, 2))
         order = np.argsort(X, axis=0, kind="stable")
-        assert best_split(X, np.arange(6.0), order, np.arange(2), 1) is None
-        assert best_split(X[:3], np.arange(3.0), order[:3], np.arange(2), 2) is None
+        assert best_split(X, np.arange(6.0), order, np.arange(2)) is None
+        assert best_split(X[:1], np.arange(1.0), order[:1], np.arange(2)) is None
 
     @pytest.mark.parametrize("kind, min_leaf, depth", ORACLE_CASES)
     def test_tree_matches_reference(self, kind, min_leaf, depth):
         X, y = oracle_data(kind)
-        got = fit_regression_tree(X, y, max_depth=depth, min_leaf=min_leaf)
+        got = fit_regression_tree(X, y, max_depth=depth)
         want = reference_tree(X, y, max_depth=depth, min_leaf=min_leaf)
         assert len(got) > 1
         assert_same_trees([got], [want])
@@ -221,17 +212,13 @@ class TestPresortedKernel:
     @pytest.mark.parametrize("kind, min_leaf, depth", ORACLE_CASES)
     def test_ensembles_match_reference(self, kind, min_leaf, depth, monkeypatch):
         X, y = oracle_data(kind, seed=1)
-        gb = fit_gradient_boosting(X, y, n_trees=6, max_depth=depth,
-                                   min_leaf=min_leaf, seed=2)
-        rf = fit_random_forest(X, y, n_trees=6, max_depth=depth,
-                               min_leaf=min_leaf, seed=3)
+        gb = fit_gradient_boosting(X, y, n_trees=6, max_depth=depth, seed=2)
+        rf = fit_random_forest(X, y, n_trees=6, max_depth=depth, seed=3)
         # the ensembles look the tree builder up in their own modules
         monkeypatch.setattr("cfstcap.trees.boosting.fit_regression_tree", reference_tree)
         monkeypatch.setattr("cfstcap.trees.forest.fit_regression_tree", reference_tree)
-        gb_ref = fit_gradient_boosting(X, y, n_trees=6, max_depth=depth,
-                                       min_leaf=min_leaf, seed=2)
-        rf_ref = fit_random_forest(X, y, n_trees=6, max_depth=depth,
-                                   min_leaf=min_leaf, seed=3)
+        gb_ref = fit_gradient_boosting(X, y, n_trees=6, max_depth=depth, seed=2)
+        rf_ref = fit_random_forest(X, y, n_trees=6, max_depth=depth, seed=3)
         assert_same_trees(gb.trees, gb_ref.trees)
         assert gb.train_mse == gb_ref.train_mse
         assert_same_trees(rf.trees, rf_ref.trees)
@@ -359,7 +346,7 @@ class TestFlatTraversal:
         assert np.array_equal(g.predict(X), walk_boosting(g, X))
         # a lone leaf stacked with a deep tree: the leaf stays put
         deep = fit_regression_tree(X, np.sin(X[:, 0]), max_depth=5)
-        f = RandomForest(trees=[t, deep, t], n_features=1, seed=0)
+        f = RandomForest(trees=[t, deep, t], n_features=1)
         Xt = np.linspace(-1.0, 11.0, 25).reshape(-1, 1)
         assert np.array_equal(f.predict(Xt), walk_forest(f, Xt))
 
@@ -436,7 +423,7 @@ class TestRandomForest:
 
     def test_mdi_unfitted(self):
         with pytest.raises(DataError):
-            mdi_importance(RandomForest(trees=[], n_features=3, seed=0))
+            mdi_importance(RandomForest(trees=[], n_features=3))
 
 
 class TestGradientBoosting:
