@@ -19,7 +19,7 @@ import yaml
 from . import __version__
 from .codes import CODE_IDS, CodeOptions, predict_all
 from .data import ENVELOPE, Dataset, generate_synthetic, load_csv, save_csv, split
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_type
 from .evaluation import (compute_metrics, interval_breakdown,
                          robustness_sweep, sensitivity)
 from .features import (build_frame, check_selection_mode, correlation_matrix,
@@ -298,6 +298,9 @@ def stage_features(cfg, outdir: Path, inputs: dict) -> list[Path]:
 def stage_select(cfg, outdir: Path, inputs: dict) -> list[Path]:
     ds = _dataset(cfg, inputs["source"])
     fcfg = cfg["features"]
+    check_type("features.shap_rows", fcfg["shap_rows"], "int")
+    if fcfg["shap_rows"] < 1:
+        raise ConfigError(f"features.shap_rows must be >= 1, got {fcfg['shap_rows']}")
     frame = build_frame(ds.specimens)
     seed = named_seed(cfg["master_seed"], "select") % 2**31
 
@@ -345,8 +348,7 @@ def stage_screen(cfg, outdir: Path, inputs: dict) -> list[Path]:
     X = np.column_stack([frame.X, frame.y])
     n = len(ds)
     flags, scores = detect_anomalies(
-        X, contamination=a["contamination"], n_trees=a["n_trees"],
-        subsample=min(a["subsample"], n),
+        X, contamination=a["contamination"], n_trees=a["n_trees"], subsample=a["subsample"],
         seed=named_seed(cfg["master_seed"], "screen") % 2**31)
     spath = outdir / "anomaly_scores.csv"
     flagged = set(int(i) for i in flags)

@@ -24,12 +24,19 @@ class ConfigError(CfstError, ValueError):
 _KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
 
+def check_type(name: str, value, kind: str) -> None:
+    """Raise ConfigError unless value is a number of kind "int" or "float";
+    a bool is neither, though Python counts it as an int."""
+    cls, noun = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, cls):
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+
+
 def check_field_types(obj) -> None:
     """Raise ConfigError unless every int or float field of a dataclass
     holds a number of that kind."""
     for f in dataclasses.fields(obj):
         # the annotation is a string under `from __future__ import annotations`
-        kind, noun = _KINDS.get(getattr(f.type, "__name__", f.type), (object, ""))
-        value = getattr(obj, f.name)
-        if not isinstance(value, kind):
-            raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        kind = getattr(f.type, "__name__", f.type)
+        if kind in _KINDS:
+            check_type(f.name, getattr(obj, f.name), kind)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ENVELOPE, Specimen
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, check_field_types, check_type
 from .features import design_matrix
 from .network import NetworkParameters, predict_rows
 from .seeding import child_rng
@@ -130,6 +130,10 @@ def build_dependence_grid(model: NetworkParameters, target: float, fc_grid, alph
     target capacity. Attributions are exact Shapley values over the five
     design coordinates (D, alpha_sc, L, fy, fc).
     """
+    check_type("target", target, "float")
+    check_type("shap_background_size", shap_background_size, "int")
+    if shap_background_size < 1:
+        raise ConfigError(f"shap_background_size must be >= 1, got {shap_background_size}")
     fc_grid, alpha_grid = np.asarray(fc_grid), np.asarray(alpha_grid)
     if fc_grid.size == 0 or alpha_grid.size == 0:
         raise ConfigError("grids must be nonempty")

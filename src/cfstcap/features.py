@@ -122,8 +122,8 @@ class CorrelationMatrix:
 
 def correlation_matrix(frame: FeatureFrame) -> CorrelationMatrix:
     """Pairwise Pearson matrix over all columns plus the label."""
-    if len(frame) == 0:
-        raise DataError("empty frame")
+    if len(frame) < 2:
+        raise DataError(f"correlations need at least two rows, got {len(frame)}")
     cols = [frame.column(n) for n in frame.names] + [frame.y]
     names = frame.names + (LABEL_NAME,)
     m = len(cols)

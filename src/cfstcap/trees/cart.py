@@ -16,7 +16,8 @@ LEAF_BLOCK = 1 << 14
 
 @dataclass
 class Tree:
-    """Flattened binary tree in preorder; index 0 is the root."""
+    """Flattened binary tree; index 0 is the root. CART trees are numbered
+    in preorder, isolation trees in level order."""
 
     feature: np.ndarray     # split feature index, -1 at leaves
     threshold: np.ndarray

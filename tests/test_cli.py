@@ -239,9 +239,17 @@ class TestExitCodes:
         ("robustness", "robustness.sweep=vary_q"),
         ("robustness", "robustness.levels=[2.0]"),
         ("screen", "anomaly.contamination=0.7"),
+        ("screen", "anomaly.contamination=abc"),
+        ("screen", "anomaly.n_trees=abc"),
+        ("screen", "anomaly.n_trees=2.5"),
+        ("screen", "anomaly.n_trees=true"),
+        ("screen", "anomaly.subsample=abc"),
+        ("select", "features.shap_rows=0"),
+        ("synth", "data.synthetic.n=abc"),
         ("codes", "data.range_mode=strict"),
         ("train", "features.k=50"),
         ("train", "train.epochs=abc"),
+        ("train", "train.epochs=true"),
         ("train", "constraints.upper_factor=abc"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, stage, setting):
@@ -267,6 +275,14 @@ class TestExitCodes:
         assert run(stage, tmp_path, extra=[f"data.source={source}"]) == 2
         assert capsys.readouterr().err == f"data error: {source}: no data rows\n"
         assert not (tmp_path / f"manifest_{stage}.json").exists()
+
+    def test_one_row_csv_is_data_error(self, tmp_path, capsys):
+        source = tmp_path / "one.csv"
+        save_csv(Dataset(specimens=generate_synthetic(1, 0).specimens), source)
+        assert run("features", tmp_path, extra=[f"data.source={source}"]) == 2
+        assert capsys.readouterr().err == ("data error: correlations need at least "
+                                           "two rows, got 1\n")
+        assert not (tmp_path / "manifest_features.json").exists()
 
     def test_stage_without_dataset(self, tmp_path, capsys):
         assert run("features", tmp_path) == 2

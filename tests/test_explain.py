@@ -129,6 +129,19 @@ class TestDependenceGrid:
             build_dependence_grid(self.MODEL, 400.0, fc_grid=[],
                                   alpha_grid=[0.1], config=self.CONFIG)
 
+    @pytest.mark.parametrize("target, background, message", [
+        ("abc", 6, "target must be a number"),
+        (400.0, 0, "shap_background_size must be >= 1"),
+        (400.0, 2.5, "shap_background_size must be an integer"),
+    ])
+    def test_bad_value_rejected_before_the_ga(self, target, background, message,
+                                              monkeypatch):
+        monkeypatch.setattr(explain, "_run_ga", None)  # reaching the GA would fail
+        with pytest.raises(ConfigError, match=message):
+            build_dependence_grid(self.MODEL, target, fc_grid=[30.0],
+                                  alpha_grid=[0.1], config=self.CONFIG,
+                                  shap_background_size=background)
+
 
 class TestOptimalAlphaCurve:
     def cell(self, fc, alpha, shap_alpha, valid=True):

@@ -7,10 +7,11 @@ from cfstcap.trees import (RandomForest, Tree, average_path_length,
                            detect_anomalies, fit_gradient_boosting,
                            fit_isolation_forest, fit_random_forest,
                            fit_regression_tree, mdi_importance)
-from cfstcap.trees import cart
-from cfstcap.trees.cart import best_split, mean_var
+from cfstcap.trees import cart, isolation
+from cfstcap.trees.cart import best_split, mean_var, node_depths
 from cfstcap.trees.isolation import _scores
-from cfstcap.errors import DataError
+from cfstcap.errors import ConfigError, DataError
+from cfstcap.seeding import child_rng
 
 
 def brute_force_split(X, y, min_leaf=1):
@@ -505,3 +506,136 @@ class TestIsolationForest:
         X = np.random.default_rng(11).normal(size=(10, 2))
         with pytest.raises(ValueError):
             fit_isolation_forest(X, subsample=50)
+
+
+def grow_isolation_reference(X, n_trees, subsample, seed):
+    """Isolation trees grown one node at a time from a FIFO queue, tree by
+    tree. Tree i draws from child_rng(seed, i): its subsample, then at each
+    level one integers() draw over the open nodes' candidate counts and one
+    uniform() draw of their thresholds, in node order. Nodes are numbered
+    in the order they are queued, so in level order."""
+    n, m = X.shape
+    depth_cap = math.ceil(math.log2(subsample))
+    trees = []
+    for i in range(n_trees):
+        rng = child_rng(seed, i)
+        rows = rng.choice(n, size=subsample, replace=False)
+        # feature, threshold, left, right, value, n_samples
+        nodes = [[-1, 0.0, -1, -1, average_path_length(subsample), subsample]]
+        queue = [(0, rows)]
+        depth = 0
+        while queue and depth < depth_cap:
+            level, queue = queue, []
+            open_nodes = []
+            for idx, node_rows in level:
+                sub = X[node_rows]
+                lo, hi = sub.min(axis=0), sub.max(axis=0)
+                candidates = np.flatnonzero(hi > lo)
+                if candidates.size:
+                    open_nodes.append((idx, node_rows, lo, hi, candidates))
+            if not open_nodes:
+                break
+            picks = rng.integers(0, [len(o[4]) for o in open_nodes])
+            fs = [int(o[4][k]) for o, k in zip(open_nodes, picks)]
+            thrs = rng.uniform([o[2][f] for o, f in zip(open_nodes, fs)],
+                               [o[3][f] for o, f in zip(open_nodes, fs)])
+            for (idx, node_rows, _lo, _hi, _c), f, thr in zip(open_nodes, fs, thrs):
+                go_left = X[node_rows, f] <= thr
+                if go_left.all() or not go_left.any():
+                    continue
+                children = []
+                for part in (node_rows[go_left], node_rows[~go_left]):
+                    children.append(len(nodes))
+                    queue.append((len(nodes), part))
+                    nodes.append([-1, 0.0, -1, -1,
+                                  depth + 1 + average_path_length(len(part)), len(part)])
+                nodes[idx][:4] = [f, float(thr)] + children
+            depth += 1
+        cols = list(zip(*nodes))
+        trees.append(Tree(
+            feature=np.array(cols[0], dtype=np.int64),
+            threshold=np.array(cols[1], dtype=float),
+            left=np.array(cols[2], dtype=np.int64),
+            right=np.array(cols[3], dtype=np.int64),
+            value=np.array(cols[4], dtype=float),
+            n_samples=np.array(cols[5], dtype=np.int64),
+            impurity=np.zeros(len(nodes)),
+            n_features=m))
+    return trees
+
+
+def assert_same_trees(a, b):
+    assert len(a) == len(b)
+    for s, t in zip(a, b):
+        assert s.n_features == t.n_features
+        for name in ("feature", "threshold", "left", "right", "value",
+                     "n_samples", "impurity"):
+            x, y = getattr(s, name), getattr(t, name)
+            assert x.dtype == y.dtype, name
+            assert np.array_equal(x, y), name
+
+
+def _isolation_data(kind):
+    rng = np.random.default_rng(21)
+    X = rng.uniform(size=(300, 4))
+    if kind == "ties":
+        X = np.round(X * 4) / 4
+    elif kind == "constant_column":
+        X[:, 2] = 3.0
+    elif kind == "duplicate_rows":
+        X = np.repeat(X[:60], 5, axis=0)
+    return X
+
+
+class TestIsolationGrower:
+    """The level-by-level block grower against a one-node-at-a-time
+    reference that makes the same draws, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "ties", "constant_column",
+                                      "duplicate_rows"])
+    @pytest.mark.parametrize("subsample", [2, 3, 100, 256])
+    def test_matches_reference(self, kind, subsample):
+        X = _isolation_data(kind)
+        forest = fit_isolation_forest(X, n_trees=12, subsample=subsample, seed=4)
+        assert_same_trees(forest.trees, grow_isolation_reference(X, 12, subsample, 4))
+
+    @pytest.mark.parametrize("kind", ["uniform", "duplicate_rows"])
+    def test_block_size_changes_nothing(self, kind, monkeypatch):
+        X = _isolation_data(kind)
+        forests = []
+        for block in (64, 64 * 9, isolation.GROW_BLOCK):  # 1 tree, all 9 trees, default
+            monkeypatch.setattr(isolation, "GROW_BLOCK", block)
+            forests.append(fit_isolation_forest(X, n_trees=9, subsample=64, seed=8))
+        assert_same_trees(forests[0].trees, forests[1].trees)
+        assert_same_trees(forests[0].trees, forests[2].trees)
+
+    def test_prefix_of_forest(self, monkeypatch):
+        X = _isolation_data("uniform")
+        monkeypatch.setattr(isolation, "GROW_BLOCK", 4 * 128)  # blocks of 4 trees
+        full = fit_isolation_forest(X, n_trees=10, subsample=128, seed=2)
+        for k in (1, 3, 4, 7):
+            part = fit_isolation_forest(X, n_trees=k, subsample=128, seed=2)
+            assert_same_trees(full.trees[:k], part.trees)
+
+    def test_leaf_values_are_depth_plus_c(self):
+        X = _isolation_data("ties")
+        for t in fit_isolation_forest(X, n_trees=20, subsample=256, seed=5).trees:
+            depth = node_depths(t)
+            for i in np.flatnonzero(t.feature == -1):
+                assert t.value[i] == depth[i] + average_path_length(int(t.n_samples[i]))
+            inner = t.feature != -1
+            assert np.array_equal(t.n_samples[t.left[inner]] + t.n_samples[t.right[inner]],
+                                  t.n_samples[inner])
+
+    @pytest.mark.parametrize("kw", [
+        {"n_trees": 2.5}, {"n_trees": "abc"}, {"n_trees": True},
+        {"subsample": 64.0}, {"subsample": "abc"}, {"subsample": True},
+        {"contamination": "abc"}, {"contamination": None}, {"contamination": False},
+    ])
+    def test_wrongly_typed_argument_rejected(self, kw):
+        X = _isolation_data("uniform")
+        with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be"):
+            detect_anomalies(X, **kw)
+        if "contamination" not in kw:
+            with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be"):
+                fit_isolation_forest(X, **kw)
