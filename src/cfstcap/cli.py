@@ -19,7 +19,7 @@ import yaml
 from . import __version__
 from .codes import CODE_IDS, CodeOptions, predict_all
 from .data import ENVELOPE, Dataset, generate_synthetic, load_csv, save_csv, split
-from .errors import ConfigError, DataError, NumericError, check_type
+from .errors import ConfigError, DataError, NumericError
 from .evaluation import (compute_metrics, interval_breakdown,
                          robustness_sweep, sensitivity)
 from .features import (build_frame, check_selection_mode, correlation_matrix,
@@ -93,9 +93,36 @@ def deep_update(base: dict, extra: dict) -> dict:
     return base
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The leaves whose default does not show every value they take
+OPEN_LEAVES = {
+    "explain.target": ("null or a number", lambda v: v is None or _is_number(v)),
+    "robustness.levels": ("null or a list of numbers", lambda v: v is None or (
+        isinstance(v, list) and all(map(_is_number, v)))),
+    "constraints.upper_factor": ('a number, "inf" or null',
+                                 lambda v: v in ("inf", None) or _is_number(v)),
+}
+
+
+def _kind(default):
+    """What a value of default's kind is, and a test of it: a float takes an
+    int too, a list items of its first item's kind; true is not an int."""
+    if isinstance(default, list):
+        noun, fits = _kind(default[0])
+        return f"a list, each item {noun}", lambda v: isinstance(v, list) and all(map(fits, v))
+    if isinstance(default, float):
+        return "a number", _is_number
+    noun = {bool: "true or false", int: "an integer", str: "a string"}[type(default)]
+    return noun, lambda v: type(v) is type(default)
+
+
 def _check_keys(extra, default, where: str = "") -> None:
-    """Raise ConfigError unless every key of extra names an entry of default
-    and every section of default is given a mapping."""
+    """Raise ConfigError unless every key of extra names an entry of default,
+    every section of default is given a mapping and every leaf a value of
+    its default's kind (or, for an open leaf, one that OPEN_LEAVES takes)."""
     if not isinstance(extra, dict):
         raise ConfigError(f"config section {where or '(top level)'!r} needs a mapping, "
                           f"got {extra!r}")
@@ -105,6 +132,10 @@ def _check_keys(extra, default, where: str = "") -> None:
             raise ConfigError(f"unknown config key {key!r}")
         if isinstance(default[k], dict) or isinstance(v, dict):
             _check_keys(v, default[k], key)
+            continue
+        kind, fits = OPEN_LEAVES.get(key) or _kind(default[k])
+        if not fits(v):
+            raise ConfigError(f"{key} must be {kind}, got {v!r}")
 
 
 def _parse_yaml(text: str, where: str):
@@ -138,10 +169,7 @@ def load_config(path: str | None, overrides) -> dict:
     CodeOptions(**cfg["codes"])
     # the settings each stage turns into objects, refused before any stage runs
     _train_config(cfg)
-    variants = cfg["robustness"]["variants"]
-    if not isinstance(variants, list):
-        raise ConfigError(f"robustness.variants must be a list, got {variants!r}")
-    for variant in [cfg["train"]["variant"]] + variants:
+    for variant in [cfg["train"]["variant"]] + cfg["robustness"]["variants"]:
         variant_spec(variant, _constraint_spec(cfg))
     return cfg
 
@@ -298,7 +326,6 @@ def stage_features(cfg, outdir: Path, inputs: dict) -> list[Path]:
 def stage_select(cfg, outdir: Path, inputs: dict) -> list[Path]:
     ds = _dataset(cfg, inputs["source"])
     fcfg = cfg["features"]
-    check_type("features.shap_rows", fcfg["shap_rows"], "int")
     if fcfg["shap_rows"] < 1:
         raise ConfigError(f"features.shap_rows must be >= 1, got {fcfg['shap_rows']}")
     frame = build_frame(ds.specimens)
@@ -439,14 +466,17 @@ def stage_sensitivity(cfg, outdir: Path, inputs: dict) -> list[Path]:
 
 
 def stage_explain(cfg, outdir: Path, inputs: dict) -> list[Path]:
+    e = cfg["explain"]
+    for name in ("fc_points", "alpha_points"):
+        if e[name] < 1:
+            raise ConfigError(f"explain.{name} must be >= 1, got {e[name]}")
+    ga = GaConfig(population=e["population"], generations=e["generations"],
+                  seed=named_seed(cfg["master_seed"], "explain") % 2**31)
     params = _model(inputs["model.json"])
     ds = _dataset(cfg, inputs["dataset"])
-    e = cfg["explain"]
     target = e["target"]
     if target is None:
         target = float(np.median([s.N for s in ds.specimens]))
-    ga = GaConfig(population=e["population"], generations=e["generations"],
-                  seed=named_seed(cfg["master_seed"], "explain") % 2**31)
     samples = build_dependence_grid(
         params, target,
         fc_grid=np.linspace(*ENVELOPE["fc"], e["fc_points"]),

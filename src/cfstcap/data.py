@@ -13,7 +13,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_type
+from .errors import ConfigError, DataError
 
 # Experimental envelope of the source database (per-variable min/max).
 ENVELOPE = {
@@ -178,8 +178,6 @@ def generate_synthetic(n: int, seed: int, noise_cov: float = 0.0) -> Dataset:
     """Sample specimens log-uniformly in the envelope; labels follow the Han
     closed-form capacity times lognormal noise with the given CoV.
     """
-    check_type("n", n, "int")
-    check_type("noise_cov", noise_cov, "float")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     if noise_cov < 0:

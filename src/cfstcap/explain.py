@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ENVELOPE, Specimen
-from .errors import ConfigError, check_field_types, check_type
+from .errors import ConfigError
 from .features import design_matrix
 from .network import NetworkParameters, predict_rows
 from .seeding import child_rng
@@ -31,9 +31,10 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
         if self.population < 4:
             raise ConfigError("population must be >= 4")
+        if self.generations < 0:
+            raise ConfigError(f"generations must be >= 0, got {self.generations}")
 
     @property
     def bounds(self) -> dict:
@@ -130,8 +131,6 @@ def build_dependence_grid(model: NetworkParameters, target: float, fc_grid, alph
     target capacity. Attributions are exact Shapley values over the five
     design coordinates (D, alpha_sc, L, fy, fc).
     """
-    check_type("target", target, "float")
-    check_type("shap_background_size", shap_background_size, "int")
     if shap_background_size < 1:
         raise ConfigError(f"shap_background_size must be >= 1, got {shap_background_size}")
     fc_grid, alpha_grid = np.asarray(fc_grid), np.asarray(alpha_grid)

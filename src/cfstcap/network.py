@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, split as split_dataset
-from .errors import ConfigError, DataError, NumericError, check_field_types
+from .errors import ConfigError, DataError, NumericError
 from .features import PAPER_SELECTED, build_frame
 from .seeding import child_rng
 
@@ -43,7 +43,6 @@ class ConstraintSpec:
     pair_budget: int = 2000
 
     def __post_init__(self):
-        check_field_types(self)
         if self.gamma < 0:
             raise ConfigError("gamma must be >= 0")
         if not 0 <= self.lower_factor < self.upper_factor:
@@ -57,7 +56,7 @@ class ConstraintSpec:
 def variant_spec(variant: str, base: ConstraintSpec | None = None) -> ConstraintSpec:
     """The four ablation family members share one code path."""
     base = base or ConstraintSpec()
-    v = variant.upper() if isinstance(variant, str) else variant
+    v = variant.upper()
     if v == "ANN":
         return replace(base, gamma=0.0)
     if v == "ANNWA":
@@ -80,7 +79,6 @@ class TrainConfig:
     hidden_units: int = 32
 
     def __post_init__(self):
-        check_field_types(self)
         for name in ("epochs", "batch_size", "early_stop_patience",
                      "hidden_layers", "hidden_units"):
             if getattr(self, name) < 1:

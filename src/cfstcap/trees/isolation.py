@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, check_type
+from ..errors import ConfigError, DataError
 from ..seeding import child_rng
 from .cart import LEAF, NodeTable, Tree
 
@@ -146,8 +146,6 @@ def fit_isolation_forest(X, n_trees: int = 100, subsample: int = 256,
     The trees grow level by level, a block of about GROW_BLOCK
     (tree, row) pairs at once.
     """
-    check_type("n_trees", n_trees, "int")
-    check_type("subsample", subsample, "int")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataError("empty training input")
@@ -181,8 +179,6 @@ def detect_anomalies(X, contamination: float = 0.02, n_trees: int = 100,
     Returns (flagged_indices, scores); flagged indices are sorted by
     descending score.
     """
-    check_type("contamination", contamination, "float")
-    check_type("subsample", subsample, "int")
     if not 0 <= contamination < 0.5:
         raise ConfigError(f"contamination must be in [0, 0.5), got {contamination}")
     X = np.asarray(X, dtype=float)

@@ -1,16 +1,21 @@
 import csv
 import hashlib
+import importlib
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfstcap.cli import (DEFAULT_CONFIG, READS, STAGES, config_hash, deep_update,
-                         load_config, main)
+from cfstcap.cli import (DEFAULT_CONFIG, OPEN_LEAVES, READS, STAGES, config_hash,
+                         deep_update, load_config, main)
 from cfstcap.data import Dataset, generate_synthetic, save_csv
+from cfstcap.errors import ConfigError
 from cfstcap.network import load_model
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def fast_overrides(outdir):
@@ -37,6 +42,39 @@ def run(stage, outdir, extra=()):
     return main(argv + [stage])
 
 
+def _leaves(section, where=""):
+    for k, v in section.items():
+        if isinstance(v, dict):
+            yield from _leaves(v, f"{where}{k}.")
+        else:
+            yield f"{where}{k}", v
+
+
+LEAVES = dict(_leaves(DEFAULT_CONFIG))
+# values besides its default that each open leaf takes
+OPEN_VALUES = {"explain.target": [1500, 1500.5],
+               "robustness.levels": [[0.1, 1], [0.3]],
+               "constraints.upper_factor": ["inf", None, 3]}
+
+
+def _other_kinds(default):
+    """Values of another kind than default: a string for numbers, bools,
+    lists and null, an int for strings, true for numbers and null, a float
+    for ints, and a list of such values for a list."""
+    if isinstance(default, str):
+        return [5]
+    if isinstance(default, list):
+        return ["abc"] + [[v] for v in _other_kinds(default[0])]
+    if isinstance(default, bool):
+        return ["abc"]
+    return ["abc", True] + ([2.5] if isinstance(default, int) else [])
+
+
+WRONG_KINDS = [(key, v) for key, default in LEAVES.items() for v in _other_kinds(default)]
+WRONG_KINDS += [("explain.target", [1500]), ("robustness.levels", ["abc"]),
+                ("robustness.levels", [True])]
+
+
 class TestConfig:
     def test_deep_update_merges_nested(self):
         base = {"a": {"x": 1, "y": 2}, "b": 3}
@@ -58,6 +96,39 @@ class TestConfig:
         b = {"y": {"q": 3, "p": 2}, "x": 1}
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash({"x": 2, "y": {"p": 2, "q": 3}})
+
+    @pytest.mark.parametrize("key, value", WRONG_KINDS,
+                             ids=[f"{k}={json.dumps(v)}" for k, v in WRONG_KINDS])
+    def test_value_of_another_kind_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
+            load_config(None, [f"{key}={json.dumps(value)}"])
+
+    def test_defaults_and_open_values_load(self):
+        assert set(OPEN_VALUES) == set(OPEN_LEAVES)
+        for key, default in LEAVES.items():
+            for value in [default] + OPEN_VALUES.get(key, []):
+                cfg = load_config(None, [f"{key}={json.dumps(value)}"])
+                for part in key.split("."):
+                    cfg = cfg[part]
+                assert cfg == value, key
+
+    def test_benchmark_configs_load(self, tmp_path, monkeypatch):
+        """The pipeline workload's configs, written as its set-up writes them
+        (JSON with an int master_seed), and the AC10 fast overrides load."""
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        path = tmp_path / "config.yaml"
+        for size in workloads.PIPELINE_SIZES.values():
+            for j in range(size["configs"]):
+                seed = workloads.sub_seed(0, 100 + j)
+                path.write_text(json.dumps(dict(size["config"], master_seed=seed)))
+                load_config(str(path), [f"output_dir={tmp_path / 'pass0'}"])
+        acceptance = importlib.import_module("test_acceptance")
+        argv = []
+        monkeypatch.setattr(acceptance, "cli_main", lambda a: argv.extend(a) or 0)
+        assert acceptance._fast_pipeline(tmp_path) == 0
+        assert argv[-1] == "pipeline"
+        load_config(None, argv[1:-1:2])
 
     def test_config_hash_ignores_output_dir(self):
         a = load_config(None, ["output_dir=a", "train.epochs=5"])
@@ -89,6 +160,7 @@ class TestExitCodes:
         ("master_seed:\n  x: 1\n", "unknown config key 'master_seed.x'"),
         ("colour: red\n", "unknown config key 'colour'"),
         ("train: 5\n", "config section 'train' needs a mapping"),
+        ("features:\n  rf_trees: 2.5\n", "features.rf_trees must be an integer, got 2.5"),
     ])
     def test_unknown_yaml_key_rejected(self, tmp_path, capsys, text, key):
         cfgfile = tmp_path / "cfg.yaml"
@@ -251,6 +323,18 @@ class TestExitCodes:
         ("train", "train.epochs=abc"),
         ("train", "train.epochs=true"),
         ("train", "constraints.upper_factor=abc"),
+        ("select", "features.gb_trees=abc"),
+        ("select", "features.max_depth=abc"),
+        ("select", "features.k=abc"),
+        ("select", "features.shap_permutations=abc"),
+        ("select", "features.rf_trees=2.5"),
+        ("robustness", "robustness.levels=abc"),
+        ("synth", "master_seed=abc"),
+        ("evaluate", "evaluation.paper_literal_mape=abc"),
+        ("explain", "explain.fc_points=-1"),
+        ("explain", "explain.fc_points=0"),
+        ("explain", "explain.alpha_points=-2"),
+        ("explain", "explain.generations=-1"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, stage, setting):
         small = ["data.synthetic.n=60"]

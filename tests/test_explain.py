@@ -33,8 +33,8 @@ class TestGaConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             GaConfig(population=2)
-        with pytest.raises(ConfigError, match="population must be an integer"):
-            GaConfig(population="60")
+        with pytest.raises(ConfigError, match="generations must be >= 0"):
+            GaConfig(generations=-1)
         assert GaConfig().bounds is ENVELOPE
 
 
@@ -130,9 +130,7 @@ class TestDependenceGrid:
                                   alpha_grid=[0.1], config=self.CONFIG)
 
     @pytest.mark.parametrize("target, background, message", [
-        ("abc", 6, "target must be a number"),
         (400.0, 0, "shap_background_size must be >= 1"),
-        (400.0, 2.5, "shap_background_size must be an integer"),
     ])
     def test_bad_value_rejected_before_the_ga(self, target, background, message,
                                               monkeypatch):

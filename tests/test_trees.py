@@ -10,7 +10,7 @@ from cfstcap.trees import (RandomForest, Tree, average_path_length,
 from cfstcap.trees import cart, isolation
 from cfstcap.trees.cart import best_split, mean_var, node_depths
 from cfstcap.trees.isolation import _scores
-from cfstcap.errors import ConfigError, DataError
+from cfstcap.errors import DataError
 from cfstcap.seeding import child_rng
 
 
@@ -626,16 +626,3 @@ class TestIsolationGrower:
             inner = t.feature != -1
             assert np.array_equal(t.n_samples[t.left[inner]] + t.n_samples[t.right[inner]],
                                   t.n_samples[inner])
-
-    @pytest.mark.parametrize("kw", [
-        {"n_trees": 2.5}, {"n_trees": "abc"}, {"n_trees": True},
-        {"subsample": 64.0}, {"subsample": "abc"}, {"subsample": True},
-        {"contamination": "abc"}, {"contamination": None}, {"contamination": False},
-    ])
-    def test_wrongly_typed_argument_rejected(self, kw):
-        X = _isolation_data("uniform")
-        with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be"):
-            detect_anomalies(X, **kw)
-        if "contamination" not in kw:
-            with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be"):
-                fit_isolation_forest(X, **kw)
