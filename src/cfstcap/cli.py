@@ -10,6 +10,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -97,24 +98,32 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    """A number, not nan or infinite (YAML's .nan and .inf are floats)."""
+    return _is_number(v) and (isinstance(v, int) or math.isfinite(v))
+
+
 # The leaves whose default does not show every value they take
 OPEN_LEAVES = {
-    "explain.target": ("null or a number", lambda v: v is None or _is_number(v)),
-    "robustness.levels": ("null or a list of numbers", lambda v: v is None or (
-        isinstance(v, list) and all(map(_is_number, v)))),
+    "explain.target": ("null or a finite number", lambda v: v is None or _is_finite(v)),
+    "robustness.levels": ("null or a non-empty list of finite numbers",
+                          lambda v: v is None or (isinstance(v, list) and len(v) > 0
+                                                  and all(map(_is_finite, v)))),
     "constraints.upper_factor": ('a number, "inf" or null',
                                  lambda v: v in ("inf", None) or _is_number(v)),
 }
 
 
 def _kind(default):
-    """What a value of default's kind is, and a test of it: a float takes an
-    int too, a list items of its first item's kind; true is not an int."""
+    """What a value of default's kind is, and a test of it: a float takes a
+    finite int or float, a list at least one item, each of its first item's
+    kind; true is not an int."""
     if isinstance(default, list):
         noun, fits = _kind(default[0])
-        return f"a list, each item {noun}", lambda v: isinstance(v, list) and all(map(fits, v))
+        return (f"a non-empty list, each item {noun}",
+                lambda v: isinstance(v, list) and len(v) > 0 and all(map(fits, v)))
     if isinstance(default, float):
-        return "a number", _is_number
+        return "a finite number", _is_finite
     noun = {bool: "true or false", int: "an integer", str: "a string"}[type(default)]
     return noun, lambda v: type(v) is type(default)
 

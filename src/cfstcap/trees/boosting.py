@@ -37,13 +37,15 @@ def fit_gradient_boosting(X, y, n_trees: int = 100, max_depth: int = 3,
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataError("empty training input")
+    order = np.argsort(X, axis=0, kind="stable")  # shared by every stage
     base = float(y.mean())
     pred = np.full(len(y), base)
     trees = []
     mse = []
     for i in range(n_trees):
         rng = child_rng(seed, i)
-        tree = fit_regression_tree(X, y - pred, max_depth=max_depth, rng=rng)
+        tree = fit_regression_tree(X, y - pred, max_depth=max_depth, rng=rng,
+                                   order=order)
         pred = pred + learning_rate * tree.predict(X)
         trees.append(tree)
         mse.append(float(np.mean((y - pred) ** 2)))

@@ -159,30 +159,41 @@ class NodeTable:
 def best_split(X, y, order, features):
     """Split minimizing summed child SSE over one node's rows.
 
-    order[:, f] lists the node's rows by ascending X[:, f], ties by
-    ascending row id, as a stable argsort of that column would. Every
-    candidate feature is scored in one 2-D pass: a candidate threshold is
-    the midpoint between consecutive distinct sorted values. Ties go to
-    the first minimal threshold of a feature, then to the first minimal
-    feature in the given order.
+    order[:, j] lists the node's rows by ascending X[:, c], ties by
+    ascending row id, as a stable argsort of that column would, where c is
+    features[j] when order holds just the candidate columns and column j
+    of X when it holds all of them. Every candidate feature is scored in
+    one 2-D pass: a candidate threshold is the midpoint between consecutive
+    distinct sorted values. Ties go to the first minimal threshold of a
+    feature, then to the first minimal feature in the given order.
 
     Returns (feature, threshold, score) or None when no valid split exists.
     """
     n = order.shape[0]
     if n < 2:
         return None
-    rows = order[:, features]
-    vs = X[rows, features]
-    ys = y[rows]
-    csum = np.cumsum(ys, axis=0)
-    csum2 = np.cumsum(ys * ys, axis=0)
-    total = csum[-1]
-    total2 = csum2[-1]
-    k = np.arange(1, n)[:, None]
+    rows = order if order.shape[1] == len(features) else order[:, features]
+    at_x = rows * X.shape[1]
+    at_x += features
+    vs = X.take(at_x)
+    ys = y.take(rows)
+    csum = ys.cumsum(axis=0)
+    np.multiply(ys, ys, out=ys)
+    csum2 = ys.cumsum(axis=0)
+    head, head2 = csum[:-1], csum2[:-1]
+    k = np.arange(1.0, n)[:, None]
     valid = vs[1:] > vs[:-1]
-    left = csum2[:-1] - csum[:-1] ** 2 / k
-    right = (total2 - csum2[:-1]) - (total - csum[:-1]) ** 2 / (n - k)
-    score = np.where(valid, left + right, np.inf)
+    # score = (csum2 - csum**2 / k) + ((total2 - csum2) - (total - csum)**2 / (n - k))
+    left = np.square(head)
+    left /= k
+    np.subtract(head2, left, out=left)
+    right = np.subtract(csum[-1], head)
+    np.square(right, out=right)
+    right /= n - k
+    np.subtract(csum2[-1], head2, out=head2)
+    np.subtract(head2, right, out=right)
+    score = np.add(left, right, out=left)
+    np.copyto(score, np.inf, where=~valid)
     at = score.argmin(axis=0)
     j = int(score[at, np.arange(len(features))].argmin())
     if not valid[:, j].any():
@@ -201,11 +212,16 @@ def mean_var(y) -> tuple[float, float]:
 
 
 class _Builder:
-    """Grows one tree in preorder over columns argsorted once, at the root.
+    """Grows one tree in preorder.
 
-    A node passes each child its rows in ascending order and the child's
-    rows of every sorted column, compressed out of its own in order, so no
-    node sorts again.
+    A tree that scores every feature at each node argsorts its columns
+    once, at the root: a node passes each child its rows in ascending
+    order and the child's rows of every sorted column, compressed out of
+    its own in order, so no node sorts again. A node whose children are
+    leaves at max_depth hands them only their rows. A feature-subsampled
+    tree carries no presort: each splitting node stable-argsorts just its
+    candidate columns over its rows, which are in ascending order, so ties
+    fall to ascending row id as in the compressed presort.
     """
 
     def __init__(self, X, y, max_depth, max_features, rng):
@@ -213,36 +229,45 @@ class _Builder:
         self.y = np.ascontiguousarray(y, dtype=float)
         self.max_depth = max_depth
         self.max_features = max_features
+        self.subsampled = max_features is not None and max_features < self.X.shape[1]
         self.rng = rng
         self.goes_left = np.zeros(len(self.y), dtype=bool)
         self.nodes: list[list] = []  # feature, threshold, left, right, value, n, impurity
 
     def _candidate_features(self):
         m = self.X.shape[1]
-        if self.max_features is None or self.max_features >= m:
+        if not self.subsampled:
             return np.arange(m)
         chosen = self.rng.choice(m, size=self.max_features, replace=False)
         return np.sort(chosen)
 
     def build(self, rows, order, depth):
+        """Node over rows (ascending); order is None when the node sorts
+        for itself or is bound to be a leaf."""
         mean, var = mean_var(self.y[rows])
         idx = len(self.nodes)
         self.nodes.append([LEAF, 0.0, LEAF, LEAF, mean, len(rows), var])
         if depth >= self.max_depth or var == 0.0 or len(rows) < 2:
             return idx
-        split = best_split(self.X, self.y, order, self._candidate_features())
+        features = self._candidate_features()
+        if order is None:
+            at_x = rows[:, None] * self.X.shape[1] + features
+            order = rows[np.argsort(self.X.take(at_x), axis=0, kind="stable")]
+        split = best_split(self.X, self.y, order, features)
         if split is None:
             return idx
         f, thr, _score = split
         go_left = self.X[rows, f] <= thr
-        n_left = int(go_left.sum())
-        self.goes_left[rows] = go_left
-        cols = order.T  # one sorted column per row, compressed in order
-        in_left = self.goes_left[cols]
-        left_order = cols[in_left].reshape(-1, n_left).T
-        right_order = cols[~in_left].reshape(-1, len(rows) - n_left).T
-        left = self.build(rows[go_left], left_order, depth + 1)
-        right = self.build(rows[~go_left], right_order, depth + 1)
+        left_rows, right_rows = rows[go_left], rows[~go_left]
+        left_order = right_order = None
+        if not self.subsampled and depth + 1 < self.max_depth:
+            self.goes_left[rows] = go_left
+            cols = order.T  # one sorted column per row, compressed in order
+            in_left = self.goes_left[cols]
+            left_order = cols[in_left].reshape(-1, len(left_rows)).T
+            right_order = cols[~in_left].reshape(-1, len(right_rows)).T
+        left = self.build(left_rows, left_order, depth + 1)
+        right = self.build(right_rows, right_order, depth + 1)
         self.nodes[idx][0] = f
         self.nodes[idx][1] = thr
         self.nodes[idx][2] = left
@@ -251,11 +276,14 @@ class _Builder:
 
 
 def fit_regression_tree(X, y, max_depth: int = 8, max_features=None,
-                        rng=None) -> Tree:
+                        rng=None, order=None) -> Tree:
     """Greedy variance-minimizing regression tree.
 
     max_features limits the candidate features per split (random forest
     column subsampling); rng (a Generator or a seed) only matters when set.
+    order, when given, is np.argsort(X, axis=0, kind="stable"), shared by
+    callers that fit many trees on one X; a feature-subsampled tree does
+    not use it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -264,5 +292,9 @@ def fit_regression_tree(X, y, max_depth: int = 8, max_features=None,
     if X.shape[0] != y.shape[0]:
         raise DataError("row count mismatch between X and y")
     b = _Builder(X, y, max_depth, max_features, np.random.default_rng(rng))
-    b.build(np.arange(X.shape[0]), np.argsort(b.X, axis=0, kind="stable"), 0)
+    if b.subsampled:
+        order = None
+    elif order is None:
+        order = np.argsort(b.X, axis=0, kind="stable")
+    b.build(np.arange(X.shape[0]), order, 0)
     return Tree.from_nodes(b.nodes, X.shape[1])

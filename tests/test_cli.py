@@ -73,6 +73,13 @@ def _other_kinds(default):
 WRONG_KINDS = [(key, v) for key, default in LEAVES.items() for v in _other_kinds(default)]
 WRONG_KINDS += [("explain.target", [1500]), ("robustness.levels", ["abc"]),
                 ("robustness.levels", [True])]
+# YAML's non-finite floats, for every float leaf and the open numeric ones
+# but constraints.upper_factor, which takes inf
+NON_FINITE = [(key, text) for key, default in LEAVES.items()
+              if isinstance(default, float) and key not in OPEN_LEAVES
+              for text in (".nan", ".inf", "-.inf")]
+NON_FINITE += [("explain.target", ".nan"), ("explain.target", "-.inf"),
+               ("robustness.levels", "[0.1, .nan]"), ("robustness.levels", "[.inf]")]
 
 
 class TestConfig:
@@ -102,6 +109,22 @@ class TestConfig:
     def test_value_of_another_kind_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
             load_config(None, [f"{key}={json.dumps(value)}"])
+
+    @pytest.mark.parametrize("key, text", NON_FINITE,
+                             ids=[f"{k}={t}" for k, t in NON_FINITE])
+    def test_non_finite_number_rejected(self, key, text):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be .*finite"):
+            load_config(None, [f"{key}={text}"])
+
+    @pytest.mark.parametrize("key", ["robustness.variants", "robustness.levels"])
+    def test_empty_list_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be .*non-empty list"):
+            load_config(None, [f"{key}=[]"])
+        section, leaf = key.split(".")
+        path = tmp_path / "config.yaml"
+        path.write_text(f"{section}:\n  {leaf}: []\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
+            load_config(str(path), [])
 
     def test_defaults_and_open_values_load(self):
         assert set(OPEN_VALUES) == set(OPEN_LEAVES)
@@ -335,6 +358,13 @@ class TestExitCodes:
         ("explain", "explain.fc_points=0"),
         ("explain", "explain.alpha_points=-2"),
         ("explain", "explain.generations=-1"),
+        ("synth", "data.synthetic.noise_cov=.nan"),
+        ("train", "constraints.gamma=.nan"),
+        ("train", "train.learning_rate=.inf"),
+        ("train", "constraints.upper_factor=.nan"),
+        ("explain", "explain.target=.nan"),
+        ("robustness", "robustness.variants=[]"),
+        ("robustness", "robustness.levels=[]"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, stage, setting):
         small = ["data.synthetic.n=60"]
@@ -345,7 +375,7 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv",
                                                               "manifest_synth.json"]
 
-    @pytest.mark.parametrize("upper", ["inf", "null"])
+    @pytest.mark.parametrize("upper", ["inf", ".inf", "null"])
     def test_unbounded_upper_factor_accepted(self, tmp_path, capsys, upper):
         assert run("synth", tmp_path) == 0
         assert run("train", tmp_path, extra=[f"constraints.upper_factor={upper}"]) == 0

@@ -100,9 +100,10 @@ def reference_split(X, y, rows, features, min_leaf):
 
 
 def reference_tree(X, y, max_depth=8, min_leaf=1, seed=None, max_features=None,
-                   rng=None):
+                   rng=None, order=None):
     """Recursive builder calling reference_split at every node, with the
-    same rng draws as fit_regression_tree."""
+    same rng draws as fit_regression_tree. order, the presort a caller of
+    fit_regression_tree may share, is ignored: every node sorts its own rows."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed) if rng is None else rng
@@ -163,7 +164,7 @@ def oracle_data(kind, n=160, m=6, seed=0):
 # reference_tree at min_leaf = 1, the only leaf minimum fit_regression_tree has
 ORACLE_CASES = [(kind, 1, depth)
                 for kind in ("uniform", "ties", "constant_column", "duplicate_rows")
-                for depth in (6, 12)]
+                for depth in (1, 2, 6, 12)]
 
 
 class TestPresortedKernel:
@@ -223,6 +224,39 @@ class TestPresortedKernel:
         assert_same_trees(gb.trees, gb_ref.trees)
         assert gb.train_mse == gb_ref.train_mse
         assert_same_trees(rf.trees, rf_ref.trees)
+
+    @pytest.mark.parametrize("kind", ["uniform", "ties", "duplicate_rows"])
+    @pytest.mark.parametrize("max_features", [1, 2, 5, 6, None])
+    def test_feature_subsets_match_reference(self, kind, max_features):
+        # 1, 2 and 5 of 6 columns draw candidates and sort per node;
+        # 6 (= m) and None take the root presort and draw nothing
+        X, y = oracle_data(kind, seed=4)
+        rng, rng_ref = child_rng(5, 0), child_rng(5, 0)
+        got = fit_regression_tree(X, y, max_depth=6, max_features=max_features, rng=rng)
+        want = reference_tree(X, y, max_depth=6, max_features=max_features, rng=rng_ref)
+        assert len(got) > 1
+        assert_same_trees([got], [want])
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_shared_presort_matches_own(self):
+        X, y = oracle_data("ties", seed=6)
+        order = np.argsort(X, axis=0, kind="stable")
+        for depth in (1, 2, 6):
+            assert_same_trees([fit_regression_tree(X, y, max_depth=depth, order=order)],
+                              [fit_regression_tree(X, y, max_depth=depth)])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_candidate_order_matches_full_order(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 60)), int(rng.integers(2, 7))
+        X = np.round(rng.uniform(size=(n, m)), 1)
+        y = np.round(rng.normal(size=n), 1)
+        rows = np.flatnonzero(rng.uniform(size=n) < 0.8)
+        features = np.sort(rng.choice(m, size=int(rng.integers(1, m)), replace=False))
+        full = rows[np.argsort(X[rows], axis=0, kind="stable")]
+        own = rows[np.argsort(X[rows][:, features], axis=0, kind="stable")]
+        assert np.array_equal(own, full[:, features])
+        assert best_split(X, y, own, features) == best_split(X, y, full, features)
 
 
 def walk_one(tree, x):
