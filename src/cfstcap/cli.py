@@ -105,7 +105,8 @@ def _is_finite(v) -> bool:
 
 # The leaves whose default does not show every value they take
 OPEN_LEAVES = {
-    "explain.target": ("null or a finite number", lambda v: v is None or _is_finite(v)),
+    "explain.target": ("null or a finite number above 0",
+                       lambda v: v is None or (_is_finite(v) and v > 0)),
     "robustness.levels": ("null or a non-empty list of finite numbers",
                           lambda v: v is None or (isinstance(v, list) and len(v) > 0
                                                   and all(map(_is_finite, v)))),

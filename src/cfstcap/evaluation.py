@@ -120,8 +120,8 @@ def perturb_labels(labels, p: float, d: float, seed: int = 0) -> np.ndarray:
     """
     if not 0 <= p <= 1:
         raise ConfigError(f"p must be in [0, 1], got {p}")
-    if d < 0:
-        raise ConfigError(f"d must be >= 0, got {d}")
+    if not 0 <= d < 1:
+        raise ConfigError(f"d must be in [0, 1), got {d}")
     y = np.array(labels, dtype=float)
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=len(y))

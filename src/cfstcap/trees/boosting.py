@@ -40,13 +40,14 @@ def fit_gradient_boosting(X, y, n_trees: int = 100, max_depth: int = 3,
     order = np.argsort(X, axis=0, kind="stable")  # shared by every stage
     base = float(y.mean())
     pred = np.full(len(y), base)
+    step = np.empty(len(y))  # each stage's tree writes its training rows' leaves here
     trees = []
     mse = []
     for i in range(n_trees):
         rng = child_rng(seed, i)
         tree = fit_regression_tree(X, y - pred, max_depth=max_depth, rng=rng,
-                                   order=order)
-        pred = pred + learning_rate * tree.predict(X)
+                                   order=order, leaf_out=step)
+        pred += learning_rate * step
         trees.append(tree)
         mse.append(float(np.mean((y - pred) ** 2)))
     return GradientBoosting(trees=trees, base_score=base,

@@ -3,7 +3,6 @@ the flat node table every tree kind is predicted through."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +16,9 @@ LEAF_BLOCK = 1 << 14
 @dataclass
 class Tree:
     """Flattened binary tree; index 0 is the root. CART trees are numbered
-    in preorder, isolation trees in level order."""
+    in preorder, isolation trees in level order. Each tree's builder writes
+    its arrays and records its training width and its depth; trees are
+    predicted only through a NodeTable stacked from them."""
 
     feature: np.ndarray     # split feature index, -1 at leaves
     threshold: np.ndarray
@@ -27,44 +28,10 @@ class Tree:
     n_samples: np.ndarray
     impurity: np.ndarray    # CART: label variance; isolation: 0
     n_features: int         # width of the training matrix
-
-    @classmethod
-    def from_nodes(cls, nodes, n_features: int) -> Tree:
-        """Tree from [feature, threshold, left, right, value, n, impurity] rows."""
-        cols = list(zip(*nodes))
-        return cls(
-            feature=np.array(cols[0], dtype=np.int64),
-            threshold=np.array(cols[1], dtype=float),
-            left=np.array(cols[2], dtype=np.int64),
-            right=np.array(cols[3], dtype=np.int64),
-            value=np.array(cols[4], dtype=float),
-            n_samples=np.array(cols[5], dtype=np.int64),
-            impurity=np.array(cols[6], dtype=float),
-            n_features=n_features,
-        )
+    depth: int              # of the deepest leaf; the root has depth 0
 
     def __len__(self) -> int:
         return len(self.feature)
-
-    @cached_property
-    def _table(self) -> NodeTable:
-        return NodeTable.stack([self])
-
-    def predict(self, X) -> np.ndarray:
-        return self._table.leaf_values(X)[0]
-
-
-def node_depths(tree: Tree) -> np.ndarray:
-    """Depth of every node of one tree; the root has depth 0."""
-    depth = np.zeros(len(tree), dtype=np.int64)
-    frontier = np.zeros(1, dtype=np.int64)
-    level = 0
-    while frontier.size:
-        depth[frontier] = level
-        inner = frontier[tree.feature[frontier] != LEAF]
-        frontier = np.concatenate((tree.left[inner], tree.right[inner]))
-        level += 1
-    return depth
 
 
 @dataclass(frozen=True)
@@ -104,7 +71,7 @@ class NodeTable:
             children=np.stack((right, left), axis=1).ravel(),
             value=np.concatenate([t.value for t in trees]),
             roots=roots,
-            depth=max(int(node_depths(t).max()) for t in trees),
+            depth=max(t.depth for t in trees),
             n_features=trees[0].n_features,
         )
 
@@ -212,7 +179,7 @@ def mean_var(y) -> tuple[float, float]:
 
 
 class _Builder:
-    """Grows one tree in preorder.
+    """Grows one tree in preorder, straight into its node arrays.
 
     A tree that scores every feature at each node argsorts its columns
     once, at the root: a node passes each child its rows in ascending
@@ -221,18 +188,28 @@ class _Builder:
     leaves at max_depth hands them only their rows. A feature-subsampled
     tree carries no presort: each splitting node stable-argsorts just its
     candidate columns over its rows, which are in ascending order, so ties
-    fall to ascending row id as in the compressed presort.
+    fall to ascending row id as in the compressed presort. Each node writes
+    its mean to its rows of leaf_out, when given, and its children then
+    overwrite theirs, so every row ends on its leaf's value.
     """
 
-    def __init__(self, X, y, max_depth, max_features, rng):
+    def __init__(self, X, y, max_depth, max_features, rng, leaf_out):
         self.X = np.ascontiguousarray(X, dtype=float)
         self.y = np.ascontiguousarray(y, dtype=float)
         self.max_depth = max_depth
         self.max_features = max_features
         self.subsampled = max_features is not None and max_features < self.X.shape[1]
         self.rng = rng
+        self.leaf_out = leaf_out
         self.goes_left = np.zeros(len(self.y), dtype=bool)
-        self.nodes: list[list] = []  # feature, threshold, left, right, value, n, impurity
+        # room for the most nodes the tree can have: a full tree of
+        # max_depth levels, or one with every row in its own leaf
+        width = min(2 * len(self.y), 2 ** (max(max_depth, 0) + 1)) - 1
+        self.feature, self.left, self.right = np.full((3, width), LEAF, dtype=np.int64)
+        self.threshold, self.value, self.impurity = np.zeros((3, width))
+        self.n_samples = np.zeros(width, dtype=np.int64)
+        self.size = 0   # nodes so far
+        self.depth = 0  # of the deepest node so far
 
     def _candidate_features(self):
         m = self.X.shape[1]
@@ -245,8 +222,12 @@ class _Builder:
         """Node over rows (ascending); order is None when the node sorts
         for itself or is bound to be a leaf."""
         mean, var = mean_var(self.y[rows])
-        idx = len(self.nodes)
-        self.nodes.append([LEAF, 0.0, LEAF, LEAF, mean, len(rows), var])
+        idx = self.size
+        self.size += 1
+        self.depth = max(self.depth, depth)
+        self.value[idx], self.n_samples[idx], self.impurity[idx] = mean, len(rows), var
+        if self.leaf_out is not None:
+            self.leaf_out[rows] = mean
         if depth >= self.max_depth or var == 0.0 or len(rows) < 2:
             return idx
         features = self._candidate_features()
@@ -266,24 +247,29 @@ class _Builder:
             in_left = self.goes_left[cols]
             left_order = cols[in_left].reshape(-1, len(left_rows)).T
             right_order = cols[~in_left].reshape(-1, len(right_rows)).T
-        left = self.build(left_rows, left_order, depth + 1)
-        right = self.build(right_rows, right_order, depth + 1)
-        self.nodes[idx][0] = f
-        self.nodes[idx][1] = thr
-        self.nodes[idx][2] = left
-        self.nodes[idx][3] = right
+        self.feature[idx], self.threshold[idx] = f, thr
+        self.left[idx] = self.build(left_rows, left_order, depth + 1)
+        self.right[idx] = self.build(right_rows, right_order, depth + 1)
         return idx
+
+    def tree(self) -> Tree:
+        """The grown tree, its node arrays trimmed to the nodes it has."""
+        arrays = (self.feature, self.threshold, self.left, self.right, self.value,
+                  self.n_samples, self.impurity)
+        return Tree(*(a[:self.size].copy() for a in arrays),
+                    n_features=self.X.shape[1], depth=self.depth)
 
 
 def fit_regression_tree(X, y, max_depth: int = 8, max_features=None,
-                        rng=None, order=None) -> Tree:
+                        rng=None, order=None, leaf_out=None) -> Tree:
     """Greedy variance-minimizing regression tree.
 
     max_features limits the candidate features per split (random forest
     column subsampling); rng (a Generator or a seed) only matters when set.
     order, when given, is np.argsort(X, axis=0, kind="stable"), shared by
     callers that fit many trees on one X; a feature-subsampled tree does
-    not use it.
+    not use it. leaf_out, when given, a float array of one entry per row
+    of X, receives each training row's leaf value.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -291,10 +277,10 @@ def fit_regression_tree(X, y, max_depth: int = 8, max_features=None,
         raise DataError("empty or non-matrix training input")
     if X.shape[0] != y.shape[0]:
         raise DataError("row count mismatch between X and y")
-    b = _Builder(X, y, max_depth, max_features, np.random.default_rng(rng))
+    b = _Builder(X, y, max_depth, max_features, np.random.default_rng(rng), leaf_out)
     if b.subsampled:
         order = None
     elif order is None:
         order = np.argsort(b.X, axis=0, kind="stable")
     b.build(np.arange(X.shape[0]), order, 0)
-    return Tree.from_nodes(b.nodes, X.shape[1])
+    return b.tree()

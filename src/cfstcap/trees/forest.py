@@ -46,17 +46,14 @@ def fit_random_forest(X, y, n_trees: int = 100, max_depth: int = 12,
 
 
 def tree_mdi(tree: Tree, n_features: int) -> np.ndarray:
-    """Per-feature sum of weighted impurity decreases within one tree."""
+    """Per-feature sum of weighted impurity decreases within one tree,
+    added in node order."""
     imp = np.zeros(n_features)
-    n_root = tree.n_samples[0]
-    for i in range(len(tree)):
-        f = tree.feature[i]
-        if f == LEAF:
-            continue
-        l, r = tree.left[i], tree.right[i]
-        n, nl, nr = tree.n_samples[i], tree.n_samples[l], tree.n_samples[r]
-        child = (nl * tree.impurity[l] + nr * tree.impurity[r]) / n
-        imp[f] += (n / n_root) * (tree.impurity[i] - child)
+    inner = np.flatnonzero(tree.feature != LEAF)
+    l, r = tree.left[inner], tree.right[inner]
+    n, nl, nr = tree.n_samples[inner], tree.n_samples[l], tree.n_samples[r]
+    child = (nl * tree.impurity[l] + nr * tree.impurity[r]) / n
+    np.add.at(imp, tree.feature[inner], (n / tree.n_samples[0]) * (tree.impurity[inner] - child))
     return imp
 
 

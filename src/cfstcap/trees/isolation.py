@@ -64,12 +64,14 @@ def _grow_block(X, seed, first, count, subsample, depth_cap, c_table) -> list[Tr
     value = np.zeros(count * width)
     n_samples = np.zeros(count * width, dtype=np.int64)
     size = np.ones(count, dtype=np.int64)   # nodes each tree has so far
+    deepest = np.zeros(count, dtype=np.int64)  # each tree's deepest level so far
     # the level's nodes, tree by tree and in node order: each one's tree,
     # slot in the node arrays and row count; rows holds their rows in turn
     tree = np.arange(count)
     slot = tree * width
     sizes = np.full(count, subsample)
     for depth in range(depth_cap + 1):
+        deepest[tree] = depth
         value[slot] = depth + c_table[sizes]
         n_samples[slot] = sizes
         if depth == depth_cap:
@@ -135,8 +137,8 @@ def _grow_block(X, seed, first, count, subsample, depth_cap, c_table) -> list[Tr
         slot = tree * width + np.stack((left_id, left_id + 1), axis=1).ravel()
     shape = (count, width)
     cols = [a.reshape(shape) for a in (feature, threshold, left, right, value, n_samples)]
-    return [Tree(*(c[t, :k].copy() for c in cols), impurity=np.zeros(k), n_features=m)
-            for t, k in enumerate(size.tolist())]
+    return [Tree(*(c[t, :k].copy() for c in cols), impurity=np.zeros(k), n_features=m,
+                 depth=d) for t, (k, d) in enumerate(zip(size.tolist(), deepest.tolist()))]
 
 
 def fit_isolation_forest(X, n_trees: int = 100, subsample: int = 256,

@@ -126,6 +126,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
             load_config(str(path), [])
 
+    @pytest.mark.parametrize("target", ["0", "-5", "-0.5"])
+    def test_non_positive_target_rejected(self, target):
+        # a capacity target must be positive; a GA aimed below zero drives
+        # every cell to the smallest capacity it reaches
+        with pytest.raises(ConfigError, match=r"^explain\.target must be null or a "
+                                              r"finite number above 0"):
+            load_config(None, [f"explain.target={target}"])
+
     def test_defaults_and_open_values_load(self):
         assert set(OPEN_VALUES) == set(OPEN_LEAVES)
         for key, default in LEAVES.items():
@@ -363,6 +371,10 @@ class TestExitCodes:
         ("train", "train.learning_rate=.inf"),
         ("train", "constraints.upper_factor=.nan"),
         ("explain", "explain.target=.nan"),
+        ("explain", "explain.target=-5"),
+        ("explain", "explain.target=0"),
+        ("robustness", "robustness.fixed_d=1.5"),
+        ("robustness", "robustness.fixed_d=1.0"),
         ("robustness", "robustness.variants=[]"),
         ("robustness", "robustness.levels=[]"),
     ])

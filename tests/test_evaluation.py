@@ -227,6 +227,12 @@ class TestPerturbLabels:
         with pytest.raises(ValueError):
             perturb_labels([1.0], p=0.5, d=-0.1)
 
+    @pytest.mark.parametrize("d", [1.0, 1.5])
+    def test_amplitude_of_one_or_more_is_config_error(self, d):
+        # delta ~ U(-d, d) could reach -1 and make a capacity label 0 or negative
+        with pytest.raises(ConfigError, match=r"d must be in \[0, 1\)"):
+            perturb_labels([1.0, 2.0], p=0.5, d=d)
+
 
 class TestRobustnessSweep:
     CONFIG = TrainConfig(epochs=4, batch_size=32, learning_rate=3e-3,
@@ -288,6 +294,12 @@ class TestRobustnessSweep:
         cells = robustness_sweep(ds, variants=("ANN", "ANNWT"), levels=[0.1, 0.3],
                                  config=self.CONFIG)
         assert calls == [4] and len(cells) == 4
+
+    def test_vary_d_level_of_one_is_config_error(self):
+        ds = generate_synthetic(20, 3, 0.05)
+        with pytest.raises(ConfigError, match="d must be in"):
+            robustness_sweep(ds, sweep="vary_d", variants=("ANN",), levels=[0.2, 1.0],
+                             config=self.CONFIG)
 
     def test_bad_sweep_name(self):
         ds = generate_synthetic(20, 3, 0.05)

@@ -8,7 +8,8 @@ from cfstcap.trees import (RandomForest, Tree, average_path_length,
                            fit_isolation_forest, fit_random_forest,
                            fit_regression_tree, mdi_importance)
 from cfstcap.trees import cart, isolation
-from cfstcap.trees.cart import best_split, mean_var, node_depths
+from cfstcap.trees.cart import NodeTable, best_split, mean_var
+from cfstcap.trees.forest import tree_mdi
 from cfstcap.trees.isolation import _scores
 from cfstcap.errors import DataError
 from cfstcap.seeding import child_rng
@@ -33,6 +34,48 @@ def brute_force_split(X, y, min_leaf=1):
     return best
 
 
+def predict_tree(tree, X):
+    """One tree's leaf value for every row of X, through a one-tree table."""
+    return NodeTable.stack([tree]).leaf_values(X)[0]
+
+
+def tree_depth(tree, node=0):
+    if tree.feature[node] == -1:
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]), tree_depth(tree, tree.right[node]))
+
+
+def node_depths(tree):
+    """Depth of every node, the root's 0; a parent is numbered before its
+    children in both preorder and level order."""
+    depth = np.zeros(len(tree), dtype=np.int64)
+    for i in np.flatnonzero(tree.feature != -1):
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    return depth
+
+
+def make_tree(nodes, n_features):
+    """Tree from [feature, threshold, left, right, value, n_samples, impurity]
+    rows, its depth found by the recursive tree_depth."""
+    cols = list(zip(*nodes))
+    ints = [np.array(cols[k], dtype=np.int64) for k in (0, 2, 3, 5)]
+    floats = [np.array(cols[k], dtype=float) for k in (1, 4, 6)]
+    tree = Tree(ints[0], floats[0], ints[1], ints[2], floats[1], ints[3], floats[2],
+                n_features=n_features, depth=0)
+    tree.depth = tree_depth(tree)
+    return tree
+
+
+def assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.n_features, a.depth) == (b.n_features, b.depth)
+        for name in ("feature", "threshold", "left", "right", "value",
+                     "n_samples", "impurity"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
 class TestCart:
     def test_step_function_split(self):
         X = np.arange(1.0, 7.0).reshape(-1, 1)
@@ -40,14 +83,14 @@ class TestCart:
         t = fit_regression_tree(X, y, max_depth=1)
         assert t.feature[0] == 0
         assert t.threshold[0] == pytest.approx(3.5)
-        assert np.allclose(t.predict(X), y)
+        assert np.allclose(predict_tree(t, X), y)
 
     def test_memorizes_distinct_points(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(40, 3))
         y = rng.uniform(size=40)
         t = fit_regression_tree(X, y, max_depth=12)
-        assert np.allclose(t.predict(X), y, atol=1e-12)
+        assert np.allclose(predict_tree(t, X), y, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_kernel_matches_brute_force(self, seed):
@@ -100,10 +143,11 @@ def reference_split(X, y, rows, features, min_leaf):
 
 
 def reference_tree(X, y, max_depth=8, min_leaf=1, seed=None, max_features=None,
-                   rng=None, order=None):
+                   rng=None, order=None, leaf_out=None):
     """Recursive builder calling reference_split at every node, with the
     same rng draws as fit_regression_tree. order, the presort a caller of
-    fit_regression_tree may share, is ignored: every node sorts its own rows."""
+    fit_regression_tree may share, is ignored: every node sorts its own rows.
+    leaf_out, when given, gets each row's leaf value by a walk of the tree."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed) if rng is None else rng
@@ -131,19 +175,10 @@ def reference_tree(X, y, max_depth=8, min_leaf=1, seed=None, max_features=None,
         return idx
 
     build(np.arange(len(y)), 0)
-    return Tree.from_nodes(nodes, m)
-
-
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples",
-               "impurity")
-
-
-def assert_same_trees(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        for name in TREE_ARRAYS:
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype and np.array_equal(x, y), name
+    tree = make_tree(nodes, m)
+    if leaf_out is not None:
+        leaf_out[:] = walk_tree(tree, X)
+    return tree
 
 
 def oracle_data(kind, n=160, m=6, seed=0):
@@ -259,6 +294,69 @@ class TestPresortedKernel:
         assert best_split(X, y, own, features) == best_split(X, y, full, features)
 
 
+def adjacent_float_data(n=120, seed=0):
+    """Columns of neighbouring floats a and nextafter(a), a of even
+    mantissa, so their midpoint rounds to a: training rows lie exactly on
+    thresholds."""
+    rng = np.random.default_rng(seed)
+    base = np.round(rng.uniform(1.0, 2.0, size=(n // 2, 3)), 2)
+    base = (base.view(np.int64) & ~1).view(float)
+    X = np.vstack([base, np.nextafter(base, 3.0)])
+    return X, rng.normal(size=n)
+
+
+class TestBuilderRecords:
+    """What the builder records besides the node arrays: each training
+    row's leaf value (leaf_out) and the tree's depth."""
+
+    def _check_leaf_out(self, X, y, **kw):
+        out = np.full(len(y), np.nan)
+        t = fit_regression_tree(X, y, leaf_out=out, **kw)
+        assert np.array_equal(out, predict_tree(t, X))
+        return t
+
+    @pytest.mark.parametrize("kind", ["uniform", "ties", "duplicate_rows"])
+    @pytest.mark.parametrize("depth", [1, 3, 12])
+    def test_leaf_out_presorted_and_own_sort(self, kind, depth):
+        X, y = oracle_data(kind, seed=8)
+        self._check_leaf_out(X, y, max_depth=depth,
+                             order=np.argsort(X, axis=0, kind="stable"))
+        self._check_leaf_out(X, y, max_depth=depth)
+
+    @pytest.mark.parametrize("max_features", [1, 2, 5])
+    def test_leaf_out_feature_subsampled(self, max_features):
+        X, y = oracle_data("ties", seed=9)
+        self._check_leaf_out(X, y, max_depth=8, max_features=max_features,
+                             rng=child_rng(3, 0))
+
+    def test_leaf_out_single_leaf(self):
+        X = np.arange(10.0).reshape(-1, 1)
+        t = self._check_leaf_out(X, np.full(10, 7.0))
+        assert len(t) == 1 and t.depth == 0
+
+    def test_leaf_out_rows_on_thresholds(self):
+        X, y = adjacent_float_data()
+        t = self._check_leaf_out(X, y, max_depth=12)
+        inner = np.flatnonzero(t.feature != -1)
+        assert (X[:, t.feature[inner]] == t.threshold[inner]).any()
+
+    @pytest.mark.parametrize("kind", ["uniform", "ties", "constant_column"])
+    def test_cart_depth_is_deepest_leaf(self, kind):
+        X, y = oracle_data(kind, seed=10)
+        trees = [fit_regression_tree(X, y, max_depth=d) for d in (0, 1, 4, 12)]
+        trees += fit_gradient_boosting(X, y, n_trees=5, max_depth=3).trees
+        trees += fit_random_forest(X, y, n_trees=10, max_depth=12, seed=1).trees
+        for t in trees:
+            assert t.depth == tree_depth(t)
+        assert [t.depth for t in trees[:3]] == [0, 1, 4]
+
+    @pytest.mark.parametrize("subsample", [2, 3, 100, 256])
+    def test_isolation_depth_is_deepest_leaf(self, subsample):
+        X = _isolation_data("ties")
+        for t in fit_isolation_forest(X, n_trees=12, subsample=subsample, seed=4).trees:
+            assert t.depth == tree_depth(t)
+
+
 def walk_one(tree, x):
     """Reference traversal: follow one row node by node to its leaf.
 
@@ -269,12 +367,6 @@ def walk_one(tree, x):
         node = tree.left[node] if x[f] <= tree.threshold[node] else tree.right[node]
         depth += 1
     return node, depth
-
-
-def tree_depth(tree, node=0):
-    if tree.feature[node] == -1:
-        return 0
-    return 1 + max(tree_depth(tree, tree.left[node]), tree_depth(tree, tree.right[node]))
 
 
 def walk_tree(tree, X):
@@ -333,7 +425,7 @@ class TestFlatTraversal:
         X, y, Xt = self._data()
         t = fit_regression_tree(X, y, max_depth=9)
         for Z in (X, Xt, _on_thresholds(t, X)):
-            assert np.array_equal(t.predict(Z), walk_tree(t, Z))
+            assert np.array_equal(predict_tree(t, Z), walk_tree(t, Z))
 
     def test_boosting_matches_walk(self):
         X, y, Xt = self._data(seed=1)
@@ -376,7 +468,7 @@ class TestFlatTraversal:
         X = np.arange(10.0).reshape(-1, 1)
         t = fit_regression_tree(X, np.full(10, 7.0))
         assert len(t) == 1
-        assert np.array_equal(t.predict(X), np.full(10, 7.0))
+        assert np.array_equal(predict_tree(t, X), np.full(10, 7.0))
         g = fit_gradient_boosting(X, np.full(10, 7.0), n_trees=3)
         assert np.array_equal(g.predict(X), walk_boosting(g, X))
         # a lone leaf stacked with a deep tree: the leaf stays put
@@ -390,15 +482,14 @@ class TestFlatTraversal:
         y = np.array([0.0, 0.0, 0.0, 10.0, 10.0, 10.0])
         t = fit_regression_tree(X, y, max_depth=1)
         on = np.array([[t.threshold[0]], [np.nextafter(t.threshold[0], np.inf)]])
-        assert np.array_equal(t.predict(on), [0.0, 10.0])
+        assert np.array_equal(predict_tree(t, on), [0.0, 10.0])
 
     def test_zero_rows(self):
         X, y, _ = self._data(n=60)
         empty = np.empty((0, X.shape[1]))
-        models = [fit_regression_tree(X, y),
-                  fit_gradient_boosting(X, y, n_trees=4),
-                  fit_random_forest(X, y, n_trees=4, seed=0)]
-        for model in models:
+        assert predict_tree(fit_regression_tree(X, y), empty).shape == (0,)
+        for model in (fit_gradient_boosting(X, y, n_trees=4),
+                      fit_random_forest(X, y, n_trees=4, seed=0)):
             assert model.predict(empty).shape == (0,)
         forest = fit_isolation_forest(X, n_trees=4, subsample=32)
         assert forest.mean_path_length(empty).shape == (0,)
@@ -409,13 +500,28 @@ class TestFlatTraversal:
         # died in np.take
         X, y, _ = self._data(n=60)
         Z = np.ones((3, width))
-        models = [fit_regression_tree(X, y).predict,
+        models = [NodeTable.stack([fit_regression_tree(X, y)]).leaf_values,
                   fit_gradient_boosting(X, y, n_trees=4).predict,
                   fit_random_forest(X, y, n_trees=4, seed=0).predict,
                   fit_isolation_forest(X, n_trees=4, subsample=32).mean_path_length]
         for predict in models:
             with pytest.raises(DataError, match=f"input width {width} != training width 5"):
                 predict(Z)
+
+
+def reference_tree_mdi(tree, n_features):
+    """Per-feature impurity decrease summed node by node, in node order."""
+    imp = np.zeros(n_features)
+    n_root = tree.n_samples[0]
+    for i in range(len(tree)):
+        f = tree.feature[i]
+        if f == -1:
+            continue
+        l, r = tree.left[i], tree.right[i]
+        n, nl, nr = tree.n_samples[i], tree.n_samples[l], tree.n_samples[r]
+        child = (nl * tree.impurity[l] + nr * tree.impurity[r]) / n
+        imp[f] += (n / n_root) * (tree.impurity[i] - child)
+    return imp
 
 
 class TestRandomForest:
@@ -456,6 +562,12 @@ class TestRandomForest:
         imp_sub = mdi_importance(fit_random_forest(X, y, n_trees=30, seed=2))
         assert int(np.argmax(imp_sub)) == 0
 
+    @pytest.mark.parametrize("kind", ["uniform", "ties"])
+    def test_tree_mdi_matches_node_loop(self, kind):
+        X, y = oracle_data(kind, seed=11)
+        for t in fit_random_forest(X, y, n_trees=100, max_depth=12, seed=7).trees:
+            assert np.array_equal(tree_mdi(t, X.shape[1]), reference_tree_mdi(t, X.shape[1]))
+
     def test_mdi_unfitted(self):
         with pytest.raises(DataError):
             mdi_importance(RandomForest(trees=[], n_features=3))
@@ -491,7 +603,7 @@ class TestGradientBoosting:
         g = fit_gradient_boosting(X, y, n_trees=8, learning_rate=0.3)
         acc = np.full(len(y), g.base_score)
         for t in g.trees:
-            acc += g.learning_rate * t.predict(X)
+            acc += g.learning_rate * predict_tree(t, X)
         assert np.allclose(g.predict(X), acc)
 
     def test_bad_params(self):
@@ -554,8 +666,8 @@ def grow_isolation_reference(X, n_trees, subsample, seed):
     for i in range(n_trees):
         rng = child_rng(seed, i)
         rows = rng.choice(n, size=subsample, replace=False)
-        # feature, threshold, left, right, value, n_samples
-        nodes = [[-1, 0.0, -1, -1, average_path_length(subsample), subsample]]
+        # feature, threshold, left, right, value, n_samples, impurity
+        nodes = [[-1, 0.0, -1, -1, average_path_length(subsample), subsample, 0.0]]
         queue = [(0, rows)]
         depth = 0
         while queue and depth < depth_cap:
@@ -582,31 +694,12 @@ def grow_isolation_reference(X, n_trees, subsample, seed):
                     children.append(len(nodes))
                     queue.append((len(nodes), part))
                     nodes.append([-1, 0.0, -1, -1,
-                                  depth + 1 + average_path_length(len(part)), len(part)])
+                                  depth + 1 + average_path_length(len(part)), len(part),
+                                  0.0])
                 nodes[idx][:4] = [f, float(thr)] + children
             depth += 1
-        cols = list(zip(*nodes))
-        trees.append(Tree(
-            feature=np.array(cols[0], dtype=np.int64),
-            threshold=np.array(cols[1], dtype=float),
-            left=np.array(cols[2], dtype=np.int64),
-            right=np.array(cols[3], dtype=np.int64),
-            value=np.array(cols[4], dtype=float),
-            n_samples=np.array(cols[5], dtype=np.int64),
-            impurity=np.zeros(len(nodes)),
-            n_features=m))
+        trees.append(make_tree(nodes, m))
     return trees
-
-
-def assert_same_trees(a, b):
-    assert len(a) == len(b)
-    for s, t in zip(a, b):
-        assert s.n_features == t.n_features
-        for name in ("feature", "threshold", "left", "right", "value",
-                     "n_samples", "impurity"):
-            x, y = getattr(s, name), getattr(t, name)
-            assert x.dtype == y.dtype, name
-            assert np.array_equal(x, y), name
 
 
 def _isolation_data(kind):
