@@ -33,6 +33,9 @@ from .trees import (detect_anomalies, fit_gradient_boosting, fit_random_forest,
                     global_importance, mdi_importance, shapley_permutation)
 from .explain import GaConfig, build_dependence_grid, optimal_alpha_curve
 
+# libyaml's safe loader, in C, when PyYAML has it: the same documents as SafeLoader
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 DEFAULT_CONFIG = {
     "master_seed": 42,
     "output_dir": "out",
@@ -150,7 +153,7 @@ def _check_keys(extra, default, where: str = "") -> None:
 
 def _parse_yaml(text: str, where: str):
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {where}: {exc}") from None
 

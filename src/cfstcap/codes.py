@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import numeric_columns
 from .errors import ConfigError
 from .features import section_areas
 
@@ -134,7 +135,7 @@ def predict_all(specimens, options: CodeOptions | None = None) -> list[CodePredi
     if not specimens:
         raise ValueError("specimen list is empty")
     opts = options or CodeOptions()
-    D, t, L, fy, fc = np.array([(s.D, s.t, s.L, s.fy, s.fc) for s in specimens], float).T
+    D, t, L, fy, fc = numeric_columns(specimens, 5).T
     As, Ac, fck, theta = _confinement(D, t, fy, fc / 0.8 if opts.fck_mode == "cube" else fc)
     geometric = 4.0 * L / D
     lam = (geometric if opts.ec4_slenderness == "literal"
@@ -173,7 +174,7 @@ def predict_all(specimens, options: CodeOptions | None = None) -> list[CodePredi
             dicts = list(map(_INTERMEDIATES[code], *[v.tolist() for v in inter]))
         else:
             dicts = [{} for _ in range(len(D))]
-        preds = list(map(CodePrediction._make,
+        preds = list(map(tuple.__new__, repeat(CodePrediction),
                          zip(repeat(code), cap.tolist(), dicts, repeat(True), repeat(""))))
         mask, message = invalid.get(code, ((), None))
         for i in np.flatnonzero(mask).tolist():

@@ -9,7 +9,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,9 @@ CSV_HEADER = ["D_mm", "t_mm", "L_mm", "fy_MPa", "fc_MPa", "N_kN", "source_id"]
 NUMERIC_FIELDS = ("D", "t", "L", "fy", "fc", "N")
 
 
-@dataclass(frozen=True)
-class Specimen:
-    """One axial compression test of a circular CFST column."""
+class Specimen(NamedTuple):
+    """One axial compression test of a circular CFST column: an immutable named
+    tuple, equal and hashable by its fields; copy it with _replace."""
 
     D: float   # outer diameter, mm
     t: float   # steel tube wall thickness, mm
@@ -43,8 +44,7 @@ class Specimen:
     def invariant_violations(self) -> list[str]:
         """Hard physical invariants; empty list when the specimen is valid."""
         bad = []
-        for name in NUMERIC_FIELDS:
-            v = getattr(self, name)
+        for name, v in zip(NUMERIC_FIELDS, self):
             if not math.isfinite(v) or v <= 0:
                 bad.append(f"{name}={v!r} must be a positive finite number")
         if self.D <= 2 * self.t:
@@ -71,6 +71,13 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.specimens)
+
+
+def numeric_columns(specimens, width: int) -> np.ndarray:
+    """(n, width) float array of every specimen's first width fields, sliced in C."""
+    n = len(specimens)
+    return np.fromiter(chain.from_iterable(map(itemgetter(slice(width)), specimens)),
+                       float, n * width).reshape(n, width)
 
 
 def load_csv(path, range_mode: str = "warn") -> Dataset:
@@ -100,14 +107,14 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
             raise DataError(
                 f"{path}: header {header!r} does not match required schema {CSV_HEADER!r}"
             )
+        width = len(CSV_HEADER)
         for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(CSV_HEADER):
-                problems.append((rownum, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
+            if len(row) != width:
+                if len(row) > 1 or (row and row[0].strip()):  # else a blank line
+                    problems.append((rownum, f"expected {width} fields, got {len(row)}"))
                 continue
             try:
-                specimens.append(Specimen(*map(float, row[:6]), row[6].strip()))
+                specimens.append(tuple.__new__(Specimen, (*map(float, row[:6]), row[6].strip())))
             except ValueError:
                 for name, cell in zip(NUMERIC_FIELDS, row[:6]):
                     try:
@@ -119,9 +126,7 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
     # the conditions of invariant_violations and envelope_violations over
     # the numeric columns (ENVELOPE covers D..fc); a flagged row calls them
     # for its messages
-    values = np.fromiter(chain.from_iterable(map(attrgetter(*NUMERIC_FIELDS), specimens)),
-                         float, len(specimens) * len(NUMERIC_FIELDS)
-                         ).reshape(len(specimens), len(NUMERIC_FIELDS))
+    values = numeric_columns(specimens, len(NUMERIC_FIELDS))
     D, t = values[:, 0], values[:, 1]
     lo, hi = np.array(list(ENVELOPE.values())).T
     env = values[:, :len(ENVELOPE)]
@@ -153,8 +158,7 @@ def save_csv(dataset: Dataset, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for s in dataset.specimens:
-            writer.writerow([repr(s.D), repr(s.t), repr(s.L), repr(s.fy),
-                             repr(s.fc), repr(s.N), s.source_id])
+            writer.writerow([*map(repr, s[:6]), s.source_id])
 
 
 def split(dataset: Dataset, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

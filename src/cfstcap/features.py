@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import numeric_columns
 from .errors import ConfigError, DataError
 
 RAW_NAMES = ["D", "t", "L", "fy", "fc"]
@@ -92,8 +93,7 @@ def build_frame(specimens, names=None) -> FeatureFrame:
     if not specimens:
         raise DataError("no specimens")
     names = tuple(names) if names is not None else tuple(FEATURE_VOCAB)
-    D, t, L, fy, fc, N = np.array([(s.D, s.t, s.L, s.fy, s.fc, s.N)
-                                   for s in specimens], dtype=float).T
+    D, t, L, fy, fc, N = numeric_columns(specimens, 6).T
     return FeatureFrame(names, design_matrix(D, t, L, fy, fc, names), N)
 
 

@@ -695,8 +695,9 @@ def params_from_dict(doc: dict) -> NetworkParameters:
 
 
 def save_model(params: NetworkParameters, path) -> None:
+    # the same bytes as json.dump, whose iterencode path is pure Python, encoded in C
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_dict(params), fh)
+        fh.write(json.dumps(params_to_dict(params)))
 
 
 def load_model(path) -> NetworkParameters:

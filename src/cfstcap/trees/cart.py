@@ -131,8 +131,9 @@ def best_split(X, y, order, features):
     features[j] when order holds just the candidate columns and column j
     of X when it holds all of them. Every candidate feature is scored in
     one 2-D pass: a candidate threshold is the midpoint between consecutive
-    distinct sorted values. Ties go to the first minimal threshold of a
-    feature, then to the first minimal feature in the given order.
+    distinct sorted values a < b, or a where it rounds to b, so X <= threshold
+    sends left exactly the rows scored left. Ties go to the first minimal
+    threshold of a feature, then to the first minimal feature in the given order.
 
     Returns (feature, threshold, score) or None when no valid split exists.
     """
@@ -166,7 +167,9 @@ def best_split(X, y, order, features):
     if not valid[:, j].any():
         return None
     i = at[j]
-    return int(features[j]), float(0.5 * (vs[i, j] + vs[i + 1, j])), float(score[i, j])
+    a, b = vs[i, j], vs[i + 1, j]
+    thr = 0.5 * (a + b)  # rounds to b for some neighbouring floats; a splits as scored
+    return int(features[j]), float(a if thr == b else thr), float(score[i, j])
 
 
 def mean_var(y) -> tuple[float, float]:

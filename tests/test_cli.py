@@ -3,12 +3,13 @@ import hashlib
 import importlib
 import json
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import cfstcap.cli as cli
 from cfstcap.cli import (DEFAULT_CONFIG, OPEN_LEAVES, READS, STAGES, config_hash,
                          deep_update, load_config, main)
 from cfstcap.data import Dataset, generate_synthetic, save_csv
@@ -166,6 +167,73 @@ class TestConfig:
         b = load_config(None, ["output_dir=b", "train.epochs=5"])
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(load_config(None, ["output_dir=a"]))
+
+
+CSAFE = getattr(yaml, "CSafeLoader", None)
+LOADERS = [yaml.SafeLoader] + ([CSAFE] if CSAFE else [])
+
+
+def load_with(loader, monkeypatch, path, overrides):
+    """repr of load_config's result, or its ConfigError, parsed by loader."""
+    monkeypatch.setattr(cli, "YAML_LOADER", loader)
+    try:
+        return repr(load_config(path, overrides))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+class TestYamlLoaders:
+    """The config is parsed by libyaml's CSafeLoader when PyYAML has it;
+    it must read every config exactly as the pure-Python SafeLoader does."""
+
+    def test_loader_is_libyaml_when_available(self):
+        assert cli.YAML_LOADER is (CSAFE or yaml.SafeLoader)
+
+    @pytest.mark.skipif(CSAFE is None, reason="PyYAML built without libyaml")
+    def test_loaders_agree_on_config_files(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        texts = [yaml.safe_dump(DEFAULT_CONFIG), yaml.safe_dump(DEFAULT_CONFIG,
+                                                                default_flow_style=True)]
+        texts += [json.dumps(dict(size["config"], master_seed=workloads.sub_seed(0, 100 + j)))
+                  for size in workloads.PIPELINE_SIZES.values()
+                  for j in range(size["configs"])]
+        texts += ["# comment\nmaster_seed: 0x1f\ntrain: &t {epochs: 12}\n",
+                  "constraints:\n  upper_factor: .inf\nexplain:\n  target: 1.5e3\n",
+                  "constraints:\n  upper_factor: -.inf\n",
+                  "train:\n  learning_rate: .nan\n", "explain:\n  target: .NaN\n",
+                  "robustness:\n  levels: [0.1, .inf]\n", ""]
+        path = tmp_path / "cfg.yaml"
+        for text in texts:
+            path.write_text(text)
+            got = [load_with(loader, monkeypatch, str(path), []) for loader in LOADERS]
+            assert got[0] == got[1], text
+
+    @pytest.mark.skipif(CSAFE is None, reason="PyYAML built without libyaml")
+    def test_loaders_agree_on_overrides(self, tmp_path, monkeypatch):
+        cases = [fast_overrides(tmp_path), ["constraints.upper_factor=.inf"],
+                 ["constraints.upper_factor=-.inf"], ["constraints.upper_factor=null"]]
+        cases += [[f"{key}={text}"] for key, text in NON_FINITE]
+        cases += [[f"{key}={json.dumps(v)}"] for key, values in OPEN_VALUES.items()
+                  for v in values]
+        for overrides in cases:
+            got = [load_with(loader, monkeypatch, None, overrides) for loader in LOADERS]
+            assert got[0] == got[1], overrides
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+    def test_malformed_yaml_is_config_error(self, tmp_path, capsys, monkeypatch, loader):
+        monkeypatch.setattr(cli, "YAML_LOADER", loader)
+        cfgfile = tmp_path / "cfg.yaml"
+        for text in ("train: [1,\n", "a: b: c\n", "train:\n\tepochs: 3\n"):
+            cfgfile.write_text(text)
+            assert main(["--config", str(cfgfile), "--set", f"output_dir={tmp_path}",
+                         "synth"]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"config error: malformed YAML in {cfgfile}: ")
+        assert run("synth", tmp_path, extra=["train.epochs=[1,"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: malformed YAML in override 'train.epochs=[1,': ")
+        assert not (tmp_path / "dataset.csv").exists()
 
 
 class TestExitCodes:
@@ -462,7 +530,7 @@ class TestStages:
         # every fc is 40, so fc's correlation with any other column is undefined
         ds = generate_synthetic(30, 3, 0.1)
         source = tmp_path / "constant_fc.csv"
-        save_csv(Dataset(tuple(replace(s, fc=40.0) for s in ds.specimens)), source)
+        save_csv(Dataset(tuple(s._replace(fc=40.0) for s in ds.specimens)), source)
         assert run("features", tmp_path, extra=[f"data.source={source}"]) == 0
         capsys.readouterr()
         with open(tmp_path / "correlations.csv", newline="") as fh:

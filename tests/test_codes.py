@@ -302,6 +302,21 @@ class TestPredictAllRows:
         assert all(p.valid and p.message == "" for p in last if p.code_id != "GEP")
         assert sum(not p.valid for p in preds) == 1
 
+    def test_rows_are_exact_code_predictions(self, batch):
+        # rows are built in C with tuple.__new__; each must be the same
+        # record CodePrediction._make builds from its fields, invalid rows
+        # included
+        for opts in ORACLE_OPTIONS:
+            preds = predict_all(batch, opts)
+            assert all(type(p) is CodePrediction for p in preds)
+            assert preds == [CodePrediction._make(tuple(p)) for p in preds]
+            assert all(len(p) == len(CodePrediction._fields) for p in preds)
+            assert [p._asdict() for p in preds] == [
+                dict(zip(CodePrediction._fields, p)) for p in preds]
+        invalid = [p for p in preds if not p.valid]
+        assert [p.code_id for p in invalid] == ["GEP"]
+        assert type(invalid[0]) is CodePrediction
+
     def test_rows_are_immutable(self, batch):
         p = predict_all(batch[:1])[0]
         for name in CodePrediction._fields:

@@ -1,4 +1,5 @@
 import csv
+import pickle
 import warnings
 
 import numpy as np
@@ -236,6 +237,22 @@ class TestArrayCheckedLoad:
             assert [s.source_id for s in got[0]] == list(kept)
             assert len(got[1]) == 3
 
+    @pytest.mark.parametrize("range_mode", ["warn", "reject"])
+    def test_blank_and_short_rows(self, tmp_path, range_mode):
+        # blank lines (no cell, or one blank cell) are skipped; any other
+        # row of the wrong width is a problem at its row number
+        rows = ["100,5,300,300,30,650,a", " ", "abc", "", ",", ",,,,,,",
+                "  ,  ", "100,5,300,300,30,650,b", "\t"]
+        p = write(tmp_path, HEADER + "\n".join(rows) + "\n")
+        got = _outcome(load_csv, p, range_mode)
+        assert got == _outcome(_per_row_load_csv, p, range_mode)
+        assert got[0].split("\n")[1:] == [
+            "row 4: expected 7 fields, got 1", "row 6: expected 7 fields, got 2",
+            "row 7: non-numeric D value ''", "row 7: non-numeric t value ''",
+            "row 7: non-numeric L value ''", "row 7: non-numeric fy value ''",
+            "row 7: non-numeric fc value ''", "row 7: non-numeric N value ''",
+            "row 8: expected 7 fields, got 2"]
+
     def test_large_round_trip(self, tmp_path):
         ds = generate_synthetic(25_600, 9, 0.1)
         p = tmp_path / "large.csv"
@@ -245,6 +262,67 @@ class TestArrayCheckedLoad:
             loaded = load_csv(p)
         assert loaded.specimens == ds.specimens
         assert _per_row_load_csv(p).specimens == loaded.specimens
+
+
+class TestSpecimenRecord:
+    """Specimen is an immutable named tuple, equal and hashable by its
+    fields, in CSV column order."""
+
+    FIELDS = (100.0, 5.0, 300.0, 300.0, 30.0, 650.0, "lab-1")
+
+    def test_positional_and_keyword_construction(self):
+        s = Specimen(*self.FIELDS)
+        assert s == Specimen(D=100.0, t=5.0, L=300.0, fy=300.0, fc=30.0, N=650.0,
+                             source_id="lab-1")
+        assert tuple(s) == self.FIELDS
+        assert Specimen._fields == ("D", "t", "L", "fy", "fc", "N", "source_id")
+        assert (s.D, s.t, s.L, s.fy, s.fc, s.N, s.source_id) == self.FIELDS
+
+    def test_default_source_id(self):
+        assert Specimen(100, 5, 300, 300, 30, 650).source_id == ""
+        assert Specimen(100, 5, 300, 300, 30, 650) == Specimen(*self.FIELDS[:6], "")
+
+    def test_immutable(self):
+        s = Specimen(*self.FIELDS)
+        with pytest.raises(AttributeError):
+            s.D = 1.0
+        with pytest.raises(TypeError):
+            s[0] = 1.0
+
+    def test_equal_and_hashable_by_fields(self):
+        a, b = Specimen(*self.FIELDS), Specimen(*self.FIELDS)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Specimen(*self.FIELDS[:6], "lab-2")
+        assert a != a._replace(N=651.0)
+
+    def test_replace(self):
+        s = Specimen(*self.FIELDS)
+        r = s._replace(fc=40.0, source_id="x")
+        assert type(r) is Specimen
+        assert tuple(r) == (100.0, 5.0, 300.0, 300.0, 40.0, 650.0, "x")
+        assert s.fc == 30.0   # the original is unchanged
+
+    def test_pickle_round_trip(self):
+        s = Specimen(*self.FIELDS)
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and type(back) is Specimen
+
+    def test_methods_kept(self):
+        assert Specimen(*self.FIELDS).invariant_violations() == []
+        assert Specimen(100, 60, 300, 300, 30, 650).invariant_violations() == [
+            "D=100 must exceed 2*t=120"]
+        assert Specimen(2000, 5, 300, 300, 30, 650).envelope_violations() == [
+            "D=2000 outside envelope [44.95, 1020.0]"]
+
+    def test_csv_round_trip_gives_equal_records(self, tmp_path):
+        ds = generate_synthetic(300, 4, 0.1)
+        p = tmp_path / "s.csv"
+        save_csv(ds, p)
+        loaded = load_csv(p).specimens
+        assert loaded == ds.specimens
+        assert all(type(s) is Specimen for s in loaded)
+        assert all(type(v) is float for s in loaded for v in s[:6])
 
 
 class TestSplit:

@@ -96,6 +96,17 @@ class TestEngineer:
         assert np.array_equal(frame.X, reference_matrix(specs, expected_names))
         assert np.array_equal(frame.y, [s.N for s in specs])
 
+    def test_build_frame_matches_attribute_gather(self):
+        # the frame from the tuple-slice gather equals the one built from
+        # the former per-attribute tuples, for int fields too
+        specs = generate_synthetic(300, 6, 0.1).specimens + (REF,)
+        D, t, L, fy, fc, N = np.array([(s.D, s.t, s.L, s.fy, s.fc, s.N)
+                                       for s in specs], dtype=float).T
+        frame = build_frame(specs)
+        assert np.array_equal(frame.X, design_matrix(D, t, L, fy, fc, FEATURE_VOCAB))
+        assert np.array_equal(frame.y, N)
+        assert frame.X.dtype == frame.y.dtype == np.float64
+
     def test_build_frame_rejects_empty(self):
         with pytest.raises(DataError, match="no specimens"):
             build_frame([])

@@ -1,5 +1,5 @@
+import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -663,6 +663,15 @@ class TestSerialization:
         b = predict_specimens(loaded, ds.specimens)
         assert np.array_equal(a, b)
 
+    def test_file_matches_json_dump(self, tmp_path):
+        # the C encoder writes the same bytes json.dump's iterencode would
+        params, _ = train(generate_synthetic(80, 13, 0.05), feature_order=PAPER_SELECTED,
+                          spec=variant_spec("ANNWM"), config=small_config(epochs=2))
+        save_model(params, tmp_path / "model.json")
+        with open(tmp_path / "dump.json", "w", encoding="utf-8") as fh:
+            json.dump(params_to_dict(params), fh)
+        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
+
     def test_version_check(self):
         config = TrainConfig(hidden_layers=1, hidden_units=2)
         params = init_parameters(("f0",), config, ConstraintSpec())
@@ -689,7 +698,7 @@ class TestSerialization:
 
 def relabelled(dataset, labels):
     """The dataset with each specimen's N replaced by the given label."""
-    return Dataset(tuple(replace(s, N=float(n)) for s, n in zip(dataset.specimens, labels)),
+    return Dataset(tuple(s._replace(N=float(n)) for s, n in zip(dataset.specimens, labels)),
                    split_seed=dataset.split_seed, split_fraction=dataset.split_fraction)
 
 

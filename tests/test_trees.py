@@ -15,6 +15,13 @@ from cfstcap.errors import DataError
 from cfstcap.seeding import child_rng
 
 
+def midpoint(a, b):
+    """Threshold between sorted neighbours a < b: their midpoint, or a when
+    the midpoint rounds to b (neighbouring floats, a of odd mantissa)."""
+    thr = 0.5 * (a + b)
+    return a if thr == b else thr
+
+
 def brute_force_split(X, y, min_leaf=1):
     """O(n^2) reference: enumerate every midpoint candidate by hand."""
     n, m = X.shape
@@ -22,7 +29,7 @@ def brute_force_split(X, y, min_leaf=1):
     for f in range(m):
         vals = np.unique(X[:, f])
         for a, b in zip(vals[:-1], vals[1:]):
-            thr = 0.5 * (a + b)
+            thr = midpoint(a, b)
             left = X[:, f] <= thr
             nl, nr = left.sum(), (~left).sum()
             if nl < min_leaf or nr < min_leaf:
@@ -138,7 +145,7 @@ def reference_split(X, y, rows, features, min_leaf):
         score = np.where(valid, left + right, np.inf)
         i = int(np.argmin(score))
         if best is None or score[i] < best[2]:
-            best = (int(f), float(0.5 * (vs[i] + vs[i + 1])), float(score[i]))
+            best = (int(f), float(midpoint(vs[i], vs[i + 1])), float(score[i]))
     return best
 
 
@@ -294,15 +301,61 @@ class TestPresortedKernel:
         assert best_split(X, y, own, features) == best_split(X, y, full, features)
 
 
-def adjacent_float_data(n=120, seed=0):
-    """Columns of neighbouring floats a and nextafter(a), a of even
-    mantissa, so their midpoint rounds to a: training rows lie exactly on
-    thresholds."""
+def adjacent_float_data(n=120, seed=0, odd=False):
+    """Columns of neighbouring floats a and nextafter(a), so training rows
+    lie exactly on thresholds. The midpoint of such a pair rounds to a when
+    a's mantissa is even and to nextafter(a) when it is odd; odd=True makes
+    every a odd, otherwise both kinds occur."""
     rng = np.random.default_rng(seed)
     base = np.round(rng.uniform(1.0, 2.0, size=(n // 2, 3)), 2)
-    base = (base.view(np.int64) & ~1).view(float)
+    if odd:
+        base = (base.view(np.int64) | 1).view(float)
     X = np.vstack([base, np.nextafter(base, 3.0)])
     return X, rng.normal(size=n)
+
+
+class TestAdjacentFloats:
+    """Splits between neighbouring floats: the threshold sends exactly the
+    scored rows left, so no child is empty and the trees match the
+    per-node-sorting reference."""
+
+    def test_odd_mantissa_threshold_is_lower_value(self):
+        a = (np.array([1.37]).view(np.int64) | 1).view(float)[0]
+        b = np.nextafter(a, 2.0)
+        assert 0.5 * (a + b) == b   # the midpoint rounds up
+        X = np.array([[a], [a], [b]])
+        y = np.array([0.0, 0.0, 1.0])
+        f, thr, score = best_split(X, y, np.argsort(X, axis=0, kind="stable"), np.arange(1))
+        assert (f, thr, score) == (0, a, 0.0)
+        assert brute_force_split(X, y) == (0, a, 0.0)
+
+    @pytest.mark.parametrize("odd", [True, False])
+    def test_kernel_matches_brute_force(self, odd):
+        X, y = adjacent_float_data(n=40, seed=1, odd=odd)
+        got = best_split(X, y, np.argsort(X, axis=0, kind="stable"), np.arange(3))
+        want = brute_force_split(X, y)
+        assert got[:2] == want[:2]
+        assert got[2] == pytest.approx(want[2], rel=1e-9)
+
+    @pytest.mark.parametrize("odd", [True, False])
+    @pytest.mark.parametrize("depth", [2, 12])
+    def test_presorted_tree_matches_reference(self, odd, depth):
+        X, y = adjacent_float_data(seed=2, odd=odd)
+        got = fit_regression_tree(X, y, max_depth=depth)
+        assert_same_trees([got], [reference_tree(X, y, max_depth=depth)])
+        assert got.n_samples.min() >= 1
+        gb = fit_gradient_boosting(X, y, n_trees=3, max_depth=depth, seed=2)
+        assert all(t.n_samples.min() >= 1 for t in gb.trees)
+
+    @pytest.mark.parametrize("odd", [True, False])
+    @pytest.mark.parametrize("max_features", [1, 2])
+    def test_feature_subsampled_tree_matches_reference(self, odd, max_features):
+        X, y = adjacent_float_data(seed=3, odd=odd)
+        rng, rng_ref = child_rng(7, 0), child_rng(7, 0)
+        got = fit_regression_tree(X, y, max_depth=12, max_features=max_features, rng=rng)
+        want = reference_tree(X, y, max_depth=12, max_features=max_features, rng=rng_ref)
+        assert_same_trees([got], [want])
+        assert got.n_samples.min() >= 1 and np.isfinite(got.value).all()
 
 
 class TestBuilderRecords:
