@@ -180,8 +180,13 @@ def load_config(path: str | None, overrides) -> dict:
         deep_update(cfg, doc)
     check_selection_mode(cfg["features"]["selection_mode"])
     CodeOptions(**cfg["codes"])
-    # the settings each stage turns into objects, refused before any stage runs
+    # the settings each stage checks or turns into objects, refused before any stage runs
+    for section, name in (("features", "shap_rows"), ("explain", "fc_points"),
+                          ("explain", "alpha_points"), ("explain", "shap_background")):
+        if cfg[section][name] < 1:
+            raise ConfigError(f"{section}.{name} must be >= 1, got {cfg[section][name]}")
     _train_config(cfg)
+    _ga_config(cfg)
     for variant in [cfg["train"]["variant"]] + cfg["robustness"]["variants"]:
         variant_spec(variant, _constraint_spec(cfg))
     return cfg
@@ -214,14 +219,20 @@ def write_manifest(outdir: Path, stage: str, cfg: dict, artifacts: list[Path],
     return path
 
 
+def _cell(c) -> str:
+    if isinstance(c, float):
+        # float() first: numpy 2 reprs an np.float64 as "np.float64(...)"
+        return "" if math.isnan(c) else repr(float(c))
+    return "" if c is None else str(c)
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """One row per line; a cell holding a comma or a quote is quoted."""
+    """One row per line; a cell holding a comma or a quote is quoted. None
+    and NaN, a value that could not be computed, write as an empty cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        # float() first: numpy 2 reprs an np.float64 as "np.float64(...)"
-        writer.writerows([repr(float(c)) if isinstance(c, float) else str(c)
-                          for c in row] for row in rows)
+        writer.writerows(list(map(_cell, row)) for row in rows)
 
 
 def _resolve_input(key: str, cfg: dict, outdir: Path) -> Path | None:
@@ -301,6 +312,12 @@ def _train_config(cfg: dict) -> TrainConfig:
                        hidden_units=t["hidden_units"])
 
 
+def _ga_config(cfg: dict) -> GaConfig:
+    e = cfg["explain"]
+    return GaConfig(population=e["population"], generations=e["generations"],
+                    seed=named_seed(cfg["master_seed"], "explain") % 2**31)
+
+
 def _constraint_spec(cfg: dict) -> ConstraintSpec:
     c = cfg["constraints"]
     upper = c["upper_factor"]
@@ -324,23 +341,17 @@ def stage_features(cfg, outdir: Path, inputs: dict) -> list[Path]:
     ds = _dataset(cfg, inputs["source"])
     frame = build_frame(ds.specimens)
     fpath = outdir / "features.csv"
-    write_csv(fpath, list(frame.names) + ["N"],
-              [list(frame.X[i]) + [float(frame.y[i])] for i in range(len(frame))])
+    write_csv(fpath, list(frame.names) + ["N"], np.column_stack([frame.X, frame.y]).tolist())
     corr = correlation_matrix(frame)
     cpath = outdir / "correlations.csv"
-    # a cell left undefined by a constant column stays empty
     write_csv(cpath, ["feature"] + list(corr.names),
-              [[name] + ["" if flagged else float(v)
-                         for v, flagged in zip(corr.values[i], corr.flagged[i])]
-               for i, name in enumerate(corr.names)])
+              [[name, *row] for name, row in zip(corr.names, corr.values.tolist())])
     return [fpath, cpath]
 
 
 def stage_select(cfg, outdir: Path, inputs: dict) -> list[Path]:
     ds = _dataset(cfg, inputs["source"])
     fcfg = cfg["features"]
-    if fcfg["shap_rows"] < 1:
-        raise ConfigError(f"features.shap_rows must be >= 1, got {fcfg['shap_rows']}")
     frame = build_frame(ds.specimens)
     seed = named_seed(cfg["master_seed"], "select") % 2**31
 
@@ -366,13 +377,13 @@ def stage_select(cfg, outdir: Path, inputs: dict) -> list[Path]:
                                mode=fcfg["selection_mode"])
     paths = []
     for name, ranking, scores in (
-        ("importance_pcc.csv", rank_pcc, None),
+        ("importance_pcc.csv", rank_pcc, {}),
         ("importance_shap.csv", rank_shap, dict(zip(frame.names, shap_imp))),
         ("importance_mdi.csv", rank_mdi, dict(zip(frame.names, mdi))),
     ):
         p = outdir / name
         write_csv(p, ["rank", "feature", "score"],
-                  [[i, f, float(scores[f]) if scores else ""]
+                  [[i, f, scores.get(f)]
                    for i, f in enumerate(ranking)])
         paths.append(p)
     sel = outdir / "selected_features.json"
@@ -420,7 +431,7 @@ def stage_codes(cfg, outdir: Path, inputs: dict) -> list[Path]:
     preds = predict_all(list(ds.specimens), CodeOptions(**cfg["codes"]))
     path = outdir / "code_predictions.csv"
     ids = [s.source_id for s in ds.specimens for _ in CODE_IDS]
-    rows = [[i, p.code_id, float(p.capacity_kn) if p.valid else "", int(p.valid),
+    rows = [[i, p.code_id, p.capacity_kn, int(p.valid),
              json.dumps(p.intermediates, sort_keys=True)] for i, p in zip(ids, preds)]
     write_csv(path, ["source_id", "code_id", "capacity_kN", "valid",
                      "intermediates_json"], rows)
@@ -438,12 +449,12 @@ def stage_evaluate(cfg, outdir: Path, inputs: dict) -> list[Path]:
                               cfg["evaluation"]["paper_literal_mape"])
     mjson = outdir / "metrics.json"
     mjson.write_text(json.dumps(metrics.__dict__, sort_keys=True, indent=1) + "\n")
-    grid = interval_breakdown(specimens, preds)
     gpath = outdir / "interval_grid.csv"
+    # an empty cell has no metrics (None)
     write_csv(gpath, ["steel_class", "concrete_class", "n", "mape", "rmse", "r2"],
               [[c.steel_class, c.concrete_class, c.n]
-               + ([float(c.metrics.mape), float(c.metrics.rmse), float(c.metrics.r2)]
-                  if c.metrics else [""] * 3) for c in grid.cells])
+               + [getattr(c.metrics, k, None) for k in ("mape", "rmse", "r2")]
+               for c in interval_breakdown(specimens, preds)])
     return [mjson, gpath]
 
 
@@ -460,9 +471,7 @@ def stage_robustness(cfg, outdir: Path, inputs: dict) -> list[Path]:
                              seed=named_seed(cfg["master_seed"], "robustness") % 2**31)
     path = outdir / "robustness.csv"
     write_csv(path, ["variant", "level", "mape", "error"],
-              [[c.variant, float(c.level),
-                float(c.mape) if c.mape is not None else "", c.error]
-               for c in cells])
+              [[c.variant, float(c.level), c.mape, c.error] for c in cells])
     return [path]
 
 
@@ -474,39 +483,29 @@ def stage_sensitivity(cfg, outdir: Path, inputs: dict) -> list[Path]:
                          cfg["evaluation"]["grid_points"])
     path = outdir / "sensitivity.csv"
     write_csv(path, ["feature", "sensitivity_pct"],
-              [[n, float(v)] for n, v in zip(params.feature_order, values)])
+              zip(params.feature_order, values))
     return [path]
 
 
 def stage_explain(cfg, outdir: Path, inputs: dict) -> list[Path]:
     e = cfg["explain"]
-    for name in ("fc_points", "alpha_points"):
-        if e[name] < 1:
-            raise ConfigError(f"explain.{name} must be >= 1, got {e[name]}")
-    ga = GaConfig(population=e["population"], generations=e["generations"],
-                  seed=named_seed(cfg["master_seed"], "explain") % 2**31)
     params = _model(inputs["model.json"])
     ds = _dataset(cfg, inputs["dataset"])
     target = e["target"]
     if target is None:
         target = float(np.median([s.N for s in ds.specimens]))
-    samples = build_dependence_grid(
+    grid = build_dependence_grid(
         params, target,
         fc_grid=np.linspace(*ENVELOPE["fc"], e["fc_points"]),
         alpha_grid=np.linspace(0.05, 0.5, e["alpha_points"]),
-        config=ga, shap_background_size=e["shap_background"])
+        config=_ga_config(cfg), shap_background_size=e["shap_background"])
     dpath = outdir / "dependence.csv"
     write_csv(dpath, ["fc_MPa", "alpha_sc", "D_mm", "t_mm", "L_mm", "fy_MPa",
                       "pred_kN", "shap_fc", "shap_alpha", "valid"],
-              [[float(s.fc), float(s.alpha_sc)]
-               + ([float(v) for v in (s.specimen.D, s.specimen.t, s.specimen.L,
-                                      s.specimen.fy, s.pred_kn)] if s.valid else [""] * 5)
-               + ["" if v is None else float(v) for v in (s.shap_fc, s.shap_alpha)]
-               + [int(s.valid)] for s in samples])
-    curve = optimal_alpha_curve(samples)
+              zip(grid.fc, grid.alpha_sc, grid.D, grid.t, grid.L, grid.fy,
+                  grid.pred_kn, grid.shap_fc, grid.shap_alpha, grid.valid.astype(int)))
     gpath = outdir / "guidance.csv"
-    write_csv(gpath, ["fc_MPa", "optimal_alpha_sc"],
-              [[float(fc), float(a)] for fc, a in curve])
+    write_csv(gpath, ["fc_MPa", "optimal_alpha_sc"], optimal_alpha_curve(grid))
     return [dpath, gpath]
 
 

@@ -78,18 +78,14 @@ class StrengthCell:
     n: int
 
 
-@dataclass
-class IntervalBreakdown:
-    cells: list[StrengthCell]   # steel class outer, concrete class inner
-
-
 def _classify(values, cuts: tuple[float, float]) -> np.ndarray:
     """Class 0 below cuts[0], else 1 below cuts[1], else 2 (NaN included)."""
     return np.where(values < cuts[0], 0, 2 - (values < cuts[1]))
 
 
-def interval_breakdown(specimens, preds) -> IntervalBreakdown:
-    """3x3 metric grid over (steel class, concrete class)."""
+def interval_breakdown(specimens, preds) -> list[StrengthCell]:
+    """3x3 metric grid over (steel class, concrete class): nine cells,
+    steel class outer, concrete class inner."""
     if not specimens:
         raise DataError("no specimens")
     preds = np.asarray(preds, dtype=float)
@@ -98,18 +94,10 @@ def interval_breakdown(specimens, preds) -> IntervalBreakdown:
     targets, fy, fc = (np.fromiter(map(attrgetter(name), specimens), float, len(specimens))
                        for name in ("N", "fy", "fc"))
     si, ci = _classify(fy, STEEL_CUTS), _classify(fc, CONCRETE_CUTS)
-
-    def maybe_metrics(mask):
-        if not mask.any():
-            return None
-        return compute_metrics(targets[mask], preds[mask])
-
-    cells = []
-    for i, sc in enumerate(STEEL_CLASSES):
-        for j, cc in enumerate(CONCRETE_CLASSES):
-            mask = (si == i) & (ci == j)
-            cells.append(StrengthCell(sc, cc, maybe_metrics(mask), int(mask.sum())))
-    return IntervalBreakdown(cells=cells)
+    masks = [(sc, cc, (si == i) & (ci == j)) for i, sc in enumerate(STEEL_CLASSES)
+             for j, cc in enumerate(CONCRETE_CLASSES)]
+    return [StrengthCell(sc, cc, compute_metrics(targets[m], preds[m]) if m.any() else None,
+                         int(m.sum())) for sc, cc, m in masks]
 
 
 def perturb_labels(labels, p: float, d: float, seed: int = 0) -> np.ndarray:

@@ -2,12 +2,11 @@
 study, realized by a genetic algorithm, and Shapley attributions."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ENVELOPE, Specimen
+from .data import ENVELOPE
 from .errors import ConfigError
 from .features import design_matrix
 from .network import NetworkParameters, predict_rows
@@ -40,15 +39,6 @@ class GaConfig:
     def bounds(self) -> dict:
         """Every gene evolves within the experimental envelope."""
         return ENVELOPE
-
-
-def _design_predict(model: NetworkParameters):
-    names = list(model.feature_order)
-
-    def fn(D, t, L, fy, fc):
-        return predict_rows(model, design_matrix(D, t, L, fy, fc, names))
-
-    return fn
 
 
 def _run_ga(evaluate, lows, highs, config: GaConfig, rng):
@@ -101,121 +91,114 @@ def thickness_for_steel_ratio(D, alpha_sc):
     return D * (1.0 - r) / 2.0
 
 
+def _design_map(model: NetworkParameters):
+    """The map (D, alpha_sc, L, fy, fc) -> (predicted capacity, t) over
+    parallel arrays. t realizes alpha_sc exactly, and t/D = (1 - r)/2 stays
+    below 1/2 for every finite alpha_sc, so D > 2t always holds."""
+    names = list(model.feature_order)
+
+    def design(D, alpha_sc, L, fy, fc):
+        t = thickness_for_steel_ratio(D, alpha_sc)
+        return predict_rows(model, design_matrix(D, t, L, fy, fc, names)), t
+
+    return design
+
+
 @dataclass
-class DependenceSample:
-    fc: float
-    alpha_sc: float
-    specimen: Specimen | None
-    pred_kn: float | None
-    shap_fc: float | None
-    shap_alpha: float | None
-    valid: bool = True   # False where the steel ratio is unrealizable in the envelope
+class DependenceGrid:
+    """The dependence study, one array entry per (fc, alpha_sc) cell, fc
+    outer and alpha_sc inner. A cell is valid where its steel ratio is
+    realizable in the envelope; every field after valid is NaN elsewhere."""
+    fc: np.ndarray
+    alpha_sc: np.ndarray
+    valid: np.ndarray
+    D: np.ndarray
+    t: np.ndarray
+    L: np.ndarray
+    fy: np.ndarray
+    pred_kn: np.ndarray
+    shap_fc: np.ndarray
+    shap_alpha: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.fc)
 
 
 def _alpha_feasible_D_range(alpha_sc):
-    """D interval keeping t(alpha, D) inside the envelope's thickness range."""
-    r = 1.0 / math.sqrt(1.0 + alpha_sc)
+    """(lo, hi): the D interval keeping t(alpha, D) inside the envelope's
+    thickness range, per steel ratio; it is empty where lo >= hi."""
+    r = 1.0 / np.sqrt(1.0 + np.asarray(alpha_sc, dtype=float))
     t_lo, t_hi = ENVELOPE["t"]
-    lo = max(2.0 * t_lo / (1.0 - r), ENVELOPE["D"][0])
-    hi = min(2.0 * t_hi / (1.0 - r), ENVELOPE["D"][1])
-    return (lo, hi) if lo < hi else None
+    return (np.maximum(2.0 * t_lo / (1.0 - r), ENVELOPE["D"][0]),
+            np.minimum(2.0 * t_hi / (1.0 - r), ENVELOPE["D"][1]))
 
 
 def build_dependence_grid(model: NetworkParameters, target: float, fc_grid, alpha_grid,
-                          config: GaConfig,
-                          shap_background_size: int = 32) -> list[DependenceSample]:
-    """GA-realized samples over an (fc, alpha_sc) grid with Shapley values.
+                          config: GaConfig, shap_background_size: int = 32) -> DependenceGrid:
+    """GA-realized cells over an (fc, alpha_sc) grid with Shapley values.
 
     Per cell, the wall thickness is solved from alpha_sc and D in closed
     form so the realized steel ratio is exact; D, L, fy evolve to meet the
     target capacity. Attributions are exact Shapley values over the five
-    design coordinates (D, alpha_sc, L, fy, fc).
+    design coordinates (D, alpha_sc, L, fy, fc), with the realized cells
+    themselves as the interventional background.
     """
     if shap_background_size < 1:
         raise ConfigError(f"shap_background_size must be >= 1, got {shap_background_size}")
-    fc_grid, alpha_grid = np.asarray(fc_grid), np.asarray(alpha_grid)
+    fc_grid, alpha_grid = np.asarray(fc_grid, dtype=float), np.asarray(alpha_grid, dtype=float)
     if fc_grid.size == 0 or alpha_grid.size == 0:
         raise ConfigError("grids must be nonempty")
-    predict = _design_predict(model)
-    cells = [(float(fc), float(alpha)) for fc in fc_grid for alpha in alpha_grid]
-    d_ranges = [_alpha_feasible_D_range(alpha) for _fc, alpha in cells]
-    feasible = [i for i, r in enumerate(d_ranges) if r is not None]
-    samples = [DependenceSample(fc, alpha, None, None, None, None, valid=False)
-               for fc, alpha in cells]
-    if not feasible:
-        return samples
-    # D's range depends on alpha; L and fy share the envelope
-    lows = np.array([[d_ranges[i][0], ENVELOPE["L"][0], ENVELOPE["fy"][0]]
-                     for i in feasible])
-    highs = np.array([[d_ranges[i][1], ENVELOPE["L"][1], ENVELOPE["fy"][1]]
-                      for i in feasible])
-    fc = np.array([cells[i][0] for i in feasible])
-    alpha = np.array([cells[i][1] for i in feasible])
+    fc_all, alpha_all = (a.ravel() for a in np.meshgrid(fc_grid, alpha_grid, indexing="ij"))
+    d_lo, d_hi = _alpha_feasible_D_range(alpha_all)
+    valid = d_lo < d_hi
+    columns = np.full((7, len(valid)), np.nan)  # D, t, L, fy, pred_kn, shap_fc, shap_alpha
+    if valid.any():
+        columns[:, valid] = _realize(_design_map(model), target, fc_all[valid],
+                                     alpha_all[valid], d_lo[valid], d_hi[valid], config,
+                                     shap_background_size)
+    return DependenceGrid(fc_all, alpha_all, valid, *columns)
 
-    def design(genes):
-        """Predicted capacity and wall thickness of (cells, n, 3) D/L/fy genes."""
-        D, L, fy = genes[..., 0], genes[..., 1], genes[..., 2]
-        t = thickness_for_steel_ratio(D, alpha[:, None])
-        pred = predict(D.ravel(), t.ravel(), L.ravel(), fy.ravel(),
-                       np.broadcast_to(fc[:, None], D.shape).ravel())
-        return pred.reshape(D.shape), t
+
+def _realize(design, target, fc, alpha, d_lo, d_hi, config, background_size):
+    """D, t, L, fy, predicted capacity and the fc and alpha_sc attributions
+    of feasible cells, each an array over the cells."""
+    n = len(fc)
+    # D's range depends on alpha; L and fy share the envelope
+    lows = np.column_stack([d_lo, np.full(n, ENVELOPE["L"][0]), np.full(n, ENVELOPE["fy"][0])])
+    highs = np.column_stack([d_hi, np.full(n, ENVELOPE["L"][1]), np.full(n, ENVELOPE["fy"][1])])
+
+    def fitness(genes):
+        """|capacity - target| of (cells, pop, 3) D/L/fy genes."""
+        D, L, fy = (genes[..., k] for k in range(3))
+        a, f = (np.broadcast_to(v[:, None], D.shape) for v in (alpha, fc))
+        pred, _t = design(*(x.ravel() for x in (D, a, L, fy, f)))
+        return np.abs(pred.reshape(D.shape) - target)
 
     rng = np.random.default_rng(child_rng(config.seed, 1).integers(2**63))
-    best, _fit, _history = _run_ga(lambda pop: np.abs(design(pop)[0] - target),
-                                   lows, highs, config, rng)
-    preds, thickness = design(best[:, None, :])
-    for k, i in enumerate(feasible):
-        D0, L0, fy0 = (float(v) for v in best[k])
-        pred = float(preds[k, 0])
-        s = Specimen(D=D0, t=float(thickness[k, 0]), L=L0, fy=fy0, fc=cells[i][0],
-                     N=pred, source_id=f"dep-{i + 1}")
-        samples[i] = DependenceSample(cells[i][0], cells[i][1], s, pred, None, None)
+    best, _fit, _history = _run_ga(fitness, lows, highs, config, rng)
+    D, L, fy = best.T
+    pred, t = design(D, alpha, L, fy, fc)
 
-    _attach_shapley(model, samples, config, shap_background_size)
-    return samples
-
-
-def _attach_shapley(model, samples, config, background_size):
-    """Exact Shapley over design coordinates using the realized samples
-    themselves as the interventional background."""
-    valid = [s for s in samples if s.valid]
-    if not valid:
-        return
-    coords = np.array([[s.specimen.D, s.alpha_sc, s.specimen.L,
-                        s.specimen.fy, s.fc] for s in valid])
+    coords = np.column_stack([D, alpha, L, fy, fc])
     rng = np.random.default_rng(child_rng(config.seed, 0).integers(2**63))
-    take = min(background_size, len(coords))
-    bg = coords[rng.choice(len(coords), size=take, replace=False)]
-    predict = _design_predict(model)
-
-    def design_fn(Z):
-        D, alpha, L, fy, fc = (Z[:, i] for i in range(5))
-        # keep the wall thickness below the D > 2t boundary
-        t = np.minimum(thickness_for_steel_ratio(D, alpha), 0.499 * D)
-        return predict(D, t, L, fy, fc)
-
-    phi, _phi0 = shapley_exact(design_fn, coords, bg)
-    for s, row in zip(valid, phi):
-        s.shap_fc = float(row[4])
-        s.shap_alpha = float(row[1])
+    bg = coords[rng.choice(n, size=min(background_size, n), replace=False)]
+    phi, _phi0 = shapley_exact(lambda Z: design(*Z.T)[0], coords, bg)
+    return D, t, L, fy, pred, phi[:, 4], phi[:, 1]
 
 
-def optimal_alpha_curve(samples):
+def optimal_alpha_curve(grid: DependenceGrid):
     """Per-fc steel ratio maximizing the alpha_sc attribution.
 
-    Ties break toward the smaller ratio; fc columns with fewer than
-    MIN_VALID_CELLS valid cells are omitted. Returns [(fc, alpha_opt), ...]
-    sorted by fc.
+    Only valid cells with a finite attribution count. Ties break toward
+    the smaller ratio; fc columns with fewer than MIN_VALID_CELLS such
+    cells are omitted. Returns [(fc, alpha_opt), ...] sorted by fc.
     """
-    by_fc: dict[float, list] = {}
-    for s in samples:
-        if s.valid and s.shap_alpha is not None:
-            by_fc.setdefault(s.fc, []).append(s)
+    usable = grid.valid & np.isfinite(grid.shap_alpha)
     curve = []
-    for fc in sorted(by_fc):
-        cells = by_fc[fc]
+    for fc in np.unique(grid.fc[usable]):
+        cells = np.flatnonzero(usable & (grid.fc == fc))
         if len(cells) < MIN_VALID_CELLS:
             continue
-        best = min(cells, key=lambda c: (-c.shap_alpha, c.alpha_sc))
-        curve.append((fc, best.alpha_sc))
+        best = cells[np.lexsort((grid.alpha_sc[cells], -grid.shap_alpha[cells]))[0]]
+        curve.append((float(fc), float(grid.alpha_sc[best])))
     return curve

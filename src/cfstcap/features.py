@@ -98,17 +98,21 @@ def build_frame(specimens, names=None) -> FeatureFrame:
 
 
 def pearson(x, y) -> float:
-    """Pearson correlation with population statistics."""
+    """Pearson correlation with population statistics.
+
+    A constant input is told by its range, not its deviation: the mean of
+    a constant non-dyadic column leaves rounding residue in the deviation.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise ValueError("pearson needs two equal-length vectors of length >= 2")
+    if x.max() == x.min() or y.max() == y.min():
+        raise DataError("undefined correlation: zero-variance input")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = math.sqrt(float(xc @ xc) / len(x))
     sy = math.sqrt(float(yc @ yc) / len(y))
-    if sx == 0 or sy == 0:
-        raise DataError("undefined correlation: zero-variance input")
     rho = float(xc @ yc) / (len(x) * sx * sy)
     return max(-1.0, min(1.0, rho))
 
@@ -116,8 +120,8 @@ def pearson(x, y) -> float:
 @dataclass(frozen=True)
 class CorrelationMatrix:
     names: tuple[str, ...]     # feature names with label appended
-    values: np.ndarray         # symmetric, unit diagonal
-    flagged: np.ndarray        # True where a constant column made rho undefined
+    values: np.ndarray         # symmetric, unit diagonal; NaN where a constant
+                               # column leaves rho undefined
 
 
 def correlation_matrix(frame: FeatureFrame) -> CorrelationMatrix:
@@ -128,16 +132,14 @@ def correlation_matrix(frame: FeatureFrame) -> CorrelationMatrix:
     names = frame.names + (LABEL_NAME,)
     m = len(cols)
     values = np.eye(m)
-    flagged = np.zeros((m, m), dtype=bool)
     for i in range(m):
         for j in range(i + 1, m):
             try:
                 rho = pearson(cols[i], cols[j])
             except DataError:
-                flagged[i, j] = flagged[j, i] = True
-                rho = 0.0
+                rho = math.nan
             values[i, j] = values[j, i] = rho
-    return CorrelationMatrix(names, values, flagged)
+    return CorrelationMatrix(names, values)
 
 
 def rank_by_abs_correlation(frame: FeatureFrame) -> list[str]:

@@ -511,7 +511,8 @@ def train_many(dataset: Dataset, labels, specs, feature_order=PAPER_SELECTED,
     Xf = np.log(X)
     mean = Xf[tr].mean(axis=0)
     std = Xf[tr].std(axis=0)
-    std[std == 0] = 1.0
+    # a constant column is told by its range: its std is rounding residue
+    std[np.ptp(Xf[tr], axis=0) == 0] = 1.0
     Xn = (Xf - mean) / std
 
     K = len(specs)

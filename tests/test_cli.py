@@ -455,6 +455,16 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv",
                                                               "manifest_synth.json"]
 
+    @pytest.mark.parametrize("setting", [
+        "explain.population=3", "explain.generations=-1", "features.shap_rows=0",
+        "explain.fc_points=0", "explain.alpha_points=0", "explain.shap_background=0",
+    ])
+    def test_stage_setting_refused_at_load(self, tmp_path, capsys, setting):
+        # refused before the pipeline's first stage, not by the stage that uses it
+        assert run("pipeline", tmp_path, extra=[setting]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert list(tmp_path.glob("manifest_*.json")) == []
+
     @pytest.mark.parametrize("upper", ["inf", ".inf", "null"])
     def test_unbounded_upper_factor_accepted(self, tmp_path, capsys, upper):
         assert run("synth", tmp_path) == 0
@@ -546,6 +556,21 @@ class TestStages:
                     assert cell == "", (names[i], names[j])
                 else:
                     assert -1.0 <= float(cell) <= 1.0
+
+    def test_constant_fc_dependence_is_finite(self, tmp_path, capsys):
+        # every fc is 40: the network must still predict finitely at other fc
+        ds = generate_synthetic(80, 3, 0.1)
+        source = tmp_path / "constant_fc.csv"
+        save_csv(Dataset(tuple(s._replace(fc=40.0) for s in ds.specimens)), source)
+        for stage in ("train", "explain"):
+            assert run(stage, tmp_path, extra=[f"data.source={source}"]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "dependence.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["valid"] == "1" for r in rows)
+        for r in rows:
+            for name in ("pred_kN", "shap_fc", "shap_alpha"):
+                assert np.isfinite(float(r[name])), (name, r)
 
     def test_screen_reads_unscreened_source(self, tmp_path, capsys):
         assert run("synth", tmp_path) == 0
@@ -656,3 +681,22 @@ class TestPipeline:
                 for name, cell in zip(header, cells):
                     assert name in text or cell == "" or number.fullmatch(cell), \
                         f"{path.name}: {name}={cell!r}"
+
+
+class TestWriteCsv:
+    def test_empty_cell_rule(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        cli.write_csv(path, ["a", "b", "c", "d", "e", "f"],
+                      [[None, float("nan"), np.float64("nan"), float("-inf"),
+                        np.float64(0.1), "x,y"],
+                       (1, np.int64(2), 2.5, np.float64(1e-300), "", np.float64("-inf"))])
+        assert path.read_text() == ('a,b,c,d,e,f\n'
+                                    ',,,-inf,0.1,"x,y"\n'
+                                    '1,2,2.5,1e-300,,-inf\n')
+
+    def test_np_float64_writes_as_its_repr(self, tmp_path):
+        path = tmp_path / "one.csv"
+        value = np.float64(1) / 3
+        cli.write_csv(path, ["v"], [[value]])
+        assert path.read_text() == f"v\n{float(value)!r}\n"
+        assert "np.float64" not in path.read_text()

@@ -8,7 +8,7 @@ import cfstcap.evaluation as evaluation
 from cfstcap.data import Specimen, generate_synthetic
 from cfstcap.errors import ConfigError, DataError
 from cfstcap.evaluation import (CONCRETE_CLASSES, CONCRETE_CUTS, STEEL_CLASSES,
-                                STEEL_CUTS, IntervalBreakdown, MetricsReport, StrengthCell,
+                                STEEL_CUTS, MetricsReport, StrengthCell,
                                 compute_metrics, interval_breakdown,
                                 perturb_labels, robustness_sweep, sensitivity)
 from cfstcap.network import TrainConfig
@@ -68,20 +68,26 @@ class TestIntervalBreakdown:
     def test_classification_of_hand_case(self):
         specs = [self.spec(500, 120), self.spec(300, 30)]
         b = interval_breakdown(specs, [640.0, 660.0])
-        cell = next(c for c in b.cells if c.n and c.steel_class == "HSS")
+        cell = next(c for c in b if c.n and c.steel_class == "HSS")
         assert cell.concrete_class == "UHSC" and cell.n == 1
 
     def test_partition_sums(self):
         ds = generate_synthetic(200, 1, 0.1)
         preds = np.array([s.N for s in ds.specimens]) * 1.02
         b = interval_breakdown(ds.specimens, preds)
-        assert sum(c.n for c in b.cells) == 200
-        assert sum(c.metrics.n for c in b.cells if c.metrics) == 200
+        assert sum(c.n for c in b) == 200
+        assert sum(c.metrics.n for c in b if c.metrics) == 200
+
+    def test_nine_cells_steel_outer(self):
+        b = interval_breakdown([self.spec(300, 30)], [640.0])
+        assert [(c.steel_class, c.concrete_class) for c in b] == \
+            [(sc, cc) for sc in STEEL_CLASSES for cc in CONCRETE_CLASSES]
+        assert [c.metrics is None for c in b] == [False] + [True] * 8
 
     def test_boundary_values_go_up(self):
         # class cuts are inclusive on the upper side: 50 MPa is HSC, 460 is HSS
         b = interval_breakdown([self.spec(460, 50)], [650.0])
-        cell = next(c for c in b.cells if c.n)
+        cell = next(c for c in b if c.n)
         assert (cell.steel_class, cell.concrete_class) == ("HSS", "HSC")
 
     def test_empty_rejected(self):
@@ -149,7 +155,7 @@ def _per_specimen_breakdown(specimens, preds):
         for j, cc in enumerate(CONCRETE_CLASSES):
             mask = (si == i) & (ci == j)
             cells.append(StrengthCell(sc, cc, maybe_metrics(mask), int(mask.sum())))
-    return IntervalBreakdown(cells=cells)
+    return cells
 
 
 def _random_batch(rng, k):
@@ -192,7 +198,7 @@ class TestReductionOracle:
 
     def test_nan_strength_is_top_class(self):
         b = interval_breakdown([Specimen(100, 5, 300, math.nan, math.nan, 650)], [600.0])
-        cell = next(c for c in b.cells if c.n)
+        cell = next(c for c in b if c.n)
         assert (cell.steel_class, cell.concrete_class) == ("UHSS", "UHSC")
 
 

@@ -7,7 +7,7 @@ import pytest
 from cfstcap.data import ENVELOPE, Specimen
 from cfstcap.errors import ConfigError
 import cfstcap.explain as explain
-from cfstcap.explain import (DependenceSample, GaConfig, _run_ga,
+from cfstcap.explain import (MIN_VALID_CELLS, DependenceGrid, GaConfig, _run_ga,
                              _alpha_feasible_D_range, build_dependence_grid,
                              optimal_alpha_curve, thickness_for_steel_ratio)
 from cfstcap.features import build_frame
@@ -82,14 +82,22 @@ class TestSteelRatioGeometry:
 
     def test_feasible_interval_hand_case(self):
         alpha = 1900.0 / 8100.0  # t = 5 at D = 100, so r = 0.9 exactly
-        rng = _alpha_feasible_D_range(alpha)
+        lo, hi = _alpha_feasible_D_range(alpha)
         # thickness bounds give D in [10.4, 600]; intersecting with the D
         # envelope [44.95, 1020] leaves [44.95, 600]
-        assert rng[0] == pytest.approx(ENVELOPE["D"][0], rel=1e-6)
-        assert rng[1] == pytest.approx(2 * ENVELOPE["t"][1] / 0.1, rel=1e-6)
+        assert lo == pytest.approx(ENVELOPE["D"][0], rel=1e-6)
+        assert hi == pytest.approx(2 * ENVELOPE["t"][1] / 0.1, rel=1e-6)
 
     def test_unrealizable_ratio(self):
-        assert _alpha_feasible_D_range(1e-6) is None
+        lo, hi = _alpha_feasible_D_range(1e-6)
+        assert lo >= hi
+
+    def test_range_takes_arrays(self):
+        alphas = np.array([1e-6, 0.05, 1900.0 / 8100.0, 0.5])
+        lo, hi = _alpha_feasible_D_range(alphas)
+        for k, alpha in enumerate(alphas):
+            assert (lo[k], hi[k]) == tuple(_alpha_feasible_D_range(alpha))
+        assert list(lo < hi) == [False, True, True, True]
 
 
 class TestDependenceGrid:
@@ -104,25 +112,48 @@ class TestDependenceGrid:
                                      shap_background_size=6)
 
     def test_cell_count_and_validity(self):
-        samples = self.grid()
-        assert len(samples) == 6
-        assert all(s.valid for s in samples)
+        grid = self.grid()
+        assert len(grid) == 6
+        assert grid.valid.all()
+        # fc outer, alpha_sc inner
+        assert list(grid.fc) == [30.0] * 3 + [60.0] * 3
+        assert list(grid.alpha_sc) == [0.1, 0.2, 0.3] * 2
 
     def test_realized_steel_ratio_exact(self):
-        samples = self.grid()
-        realized = build_frame([s.specimen for s in samples]).column("alpha_sc")
-        assert realized == pytest.approx([s.alpha_sc for s in samples], abs=1e-6)
+        grid = self.grid()
+        specimens = [Specimen(*cell, 1.0) for cell in zip(grid.D, grid.t, grid.L,
+                                                           grid.fy, grid.fc)]
+        realized = build_frame(specimens).column("alpha_sc")
+        assert realized == pytest.approx(grid.alpha_sc, abs=1e-6)
+        assert np.all(grid.D > 2 * grid.t)
 
     def test_pred_consistent_with_model(self):
-        for s in self.grid():
-            assert s.pred_kn == pytest.approx(s.specimen.D, rel=1e-9)
+        grid = self.grid()
+        assert grid.pred_kn == pytest.approx(grid.D, rel=1e-9)
 
     def test_null_players_get_zero_shapley(self):
         # the toy model reads only D, so neither fc nor alpha_sc can carry
         # attribution
-        for s in self.grid():
-            assert s.shap_fc == pytest.approx(0.0, abs=1e-9)
-            assert s.shap_alpha == pytest.approx(0.0, abs=1e-9)
+        grid = self.grid()
+        assert grid.shap_fc == pytest.approx(np.zeros(6), abs=1e-9)
+        assert grid.shap_alpha == pytest.approx(np.zeros(6), abs=1e-9)
+
+    def test_infeasible_cells_are_nan(self):
+        grid = build_dependence_grid(self.MODEL, 400.0, fc_grid=[30.0, 60.0],
+                                     alpha_grid=[1e-6, 0.2], config=self.CONFIG,
+                                     shap_background_size=6)
+        assert list(grid.valid) == [False, True, False, True]
+        for name in ("D", "t", "L", "fy", "pred_kn", "shap_fc", "shap_alpha"):
+            column = getattr(grid, name)
+            assert np.isnan(column[~grid.valid]).all(), name
+            assert np.isfinite(column[grid.valid]).all(), name
+
+    def test_no_feasible_cell_takes_no_model_rows(self, monkeypatch):
+        monkeypatch.setattr(explain, "predict_rows", None)  # a model call would fail
+        grid = build_dependence_grid(self.MODEL, 400.0, fc_grid=[30.0],
+                                     alpha_grid=[1e-6], config=self.CONFIG)
+        assert len(grid) == 1 and not grid.valid[0] and np.isnan(grid.pred_kn[0])
+        assert optimal_alpha_curve(grid) == []
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -141,36 +172,47 @@ class TestDependenceGrid:
                                   shap_background_size=background)
 
 
-class TestOptimalAlphaCurve:
-    def cell(self, fc, alpha, shap_alpha, valid=True):
-        return DependenceSample(fc=fc, alpha_sc=alpha, specimen=None,
-                                pred_kn=None, shap_fc=0.0,
-                                shap_alpha=shap_alpha, valid=valid)
+def grid_of(*cells):
+    """A DependenceGrid of (fc, alpha_sc, shap_alpha) cells, each valid unless
+    a fourth item is False; every other field is NaN, and so is shap_alpha
+    where a cell is not valid."""
+    cells = [c if len(c) == 4 else c + (True,) for c in cells]
+    fc, alpha, shap, valid = map(np.array, zip(*cells))
+    nan = np.full(len(cells), np.nan)
+    return DependenceGrid(fc, alpha, valid, nan, nan, nan, nan, nan, nan,
+                          np.where(valid, shap, np.nan))
 
+
+class TestOptimalAlphaCurve:
     def test_argmax_per_fc(self):
-        samples = [self.cell(30, 0.1, 1.0), self.cell(30, 0.2, 3.0),
-                   self.cell(30, 0.3, 2.0),
-                   self.cell(60, 0.1, 5.0), self.cell(60, 0.2, 4.0),
-                   self.cell(60, 0.3, 1.0)]
-        assert optimal_alpha_curve(samples) == [(30, 0.2), (60, 0.1)]
+        grid = grid_of((30, 0.1, 1.0), (30, 0.2, 3.0), (30, 0.3, 2.0),
+                       (60, 0.1, 5.0), (60, 0.2, 4.0), (60, 0.3, 1.0))
+        assert optimal_alpha_curve(grid) == [(30, 0.2), (60, 0.1)]
 
     def test_tie_breaks_to_smaller_alpha(self):
-        samples = [self.cell(30, a, 2.0) for a in (0.3, 0.1, 0.2)]
-        assert optimal_alpha_curve(samples) == [(30, 0.1)]
+        grid = grid_of(*[(30, a, 2.0) for a in (0.3, 0.1, 0.2)])
+        assert optimal_alpha_curve(grid) == [(30, 0.1)]
 
     def test_min_valid_filter(self):
-        samples = [self.cell(30, 0.1, 1.0), self.cell(30, 0.2, 2.0),
-                   self.cell(30, 0.3, 3.0, valid=False),
-                   self.cell(60, 0.1, 1.0), self.cell(60, 0.2, 2.0),
-                   self.cell(60, 0.3, 3.0)]
+        grid = grid_of((30, 0.1, 1.0), (30, 0.2, 2.0), (30, 0.3, 3.0, False),
+                       (60, 0.1, 1.0), (60, 0.2, 2.0), (60, 0.3, 3.0))
         # an fc column needs explain.MIN_VALID_CELLS = 3 valid cells
-        assert optimal_alpha_curve(samples) == [(60, 0.3)]
+        assert MIN_VALID_CELLS == 3
+        assert optimal_alpha_curve(grid) == [(60, 0.3)]
 
     def test_sorted_by_fc(self):
-        samples = [self.cell(fc, a, a) for fc in (90, 30, 60)
-                   for a in (0.1, 0.2, 0.3)]
-        curve = optimal_alpha_curve(samples)
+        grid = grid_of(*[(fc, a, a) for fc in (90, 30, 60) for a in (0.1, 0.2, 0.3)])
+        curve = optimal_alpha_curve(grid)
         assert [fc for fc, _ in curve] == [30, 60, 90]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_attribution_skipped(self, bad):
+        # a valid cell whose attribution is not finite does not count: the
+        # fc = 30 column keeps its finite argmax, fc = 60 drops below
+        # MIN_VALID_CELLS
+        grid = grid_of((30, 0.1, 1.0), (30, 0.2, bad), (30, 0.3, 2.0), (30, 0.4, 0.5),
+                       (60, 0.1, 1.0), (60, 0.2, bad), (60, 0.3, 2.0))
+        assert optimal_alpha_curve(grid) == [(30, 0.3)]
 
 
 class TestShapleyExplainNetwork:
@@ -319,20 +361,23 @@ class TestBatchedGa:
     def test_infeasible_cells_take_no_model_rows(self, monkeypatch):
         model = toy_model(("D",), [1.0])
         config = GaConfig(population=8, generations=4, seed=3)
-        assert _alpha_feasible_D_range(1e-6) is None
+        lo, hi = _alpha_feasible_D_range(1e-6)
+        assert lo >= hi
         runs = {}
         for alphas in ([0.1, 0.2], [1e-6, 0.1, 0.2]):
             fn = counting(predict_rows)
             monkeypatch.setattr(explain, "predict_rows", fn)
-            samples = build_dependence_grid(model, 400.0, fc_grid=[30.0, 60.0],
-                                            alpha_grid=alphas, config=config,
-                                            shap_background_size=3)
-            runs[len(alphas)] = (fn.rows, [s for s in samples if s.valid])
-        rows2, valid2 = runs[2]
-        rows3, valid3 = runs[3]
+            grid = build_dependence_grid(model, 400.0, fc_grid=[30.0, 60.0],
+                                         alpha_grid=alphas, config=config,
+                                         shap_background_size=3)
+            runs[len(alphas)] = (fn.rows, grid)
+        rows2, grid2 = runs[2]
+        rows3, grid3 = runs[3]
+        assert list(grid3.valid) == [False, True, True] * 2 and grid2.valid.all()
         # one call per generation and one for the realized cells, then the
         # exact Shapley sweep's background call and one call per valid cell
-        assert len(rows3) == config.generations + 2 + 1 + len(valid3)
+        assert len(rows3) == config.generations + 2 + 1 + grid3.valid.sum()
         assert rows3 == rows2
-        assert [(s.fc, s.alpha_sc, s.specimen.D, s.shap_alpha) for s in valid3] \
-            == [(s.fc, s.alpha_sc, s.specimen.D, s.shap_alpha) for s in valid2]
+        for name in ("fc", "alpha_sc", "D", "t", "L", "fy", "pred_kn", "shap_fc",
+                     "shap_alpha"):
+            assert np.array_equal(getattr(grid3, name)[grid3.valid], getattr(grid2, name))

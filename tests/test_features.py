@@ -122,6 +122,15 @@ class TestPearson:
     def test_hand_value(self):
         assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("value", [0.1, 30.3, 40.0])
+    def test_constant_non_dyadic_column_is_undefined(self, value):
+        # the column's mean leaves rounding residue in its deviation, so
+        # constancy is told by the range
+        with pytest.raises(DataError):
+            pearson(np.full(120, value), np.arange(120.0))
+        with pytest.raises(DataError):
+            pearson(np.arange(120.0), np.full(120, value))
+
     def test_zero_variance(self):
         with pytest.raises(DataError):
             pearson([1, 1, 1], [1, 2, 3])
@@ -165,8 +174,10 @@ class TestCorrelationMatrix:
         X = np.column_stack([np.ones(5), np.arange(5.0) + 1])
         frame = FeatureFrame(("D", "t"), X, np.arange(5.0) + 2)
         corr = correlation_matrix(frame)
-        assert corr.flagged[0, 1]
-        assert not corr.flagged[1, 2]
+        # an undefined correlation is NaN; the diagonal stays 1
+        assert math.isnan(corr.values[0, 1]) and math.isnan(corr.values[2, 0])
+        assert corr.values[0, 0] == 1.0
+        assert corr.values[1, 2] == pytest.approx(1.0)
 
 
 class TestSelectFeatures:

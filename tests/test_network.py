@@ -502,6 +502,17 @@ class TestTraining:
             == len(hist.loss_monotone) == len(hist.val_loss)
         assert list(hist.rows())
 
+    def test_constant_column_keeps_unit_std(self):
+        # a constant log column's std is rounding residue, not 0; dividing
+        # by it would send any other value of the column to about 1e14
+        ds = generate_synthetic(120, 5, 0.1)
+        ds = Dataset(tuple(s._replace(fc=40.0) for s in ds.specimens))
+        params, _ = train(ds, config=small_config(epochs=2))
+        assert params.input_std[PAPER_SELECTED.index("fc")] == 1.0
+        X = build_frame([s._replace(fc=30.0) for s in ds.specimens[:8]],
+                        names=PAPER_SELECTED).X
+        assert np.all(np.isfinite(net.predict_rows(params, X)))
+
     def test_batch_size_validation(self):
         ds = generate_synthetic(10, 0, 0.05)
         with pytest.raises(ConfigError, match="batch_size"):
