@@ -23,7 +23,7 @@ from .data import ENVELOPE, Dataset, generate_synthetic, load_csv, save_csv, spl
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import (compute_metrics, interval_breakdown,
                          robustness_sweep, sensitivity)
-from .features import (build_frame, check_selection_mode, correlation_matrix,
+from .features import (FEATURE_VOCAB, build_frame, correlation_matrix,
                        rank_by_abs_correlation, select_features)
 from .network import (MODEL_FORMAT_VERSION, ConstraintSpec, TrainConfig,
                       load_model, predict_rows, predict_specimens, save_model,
@@ -178,13 +178,24 @@ def load_config(path: str | None, overrides) -> dict:
             doc = {part: doc}
         _check_keys(doc, DEFAULT_CONFIG)
         deep_update(cfg, doc)
-    check_selection_mode(cfg["features"]["selection_mode"])
+    # the settings each stage checks or turns into objects, refused before
+    # any stage runs, with the message of the stage's own check
+    fcfg = cfg["features"]
+    select_features(FEATURE_VOCAB, FEATURE_VOCAB, FEATURE_VOCAB, fcfg["k"],
+                    mode=fcfg["selection_mode"])
     CodeOptions(**cfg["codes"])
-    # the settings each stage checks or turns into objects, refused before any stage runs
     for section, name in (("features", "shap_rows"), ("explain", "fc_points"),
                           ("explain", "alpha_points"), ("explain", "shap_background")):
         if cfg[section][name] < 1:
             raise ConfigError(f"{section}.{name} must be >= 1, got {cfg[section][name]}")
+    if cfg["evaluation"]["grid_points"] < 2:
+        raise ConfigError("grid_points must be >= 2")
+    sweep = cfg["robustness"]["sweep"]
+    if sweep not in ("vary_p", "vary_d"):
+        raise ConfigError(f"sweep must be 'vary_p' or 'vary_d', got {sweep!r}")
+    contamination = cfg["anomaly"]["contamination"]
+    if not 0 <= contamination < 0.5:
+        raise ConfigError(f"contamination must be in [0, 0.5), got {contamination}")
     _train_config(cfg)
     _ga_config(cfg)
     for variant in [cfg["train"]["variant"]] + cfg["robustness"]["variants"]:
@@ -402,13 +413,12 @@ def stage_screen(cfg, outdir: Path, inputs: dict) -> list[Path]:
         X, contamination=a["contamination"], n_trees=a["n_trees"], subsample=a["subsample"],
         seed=named_seed(cfg["master_seed"], "screen") % 2**31)
     spath = outdir / "anomaly_scores.csv"
-    flagged = set(int(i) for i in flags)
+    flagged = np.zeros(n, dtype=int)
+    flagged[flags] = 1
     write_csv(spath, ["row", "source_id", "score", "flagged"],
-              [[i, ds.specimens[i].source_id, float(scores[i]), int(i in flagged)]
-               for i in range(n)])
-    keep = [s for i, s in enumerate(ds.specimens) if i not in flagged]
+              zip(range(n), ds.specimens.ids, scores.tolist(), flagged.tolist()))
     cleaned = outdir / "dataset_screened.csv"
-    save_csv(Dataset(specimens=tuple(keep)), cleaned)
+    save_csv(Dataset(specimens=ds.specimens.take(np.flatnonzero(flagged == 0))), cleaned)
     return [spath, cleaned]
 
 
@@ -428,9 +438,9 @@ def stage_train(cfg, outdir: Path, inputs: dict) -> list[Path]:
 
 def stage_codes(cfg, outdir: Path, inputs: dict) -> list[Path]:
     ds = _dataset(cfg, inputs["dataset"])
-    preds = predict_all(list(ds.specimens), CodeOptions(**cfg["codes"]))
+    preds = predict_all(ds.specimens, CodeOptions(**cfg["codes"]))
     path = outdir / "code_predictions.csv"
-    ids = [s.source_id for s in ds.specimens for _ in CODE_IDS]
+    ids = [i for i in ds.specimens.ids for _ in CODE_IDS]
     rows = [[i, p.code_id, p.capacity_kn, int(p.valid),
              json.dumps(p.intermediates, sort_keys=True)] for i, p in zip(ids, preds)]
     write_csv(path, ["source_id", "code_id", "capacity_kN", "valid",
@@ -442,9 +452,9 @@ def stage_evaluate(cfg, outdir: Path, inputs: dict) -> list[Path]:
     params = _model(inputs["model.json"])
     ds = _dataset(cfg, inputs["dataset"])
     _, va = split(ds, ds.split_fraction, ds.split_seed)
-    specimens = [ds.specimens[i] for i in va]
+    specimens = ds.specimens.take(va)
     preds = predict_specimens(params, specimens)
-    targets = np.array([s.N for s in specimens])
+    targets = specimens.column("N")
     metrics = compute_metrics(targets, preds,
                               cfg["evaluation"]["paper_literal_mape"])
     mjson = outdir / "metrics.json"
@@ -493,7 +503,7 @@ def stage_explain(cfg, outdir: Path, inputs: dict) -> list[Path]:
     ds = _dataset(cfg, inputs["dataset"])
     target = e["target"]
     if target is None:
-        target = float(np.median([s.N for s in ds.specimens]))
+        target = float(np.median(ds.specimens.column("N")))
     grid = build_dependence_grid(
         params, target,
         fc_grid=np.linspace(*ENVELOPE["fc"], e["fc_points"]),

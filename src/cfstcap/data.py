@@ -7,9 +7,11 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +29,9 @@ ENVELOPE = {
 
 CSV_HEADER = ["D_mm", "t_mm", "L_mm", "fy_MPa", "fc_MPa", "N_kN", "source_id"]
 NUMERIC_FIELDS = ("D", "t", "L", "fy", "fc", "N")
+
+# rows a table builds, and a CSV parses or writes, at a time
+ROW_BLOCK = 256
 
 
 class Specimen(NamedTuple):
@@ -61,23 +66,138 @@ class Specimen(NamedTuple):
         return out
 
 
+class SpecimenTable(Sequence):
+    """Specimens held as columns: an immutable sequence of Specimen over one
+    read-only (n, 6) float64 array of the NUMERIC_FIELDS and the tuple of
+    source ids.
+
+    A row is built (in C, by tuple.__new__) only when it is read; a slice is
+    a table over views of the same array. A table equals, and hashes as, any
+    sequence of equal specimens, and `+` joins it to a tuple of specimens.
+    The table takes values over and makes it read-only, so no view that it
+    hands out can alias a write.
+    """
+
+    __slots__ = ("values", "ids")
+
+    def __init__(self, values, ids):
+        values = np.asarray(values, dtype=float)
+        ids = tuple(ids)
+        if values.shape != (len(ids), len(NUMERIC_FIELDS)):
+            raise ValueError(f"values of shape {values.shape} for {len(ids)} source ids")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ids", ids)
+
+    @classmethod
+    def from_rows(cls, rows) -> "SpecimenTable":
+        """The table of a sequence of specimens; a table is returned as is."""
+        if isinstance(rows, cls):
+            return rows
+        return cls(numeric_columns(rows, len(NUMERIC_FIELDS)), map(itemgetter(6), rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a SpecimenTable is immutable")
+
+    def __reduce__(self):
+        return SpecimenTable, (self.values, self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SpecimenTable(self.values[index], self.ids[index])
+        source_id = self.ids[index]  # an int, negative or numpy; IndexError past the end
+        return tuple.__new__(Specimen, (*self.values[index].tolist(), source_id))
+
+    def __iter__(self):
+        for start in range(0, len(self.ids), ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            yield from map(tuple.__new__, repeat(Specimen),
+                           zip(*self.values[block].T.tolist(), self.ids[block]))
+
+    def __eq__(self, other):
+        if isinstance(other, SpecimenTable):
+            return self.ids == other.ids and np.array_equal(self.values, other.values)
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        if not isinstance(other, (tuple, SpecimenTable)):
+            return NotImplemented
+        other = SpecimenTable.from_rows(other)
+        return SpecimenTable(np.concatenate([self.values, other.values]),
+                             self.ids + other.ids)
+
+    def column(self, name: str) -> np.ndarray:
+        """Read-only view of one of the NUMERIC_FIELDS."""
+        return self.values[:, NUMERIC_FIELDS.index(name)]
+
+    def take(self, indices) -> "SpecimenTable":
+        """The table of the rows at indices, in their order."""
+        indices = np.asarray(indices, dtype=np.intp)
+        return SpecimenTable(self.values[indices], map(self.ids.__getitem__, indices.tolist()))
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered, immutable collection of specimens."""
+    """Ordered, immutable collection of specimens; any sequence of specimens
+    given is held as a SpecimenTable."""
 
-    specimens: tuple[Specimen, ...]
+    specimens: SpecimenTable
     split_seed: int = 42
     split_fraction: float = 0.8
+
+    def __post_init__(self):
+        object.__setattr__(self, "specimens", SpecimenTable.from_rows(self.specimens))
 
     def __len__(self) -> int:
         return len(self.specimens)
 
 
 def numeric_columns(specimens, width: int) -> np.ndarray:
-    """(n, width) float array of every specimen's first width fields, sliced in C."""
+    """(n, width) float array of every specimen's first width fields: a
+    read-only view of a table's array, else gathered in C."""
+    if isinstance(specimens, SpecimenTable):
+        return specimens.values[:, :width]
     n = len(specimens)
     return np.fromiter(chain.from_iterable(map(itemgetter(slice(width)), specimens)),
                        float, n * width).reshape(n, width)
+
+
+def _parse_columns(rows):
+    """Six float arrays and the stripped source ids of rows of seven fields,
+    parsed by column; ValueError on a non-numeric cell."""
+    cols = list(zip(*rows)) or [()] * len(CSV_HEADER)
+    return [array("d", map(float, col)) for col in cols[:6]], list(map(str.strip, cols[6]))
+
+
+def _checked_rows(rows, first: int, problems: list):
+    """The rows of seven fields and six numbers, and their row numbers
+    counted from first; every other row but a blank line is a problem."""
+    width = len(CSV_HEADER)
+    kept, rownums = [], []
+    for rownum, row in enumerate(rows, start=first):
+        if len(row) != width:
+            if len(row) > 1 or (row and row[0].strip()):  # else a blank line
+                problems.append((rownum, f"expected {width} fields, got {len(row)}"))
+            continue
+        numeric = True
+        for name, cell in zip(NUMERIC_FIELDS, row):
+            try:
+                float(cell)
+            except ValueError:
+                problems.append((rownum, f"non-numeric {name} value {cell!r}"))
+                numeric = False
+        if numeric:
+            kept.append(row)
+            rownums.append(rownum)
+    return kept, rownums
 
 
 def load_csv(path, range_mode: str = "warn") -> Dataset:
@@ -89,8 +209,9 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
     """
     if range_mode not in ("warn", "reject"):
         raise ConfigError(f"range_mode must be 'warn' or 'reject', got {range_mode!r}")
-    specimens = []
-    rownums = []
+    columns = [array("d") for _ in NUMERIC_FIELDS]
+    ids = []
+    rownums = array("q")
     problems = []  # (row number, message)
     try:
         # utf-8-sig also reads a file saved with a byte-order mark
@@ -107,33 +228,35 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
             raise DataError(
                 f"{path}: header {header!r} does not match required schema {CSV_HEADER!r}"
             )
-        width = len(CSV_HEADER)
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != width:
-                if len(row) > 1 or (row and row[0].strip()):  # else a blank line
-                    problems.append((rownum, f"expected {width} fields, got {len(row)}"))
-                continue
+        # a block of clean rows parses by column; a block with a row of the
+        # wrong width or a non-numeric cell is checked row by row first
+        first = 2  # the row number of the block's first row
+        for block in iter(lambda: list(islice(reader, ROW_BLOCK)), []):
             try:
-                specimens.append(tuple.__new__(Specimen, (*map(float, row[:6]), row[6].strip())))
+                if set(map(len, block)) != {len(CSV_HEADER)}:
+                    raise ValueError
+                parsed, block_ids = _parse_columns(block)
+                kept = range(first, first + len(block))
             except ValueError:
-                for name, cell in zip(NUMERIC_FIELDS, row[:6]):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        problems.append((rownum, f"non-numeric {name} value {cell!r}"))
-                continue
-            rownums.append(rownum)
+                rows, kept = _checked_rows(block, first, problems)
+                parsed, block_ids = _parse_columns(rows)
+            for column, values in zip(columns, parsed):
+                column.extend(values)
+            ids += block_ids
+            rownums.extend(kept)
+            first += len(block)
+    table = SpecimenTable(np.stack([np.frombuffer(c) for c in columns]).T, ids)
     # the conditions of invariant_violations and envelope_violations over
-    # the numeric columns (ENVELOPE covers D..fc); a flagged row calls them
-    # for its messages
-    values = numeric_columns(specimens, len(NUMERIC_FIELDS))
+    # the numeric columns (ENVELOPE covers D..fc); a flagged row builds its
+    # Specimen for the messages
+    values = table.values
     D, t = values[:, 0], values[:, 1]
     lo, hi = np.array(list(ENVELOPE.values())).T
     env = values[:, :len(ENVELOPE)]
     flagged = (~(np.isfinite(values) & (values > 0)).all(axis=1) | (D <= 2 * t)
                | ~((env >= lo) & (env <= hi)).all(axis=1))
     for i in np.flatnonzero(flagged).tolist():
-        s, rownum = specimens[i], rownums[i]
+        s, rownum = table[i], rownums[i]
         bad = s.invariant_violations()
         if bad:
             problems.append((rownum, "; ".join(bad)))
@@ -147,18 +270,22 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
         problems.sort(key=itemgetter(0))
         raise DataError(f"{path}: {len(problems)} bad row(s):\n"
                         + "\n".join(f"row {rownum}: {msg}" for rownum, msg in problems))
-    if not specimens:
+    if not table:
         raise DataError(f"{path}: no data rows")
-    return Dataset(specimens=tuple(specimens))
+    return Dataset(specimens=table)
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write the canonical CSV schema; floats use shortest round-trip repr."""
+    """Write the canonical CSV schema; floats use shortest round-trip repr.
+    Rows are written from the columns, a block at a time."""
+    table = dataset.specimens
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for s in dataset.specimens:
-            writer.writerow([*map(repr, s[:6]), s.source_id])
+        for start in range(0, len(table), ROW_BLOCK):
+            block = table[start:start + ROW_BLOCK]
+            writer.writerows(zip(*(map(repr, col) for col in block.values.T.tolist()),
+                                 block.ids))
 
 
 def split(dataset: Dataset, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +335,5 @@ def generate_synthetic(n: int, seed: int, noise_cov: float = 0.0) -> Dataset:
         noise = np.ones(n)
 
     cap = han_capacity_kn(D, t, fy, fc) * noise
-    return Dataset(specimens=tuple(
-        Specimen(D=float(D[i]), t=float(t[i]), L=float(L[i]), fy=float(fy[i]),
-                 fc=float(fc[i]), N=float(cap[i]), source_id=f"synth-{seed}-{i}")
-        for i in range(n)))
+    return Dataset(specimens=SpecimenTable(np.array([D, t, L, fy, fc, cap]).T,
+                                           [f"synth-{seed}-{i}" for i in range(n)]))

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import product
 
 import numpy as np
 
-from .data import Dataset, split as split_dataset
+from .data import NUMERIC_FIELDS, Dataset, numeric_columns, split as split_dataset
 from .errors import ConfigError, DataError, NumericError
 # train is not called here, but perfbench/tracing.py wraps it under this name
 from .network import (ConstraintSpec, TrainConfig, predict_specimens, train,
@@ -39,6 +39,13 @@ def compute_metrics(targets, preds, paper_literal_mape: bool = False) -> Metrics
         raise DataError("targets/preds must be nonempty and equal length")
     if (t <= 0).any():
         raise DataError("targets must be positive")
+    if paper_literal_mape and (a == 0).any():
+        raise DataError("zero predicted value with literal MAPE denominator")
+    return _metrics(t, a, paper_literal_mape)
+
+
+def _metrics(t, a, paper_literal_mape: bool = False) -> MetricsReport:
+    """compute_metrics on float arrays that it has checked."""
     n = t.size
     err = t - a
     # one np.add.reduce per quantity, in the order np.mean and ndarray.std
@@ -46,8 +53,6 @@ def compute_metrics(targets, preds, paper_literal_mape: bool = False) -> Metrics
     sse = float(np.add.reduce(err * err))
     rmse = math.sqrt(sse / n)
     denom = a if paper_literal_mape else t
-    if paper_literal_mape and (denom == 0).any():
-        raise DataError("zero predicted value with literal MAPE denominator")
     mape = float(np.add.reduce(np.abs(err / denom)) / n * 100.0)
     dt = t - np.add.reduce(t) / n
     sstot = float(np.add.reduce(dt * dt))
@@ -91,13 +96,17 @@ def interval_breakdown(specimens, preds) -> list[StrengthCell]:
     preds = np.asarray(preds, dtype=float)
     if preds.shape != (len(specimens),):
         raise DataError(f"{preds.size} predictions for {len(specimens)} specimens")
-    targets, fy, fc = (np.fromiter(map(attrgetter(name), specimens), float, len(specimens))
-                       for name in ("N", "fy", "fc"))
-    si, ci = _classify(fy, STEEL_CUTS), _classify(fc, CONCRETE_CUTS)
-    masks = [(sc, cc, (si == i) & (ci == j)) for i, sc in enumerate(STEEL_CLASSES)
-             for j, cc in enumerate(CONCRETE_CLASSES)]
-    return [StrengthCell(sc, cc, compute_metrics(targets[m], preds[m]) if m.any() else None,
-                         int(m.sum())) for sc, cc, m in masks]
+    fy, fc, targets = numeric_columns(specimens, len(NUMERIC_FIELDS))[:, 3:].T
+    if (targets <= 0).any():
+        raise DataError("targets must be positive")
+    # one stable sort by cell: each cell's rows are a contiguous run, in row order
+    cell = len(CONCRETE_CLASSES) * _classify(fy, STEEL_CUTS) + _classify(fc, CONCRETE_CUTS)
+    order = np.argsort(cell, kind="stable")
+    t, a = targets[order], preds[order]
+    cells = list(product(STEEL_CLASSES, CONCRETE_CLASSES))
+    bounds = [0, *np.cumsum(np.bincount(cell, minlength=len(cells))).tolist()]
+    return [StrengthCell(sc, cc, _metrics(t[lo:hi], a[lo:hi]) if hi > lo else None, hi - lo)
+            for (sc, cc), lo, hi in zip(cells, bounds, bounds[1:])]
 
 
 def perturb_labels(labels, p: float, d: float, seed: int = 0) -> np.ndarray:
@@ -150,8 +159,7 @@ def robustness_sweep(dataset: Dataset, variants=("ANN", "ANNWT"),
     feature_order = feature_order or PAPER_SELECTED
 
     tr, va = split_dataset(dataset, dataset.split_fraction, dataset.split_seed)
-    specimens = dataset.specimens
-    clean = np.fromiter(map(attrgetter("N"), specimens), float, len(specimens))
+    clean = dataset.specimens.column("N")
     labels, specs, cells = [], [], []
     for level_i, level in enumerate(levels):
         p, d = (level, fixed_d) if sweep == "vary_p" else (fixed_p, level)
@@ -164,7 +172,7 @@ def robustness_sweep(dataset: Dataset, variants=("ANN", "ANNWT"),
             cells.append(RobustnessCell(variant, level, None))
     if not cells:
         return cells
-    validation = [specimens[i] for i in va]
+    validation = dataset.specimens.take(va)
     for cell, result in zip(cells, train_many(dataset, np.array(labels), specs,
                                               feature_order, config)):
         if isinstance(result, NumericError):  # annotate, never fabricate

@@ -153,12 +153,6 @@ def rank_by_abs_correlation(frame: FeatureFrame) -> list[str]:
     return sorted(frame.names, key=lambda n: (-scores[n], FEATURE_VOCAB.index(n)))
 
 
-def check_selection_mode(mode: str) -> None:
-    if mode not in SELECTION_MODES:
-        raise ConfigError(f"features.selection_mode must be one of "
-                          f"{SELECTION_MODES}, got {mode!r}")
-
-
 def select_features(rank_pcc, rank_shap, rank_mdi, k: int,
                     mode: str = "consensus") -> list[str]:
     """Rank-sum consensus of three feature rankings, or the published list.
@@ -166,7 +160,9 @@ def select_features(rank_pcc, rank_shap, rank_mdi, k: int,
     Each ranking is an ordered list, best first, over the same vocabulary.
     Lower rank-sum wins; ties break by canonical vocabulary order.
     """
-    check_selection_mode(mode)
+    if mode not in SELECTION_MODES:
+        raise ConfigError(f"features.selection_mode must be one of "
+                          f"{SELECTION_MODES}, got {mode!r}")
     if mode == "paper_fixed":
         if not 1 <= k <= len(PAPER_SELECTED):
             raise ConfigError(f"k={k} must be in [1, {len(PAPER_SELECTED)}] (published list)")

@@ -465,7 +465,7 @@ def train(dataset: Dataset, feature_order=PAPER_SELECTED,
     split_seed. Returns (NetworkParameters, TrainingHistory). This is the
     one-model case of train_many.
     """
-    labels = np.fromiter((s.N for s in dataset.specimens), float, len(dataset))
+    labels = dataset.specimens.column("N")
     (result,) = train_many(dataset, labels[None], [spec or ConstraintSpec()],
                            feature_order, config)
     if isinstance(result, NumericError):
@@ -644,7 +644,7 @@ def predict(params: NetworkParameters, specimen) -> float:
 
 
 def predict_specimens(params: NetworkParameters, specimens) -> np.ndarray:
-    frame = build_frame(list(specimens))
+    frame = build_frame(specimens)
     return predict_rows(params, frame.select(list(params.feature_order)).X)
 
 

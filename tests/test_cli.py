@@ -465,6 +465,26 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: ")
         assert list(tmp_path.glob("manifest_*.json")) == []
 
+    @pytest.mark.parametrize("setting, message", [
+        ("evaluation.grid_points=1", "grid_points must be >= 2"),
+        ("robustness.sweep=vary_q", "sweep must be 'vary_p' or 'vary_d', got 'vary_q'"),
+        ("anomaly.contamination=0.7", "contamination must be in [0, 0.5), got 0.7"),
+        ("features.k=50", "k=50 must be in [1, 10] (published list)"),
+        ("features.k=0", "k=0 must be in [1, 10] (published list)"),
+    ])
+    def test_stage_check_runs_at_load(self, tmp_path, capsys, setting, message):
+        # the stage's own message, before the pipeline's first stage
+        assert run("pipeline", tmp_path, extra=[setting]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.glob("manifest_*.json")) == []
+
+    def test_consensus_k_refused_at_load(self, tmp_path, capsys):
+        assert run("pipeline", tmp_path, extra=["features.selection_mode=consensus",
+                                                "features.k=20"]) == 1
+        assert capsys.readouterr().err == ("config error: k=20 must be in [1, 19], "
+                                           "the vocabulary size\n")
+        assert list(tmp_path.glob("manifest_*.json")) == []
+
     @pytest.mark.parametrize("upper", ["inf", ".inf", "null"])
     def test_unbounded_upper_factor_accepted(self, tmp_path, capsys, upper):
         assert run("synth", tmp_path) == 0

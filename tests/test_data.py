@@ -1,13 +1,19 @@
 import csv
+import gc
+import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from cfstcap.data import (CSV_HEADER, Dataset, Specimen, generate_synthetic,
-                          load_csv, save_csv, split)
+from cfstcap.codes import han_capacity_kn
+from cfstcap.data import (CSV_HEADER, ENVELOPE, ROW_BLOCK, Dataset, Specimen,
+                          SpecimenTable, generate_synthetic, load_csv, numeric_columns,
+                          save_csv, split)
 from cfstcap.errors import DataError
+from cfstcap.features import build_frame
 
 
 def write(tmp_path, text):
@@ -373,3 +379,176 @@ class TestGenerateSynthetic:
         c = generate_synthetic(20, 5, 0.1)
         assert a.specimens == b.specimens
         assert a.specimens != c.specimens
+
+
+# ---------------------------------------------------------------- table
+# The tuple-building producers and writer that the column table replaced,
+# kept as the reference for its rows and bytes.
+
+def _tuple_generate_synthetic(n, seed, noise_cov=0.0):
+    rng = np.random.default_rng(seed)
+
+    def logu(lo, hi, size):
+        return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+
+    D = logu(*ENVELOPE["D"], n)
+    t_hi = np.minimum(ENVELOPE["t"][1], 0.45 * D)
+    t = np.exp(rng.uniform(np.log(ENVELOPE["t"][0]), np.log(t_hi)))
+    L = logu(*ENVELOPE["L"], n)
+    fy = logu(*ENVELOPE["fy"], n)
+    fc = logu(*ENVELOPE["fc"], n)
+    if noise_cov > 0:
+        sigma2 = math.log(1.0 + noise_cov**2)
+        noise = np.exp(rng.normal(-0.5 * sigma2, math.sqrt(sigma2), n))
+    else:
+        noise = np.ones(n)
+    cap = han_capacity_kn(D, t, fy, fc) * noise
+    return tuple(
+        Specimen(D=float(D[i]), t=float(t[i]), L=float(L[i]), fy=float(fy[i]),
+                 fc=float(fc[i]), N=float(cap[i]), source_id=f"synth-{seed}-{i}")
+        for i in range(n))
+
+
+def _per_row_save_csv(specimens, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for s in specimens:
+            writer.writerow([*map(repr, s[:6]), s.source_id])
+
+
+def _bits(rows):
+    """Every row's float fields as raw bits, and its source id and types."""
+    return ([np.array(r[:6], dtype=float).view(np.int64).tolist() for r in rows],
+            [(type(r), r.source_id, *map(type, r)) for r in rows])
+
+
+class TestSpecimenTable:
+    """The column table against the tuple-building path it replaced."""
+
+    N = 2 * ROW_BLOCK + 37   # three blocks, the last one partial
+
+    def test_synthetic_rows_bit_identical(self):
+        for n, seed, noise in ((1, 0, 0.0), (self.N, 3, 0.1), (ROW_BLOCK, 8, 0.0)):
+            got = generate_synthetic(n, seed, noise).specimens
+            assert isinstance(got, SpecimenTable)
+            assert _bits(got) == _bits(_tuple_generate_synthetic(n, seed, noise))
+
+    def test_loaded_rows_bit_identical(self, tmp_path):
+        p = tmp_path / "s.csv"
+        _per_row_save_csv(_tuple_generate_synthetic(self.N, 4, 0.1), p)
+        got = load_csv(p).specimens
+        assert isinstance(got, SpecimenTable)
+        assert _bits(got) == _bits(_per_row_load_csv(p).specimens)
+
+    def test_bad_rows_in_a_later_block(self, tmp_path):
+        # a block checked row by row keeps the row numbers of the rows after it
+        rows = [",".join(map(repr, s[:6])) + f",{s.source_id}"
+                for s in _tuple_generate_synthetic(self.N, 5, 0.1)]
+        rows[ROW_BLOCK + 3] = "100,5,300,300,30"
+        rows[ROW_BLOCK + 9] = ""
+        rows[2 * ROW_BLOCK + 1] = "100,60,300,300,30,650,thick"
+        p = tmp_path / "s.csv"
+        p.write_text(",".join(CSV_HEADER) + "\n" + "\n".join(rows) + "\n")
+        got = _outcome(load_csv, p, "warn")
+        assert got == _outcome(_per_row_load_csv, p, "warn")
+        assert got[0].split("\n")[1:] == [
+            f"row {ROW_BLOCK + 5}: expected 7 fields, got 5",
+            f"row {2 * ROW_BLOCK + 3}: D=100.0 must exceed 2*t=120.0"]
+        rows[ROW_BLOCK + 3] = rows[2 * ROW_BLOCK + 1] = rows[0]
+        p.write_text(",".join(CSV_HEADER) + "\n" + "\n".join(rows) + "\n")
+        assert _outcome(load_csv, p, "warn") == _outcome(_per_row_load_csv, p, "warn")
+
+    def test_slice_is_a_read_only_view(self):
+        table = generate_synthetic(self.N, 6, 0.1).specimens
+        part = table[ROW_BLOCK - 5:ROW_BLOCK + 40:3]
+        assert isinstance(part, SpecimenTable)
+        assert np.shares_memory(part.values, table.values)
+        assert list(part) == list(table)[ROW_BLOCK - 5:ROW_BLOCK + 40:3]
+        for view in (table.values, part.values, table.column("N"),
+                     numeric_columns(part, 5), build_frame(table).y):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 1.0
+        with pytest.raises(AttributeError):
+            table.values = np.zeros((self.N, 6))
+
+    def test_iteration_equals_indexing(self):
+        table = generate_synthetic(self.N, 7, 0.1).specimens
+        rows = list(table)
+        assert len(rows) == len(table) == self.N
+        assert rows == [table[i] for i in range(self.N)]
+        assert all(type(r) is Specimen for r in rows)
+        assert table[-1] == rows[-1] and table[np.int64(ROW_BLOCK)] == rows[ROW_BLOCK]
+        assert table[-self.N] == rows[0]
+        for bad in (self.N, -self.N - 1):
+            with pytest.raises(IndexError):
+                table[bad]
+        with pytest.raises(TypeError):
+            table[1.0]
+
+    def test_equal_and_hashable_as_tuples(self):
+        table = generate_synthetic(40, 8, 0.1).specimens
+        rows = tuple(table)
+        assert table == rows and rows == table and table == list(rows)
+        assert hash(table) == hash(rows)
+        assert table == SpecimenTable.from_rows(rows) == generate_synthetic(40, 8, 0.1).specimens
+        assert table != rows[:-1] and table != table[:-1]
+        assert table != rows[:-1] + (rows[-1]._replace(N=1.0),)
+        assert table != table[:-1] + (rows[-1]._replace(source_id="x"),)
+        assert table != "not specimens"
+        ref = Specimen(100, 5, 300, 300, 30, 650)
+        joined = table + (ref,)
+        assert isinstance(joined, SpecimenTable) and joined == rows + (ref,)
+        assert Dataset(specimens=rows) == Dataset(specimens=table)
+        assert pickle.loads(pickle.dumps(table)) == table
+
+    def test_take(self):
+        table = generate_synthetic(self.N, 9, 0.1).specimens
+        idx = np.array([self.N - 1, 0, ROW_BLOCK, 5])
+        assert table.take(idx) == [table[i] for i in idx]
+        assert len(table.take([])) == 0
+
+    def test_numeric_columns_table_and_list(self):
+        table = generate_synthetic(self.N, 10, 0.1).specimens
+        for width in (1, 5, 6):
+            got = numeric_columns(table, width)
+            want = numeric_columns(list(table), width)
+            assert got.shape == want.shape == (self.N, width)
+            assert np.array_equal(got, want)
+
+    def test_save_csv_bytes_of_per_row_writer(self, tmp_path):
+        for n in (1, ROW_BLOCK, self.N):
+            ds = generate_synthetic(n, 11, 0.1)
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            save_csv(ds, a)
+            _per_row_save_csv(ds.specimens, b)
+            assert a.read_bytes() == b.read_bytes()
+
+
+def _held_bytes(make):
+    """Bytes that make's result keeps allocated, by tracemalloc."""
+    make()  # imports and caches first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = make()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 25_600
+    return held
+
+
+class TestHeldMemory:
+    """25,600 specimens as a table hold under half the memory that the
+    tuple-per-specimen datasets held (8.5 MB synthetic, 7.8 MB loaded)."""
+
+    def test_generate_synthetic(self):
+        assert _held_bytes(lambda: generate_synthetic(25_600, 9, 0.1)) < 8.5e6 / 2
+
+    def test_load_csv(self, tmp_path):
+        p = tmp_path / "large.csv"
+        save_csv(generate_synthetic(25_600, 9, 0.1), p)
+        assert _held_bytes(lambda: load_csv(p)) < 7.8e6 / 2
