@@ -117,6 +117,27 @@ OPEN_LEAVES = {
                                  lambda v: v in ("inf", None) or _is_number(v)),
 }
 
+# Each plain stage argument's range or choices: a message ({0} key, {1} value), a test
+RANGES = {
+    **dict.fromkeys(
+        ("data.synthetic.n", "features.shap_permutations", "features.shap_rows",
+         "features.gb_trees", "features.rf_trees", "features.max_depth", "anomaly.n_trees",
+         "explain.fc_points", "explain.alpha_points", "explain.shap_background"),
+        ("{0} must be >= 1, got {1!r}", lambda v: v >= 1)),
+    "anomaly.subsample": ("{0} must be >= 2, got {1!r}", lambda v: v >= 2),
+    "evaluation.grid_points": ("grid_points must be >= 2", lambda v: v >= 2),
+    "data.synthetic.noise_cov": ("{0} must be >= 0, got {1!r}", lambda v: v >= 0),
+    "split.fraction": ("{0} must be in (0, 1), got {1!r}", lambda v: 0 < v < 1),
+    "anomaly.contamination": ("contamination must be in [0, 0.5), got {1!r}",
+                              lambda v: 0 <= v < 0.5),
+    "robustness.fixed_d": ("{0} must be in [0, 1), got {1!r}", lambda v: 0 <= v < 1),
+    "robustness.fixed_p": ("{0} must be in [0, 1], got {1!r}", lambda v: 0 <= v <= 1),
+    "data.range_mode": ("{0} must be 'warn' or 'reject', got {1!r}",
+                        lambda v: v in ("warn", "reject")),
+    "robustness.sweep": ("sweep must be 'vary_p' or 'vary_d', got {1!r}",
+                         lambda v: v in ("vary_p", "vary_d")),
+}
+
 
 def _kind(default):
     """What a value of default's kind is, and a test of it: a float takes a
@@ -135,7 +156,7 @@ def _kind(default):
 def _check_keys(extra, default, where: str = "") -> None:
     """Raise ConfigError unless every key of extra names an entry of default,
     every section of default is given a mapping and every leaf a value of
-    its default's kind (or, for an open leaf, one that OPEN_LEAVES takes)."""
+    its default's kind (or one OPEN_LEAVES takes) in the range RANGES sets."""
     if not isinstance(extra, dict):
         raise ConfigError(f"config section {where or '(top level)'!r} needs a mapping, "
                           f"got {extra!r}")
@@ -149,6 +170,8 @@ def _check_keys(extra, default, where: str = "") -> None:
         kind, fits = OPEN_LEAVES.get(key) or _kind(default[k])
         if not fits(v):
             raise ConfigError(f"{key} must be {kind}, got {v!r}")
+        if (rule := RANGES.get(key)) and not rule[1](v):
+            raise ConfigError(rule[0].format(key, v))
 
 
 def _parse_yaml(text: str, where: str):
@@ -178,24 +201,14 @@ def load_config(path: str | None, overrides) -> dict:
             doc = {part: doc}
         _check_keys(doc, DEFAULT_CONFIG)
         deep_update(cfg, doc)
-    # the settings each stage checks or turns into objects, refused before
-    # any stage runs, with the message of the stage's own check
-    fcfg = cfg["features"]
-    select_features(FEATURE_VOCAB, FEATURE_VOCAB, FEATURE_VOCAB, fcfg["k"],
-                    mode=fcfg["selection_mode"])
+    # the rules between leaves, and the config objects the stages build
+    select_features(FEATURE_VOCAB, FEATURE_VOCAB, FEATURE_VOCAB, cfg["features"]["k"],
+                    mode=cfg["features"]["selection_mode"])
+    levels, sweep = cfg["robustness"]["levels"] or [], cfg["robustness"]["sweep"]
+    message, fits = RANGES["robustness.fixed_" + sweep[-1]]  # what a level stands in for
+    if not all(map(fits, levels)):
+        raise ConfigError(message.format(f"robustness.levels entries under {sweep}", levels))
     CodeOptions(**cfg["codes"])
-    for section, name in (("features", "shap_rows"), ("explain", "fc_points"),
-                          ("explain", "alpha_points"), ("explain", "shap_background")):
-        if cfg[section][name] < 1:
-            raise ConfigError(f"{section}.{name} must be >= 1, got {cfg[section][name]}")
-    if cfg["evaluation"]["grid_points"] < 2:
-        raise ConfigError("grid_points must be >= 2")
-    sweep = cfg["robustness"]["sweep"]
-    if sweep not in ("vary_p", "vary_d"):
-        raise ConfigError(f"sweep must be 'vary_p' or 'vary_d', got {sweep!r}")
-    contamination = cfg["anomaly"]["contamination"]
-    if not 0 <= contamination < 0.5:
-        raise ConfigError(f"contamination must be in [0, 0.5), got {contamination}")
     _train_config(cfg)
     _ga_config(cfg)
     for variant in [cfg["train"]["variant"]] + cfg["robustness"]["variants"]:

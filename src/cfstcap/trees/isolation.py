@@ -185,6 +185,8 @@ def detect_anomalies(X, contamination: float = 0.02, n_trees: int = 100,
         raise ConfigError(f"contamination must be in [0, 0.5), got {contamination}")
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
+    if n < 2:
+        raise DataError(f"anomaly screening needs at least two rows, got {n}")
     forest = fit_isolation_forest(X, n_trees=n_trees,
                                   subsample=min(subsample, n), seed=seed)
     scores = _scores(forest, X)

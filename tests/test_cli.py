@@ -10,8 +10,8 @@ import pytest
 import yaml
 
 import cfstcap.cli as cli
-from cfstcap.cli import (DEFAULT_CONFIG, OPEN_LEAVES, READS, STAGES, config_hash,
-                         deep_update, load_config, main)
+from cfstcap.cli import (DEFAULT_CONFIG, OPEN_LEAVES, RANGES, READS, STAGES,
+                         config_hash, deep_update, load_config, main)
 from cfstcap.data import Dataset, generate_synthetic, save_csv
 from cfstcap.errors import ConfigError
 from cfstcap.network import load_model
@@ -56,6 +56,58 @@ LEAVES = dict(_leaves(DEFAULT_CONFIG))
 OPEN_VALUES = {"explain.target": [1500, 1500.5],
                "robustness.levels": [[0.1, 1], [0.3]],
                "constraints.upper_factor": ["inf", None, 3]}
+# for each leaf of RANGES, a value just outside its range and a boundary
+# value just inside it
+RANGE_BOUNDS = {"data.range_mode": ("Warn", "reject"),
+                "data.synthetic.n": (0, 1),
+                "data.synthetic.noise_cov": (-0.01, 0.0),
+                "split.fraction": (1.0, 0.99),
+                "features.shap_permutations": (0, 1),
+                "features.shap_rows": (0, 1),
+                "features.gb_trees": (0, 1),
+                "features.rf_trees": (0, 1),
+                "features.max_depth": (0, 1),
+                "anomaly.contamination": (0.5, 0.0),
+                "anomaly.n_trees": (0, 1),
+                "anomaly.subsample": (1, 2),
+                "evaluation.grid_points": (1, 2),
+                "robustness.sweep": ("vary_q", "vary_d"),
+                "robustness.fixed_d": (1.0, 0.0),
+                "robustness.fixed_p": (-0.01, 1.0),
+                "explain.fc_points": (0, 1),
+                "explain.alpha_points": (0, 1),
+                "explain.shap_background": (0, 1)}
+# the same for leaves whose range a config object or select_features holds
+OBJECT_BOUNDS = {"features.k": (0, 1),
+                 "explain.population": (3, 4),
+                 "explain.generations": (-1, 0),
+                 "train.epochs": (0, 1),
+                 "constraints.gamma": (-0.01, 0.0),
+                 "constraints.pair_budget": (0, 1)}
+BOUNDS = [(key, *values) for key, values in {**RANGE_BOUNDS, **OBJECT_BOUNDS}.items()]
+# settings out of the range of the stage argument they set, each refused at
+# load with this message
+STAGE_RANGES = [
+    (["features.max_depth=0"], "features.max_depth must be >= 1, got 0"),
+    (["features.max_depth=-1"], "features.max_depth must be >= 1, got -1"),
+    (["split.fraction=0"], "split.fraction must be in (0, 1), got 0"),
+    (["split.fraction=1"], "split.fraction must be in (0, 1), got 1"),
+    (["robustness.levels=[1.5]"],
+     "robustness.levels entries under vary_p must be in [0, 1], got [1.5]"),
+    (["robustness.levels=[-0.1]"],
+     "robustness.levels entries under vary_p must be in [0, 1], got [-0.1]"),
+    (["robustness.sweep=vary_d", "robustness.levels=[1.0]"],
+     "robustness.levels entries under vary_d must be in [0, 1), got [1.0]"),
+    (["robustness.fixed_d=1.5"], "robustness.fixed_d must be in [0, 1), got 1.5"),
+    (["robustness.sweep=vary_d", "robustness.fixed_p=1.5"],
+     "robustness.fixed_p must be in [0, 1], got 1.5"),
+    (["anomaly.subsample=1"], "anomaly.subsample must be >= 2, got 1"),
+    (["anomaly.n_trees=0"], "anomaly.n_trees must be >= 1, got 0"),
+    (["features.gb_trees=0"], "features.gb_trees must be >= 1, got 0"),
+    (["features.rf_trees=0"], "features.rf_trees must be >= 1, got 0"),
+    (["features.shap_permutations=0"], "features.shap_permutations must be >= 1, got 0"),
+    (["data.range_mode=foo"], "data.range_mode must be 'warn' or 'reject', got 'foo'"),
+]
 
 
 def _other_kinds(default):
@@ -485,6 +537,27 @@ class TestExitCodes:
                                            "the vocabulary size\n")
         assert list(tmp_path.glob("manifest_*.json")) == []
 
+    def test_range_bounds_cover_the_table(self):
+        assert set(RANGE_BOUNDS) == set(RANGES)
+
+    @pytest.mark.parametrize("key, outside, inside", BOUNDS, ids=[b[0] for b in BOUNDS])
+    def test_range_bound_checked_at_load(self, tmp_path, capsys, key, outside, inside):
+        assert run("pipeline", tmp_path, extra=[f"{key}={json.dumps(outside)}"]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert list(tmp_path.iterdir()) == []
+        cfg = load_config(None, [f"{key}={json.dumps(inside)}"])
+        for part in key.split("."):
+            cfg = cfg[part]
+        assert cfg == inside
+
+    @pytest.mark.parametrize("settings, message", STAGE_RANGES,
+                             ids=[",".join(c[0]) for c in STAGE_RANGES])
+    def test_stage_range_refused_at_load(self, tmp_path, capsys, settings, message):
+        # refused before the pipeline's first stage, not by the stage that uses it
+        assert run("pipeline", tmp_path, extra=settings) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("upper", ["inf", ".inf", "null"])
     def test_unbounded_upper_factor_accepted(self, tmp_path, capsys, upper):
         assert run("synth", tmp_path) == 0
@@ -507,6 +580,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == ("data error: correlations need at least "
                                            "two rows, got 1\n")
         assert not (tmp_path / "manifest_features.json").exists()
+
+    def test_one_row_csv_screen_is_data_error(self, tmp_path, capsys):
+        source = tmp_path / "one.csv"
+        save_csv(Dataset(specimens=generate_synthetic(1, 0).specimens), source)
+        assert run("screen", tmp_path, extra=[f"data.source={source}"]) == 2
+        assert capsys.readouterr().err == ("data error: anomaly screening needs at "
+                                           "least two rows, got 1\n")
+        assert not (tmp_path / "manifest_screen.json").exists()
 
     def test_stage_without_dataset(self, tmp_path, capsys):
         assert run("features", tmp_path) == 2
