@@ -6,13 +6,14 @@ Newtons internally and reported in kN.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import numeric_columns
+from .data import ROW_BLOCK, numeric_columns
 from .errors import ConfigError
 from .features import section_areas
 
@@ -114,19 +115,66 @@ def ec4_relative_slenderness(D, t, L, fy, fc):
     return _ec4_slenderness(*section_areas(D, t), D, t, L, fy, fc)
 
 
-# code -> one row's intermediates dict from that row's column values: one
-# dict display per row, with no per-row zip or iterator objects
-_INTERMEDIATES = {
-    "EC4": lambda lam, s_raw, c_raw, s, c: {"lambda_bar": lam, "eta_s_raw": s_raw,
-                                            "eta_c_raw": c_raw, "eta_s": s, "eta_c": c},
-    "GB50936": lambda theta, fck: {"theta": theta, "fck": fck},
-    "GEP": lambda lam: {"lambda": lam},
-    "HAN": lambda theta, fck: {"theta": theta, "fck": fck},
-    "WAN": lambda eta_a, eta_c: {"eta_a": eta_a, "eta_c": eta_c},
-}
+# code -> the keys of its intermediates dict, one per column of its block
+_INTERMEDIATE_KEYS = {"AIJ": (), "ACI": (), "GEP": ("lambda",), "GB50936": ("theta", "fck"),
+                      "HAN": ("theta", "fck"), "WAN": ("eta_a", "eta_c"),
+                      "EC4": ("lambda_bar", "eta_s_raw", "eta_c_raw", "eta_s", "eta_c")}
 
 
-def predict_all(specimens, options: CodeOptions | None = None) -> list[CodePrediction]:
+@dataclass(frozen=True, eq=False)
+class CodeTable(Sequence):
+    """Code predictions as columns: an immutable sequence of CodePrediction,
+    specimens outer and CODE_IDS inner, over a read-only (n, 7) capacity array
+    (NaN where invalid) and validity mask, each code's (k, n) block of the
+    columns named in _INTERMEDIATE_KEYS, and each invalid cell's message by
+    its index. Rows and their dicts are built only when read; iteration builds
+    them in C a block of specimens at a time. A table equals any sequence of equal rows."""
+
+    capacity: np.ndarray
+    valid: np.ndarray
+    blocks: tuple
+    messages: dict
+
+    def __post_init__(self):
+        for array in (self.capacity, self.valid, *self.blocks):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.capacity.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[j] for j in range(len(self))[index]]
+        j = range(len(self))[index]  # an int, negative or numpy; IndexError past either end
+        i, k = divmod(j, len(CODE_IDS))
+        intermediates = dict(zip(_INTERMEDIATE_KEYS[CODE_IDS[k]], self.blocks[k][:, i].tolist()))
+        if self.valid[i, k]:
+            return CodePrediction(CODE_IDS[k], self.capacity[i, k].item(), intermediates)
+        return CodePrediction(CODE_IDS[k], None, intermediates, False, self.messages[j])
+
+    def __iter__(self):
+        return chain.from_iterable(map(self._block_rows, range(0, len(self.capacity), ROW_BLOCK)))
+
+    def _block_rows(self, start: int):
+        """The rows of ROW_BLOCK specimens from start on, each built as it is read."""
+        block = slice(start, start + ROW_BLOCK)
+        valid = self.valid[block]
+        values, messages = self.capacity[block].ravel().tolist(), [""] * valid.size
+        for j in np.flatnonzero(~valid).tolist():
+            values[j], messages[j] = None, self.messages[start * len(CODE_IDS) + j]
+        dicts = []  # per code, each row's dict from a tuple of its (key, value) pairs
+        for keys, columns in zip(map(_INTERMEDIATE_KEYS.get, CODE_IDS), self.blocks):
+            pairs = list(map(zip, map(repeat, keys), columns[:, block].tolist()))
+            dicts.append(map(dict, zip(*pairs) if pairs else repeat((), len(valid))))
+        return map(tuple.__new__, repeat(CodePrediction),
+                   zip(chain.from_iterable(repeat(CODE_IDS, len(valid))), values,
+                       chain.from_iterable(zip(*dicts)), valid.ravel().tolist(), messages))
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+def predict_all(specimens, options: CodeOptions | None = None) -> CodeTable:
     """Evaluate every baseline for every specimen in one pass over arrays.
 
     A non-physical WAN capacity or a negative GEP radicand is an invalid
@@ -158,27 +206,18 @@ def predict_all(specimens, options: CodeOptions | None = None) -> list[CodePredi
         "HAN": (_han(As, Ac, fck, theta), (theta, fck)),
         "WAN": (wan, (wan_eta_a, wan_eta_c)),
     }
-    # invalid rows as masks, each with the message it reports
-    invalid = {
-        "GEP": ((r1 < 0) | (r2 < 0),
-                lambda i: f"negative radicand (3fc-9.596={float(r1[i]):.3f}, "
-                          f"Ac-11.562={float(r2[i]):.3f})"),
-        "WAN": ((wan <= 0) | ~np.isfinite(wan),
-                lambda i: f"non-physical capacity {float(wan[i])!r}"),
-    }
-    # each code's rows are built from its columns and fill every len(CODE_IDS)-th slot
-    out = [None] * (len(D) * len(CODE_IDS))
-    for k, code in enumerate(CODE_IDS):
-        cap, inter = columns[code]
-        if inter:
-            dicts = list(map(_INTERMEDIATES[code], *[v.tolist() for v in inter]))
-        else:
-            dicts = [{} for _ in range(len(D))]
-        preds = list(map(tuple.__new__, repeat(CodePrediction),
-                         zip(repeat(code), cap.tolist(), dicts, repeat(True), repeat(""))))
-        mask, message = invalid.get(code, ((), None))
-        for i in np.flatnonzero(mask).tolist():
-            preds[i] = CodePrediction(code, None, dicts[i], False, message(i))
-        out[k::len(CODE_IDS)] = preds
-    return out
-
+    n, per = len(D), len(CODE_IDS)
+    valid, messages = np.ones((n, per), dtype=bool), {}
+    # invalid cells as masks, each with the message it reports
+    for code, mask, message in (
+            ("GEP", (r1 < 0) | (r2 < 0),
+             lambda i: f"negative radicand (3fc-9.596={float(r1[i]):.3f}, "
+                       f"Ac-11.562={float(r2[i]):.3f})"),
+            ("WAN", (wan <= 0) | ~np.isfinite(wan),
+             lambda i: f"non-physical capacity {float(wan[i])!r}")):
+        k = CODE_IDS.index(code)
+        valid[:, k] = ~mask
+        messages.update((i * per + k, message(i)) for i in np.flatnonzero(mask).tolist())
+    capacity = np.where(valid, np.column_stack([columns[c][0] for c in CODE_IDS]), np.nan)
+    blocks = [np.array(columns[c][1]).reshape(-1, n) for c in CODE_IDS]
+    return CodeTable(capacity, valid, tuple(blocks), messages)
