@@ -1,15 +1,19 @@
+import gc
 import math
+import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfstcap.codes import (CODE_IDS, CodeOptions, CodePrediction, aci_capacity_kn,
-                           aij_capacity_kn, ec4_relative_slenderness,
+from cfstcap import codes
+from cfstcap.codes import (CODE_IDS, CodeOptions, CodePrediction, CodeTable,
+                           aci_capacity_kn, aij_capacity_kn, ec4_relative_slenderness,
                            gb_capacity_kn, han_capacity_kn, predict_all,
                            wan_capacity_kn)
-from cfstcap.data import Specimen, generate_synthetic
+from cfstcap.data import ROW_BLOCK, Specimen, generate_synthetic, numeric_columns
 
 REF = Specimen(D=100, t=5, L=300, fy=300, fc=30, N=650)
 
@@ -326,3 +330,138 @@ class TestPredictAllRows:
             CodePrediction("AIJ", 1.0)   # intermediates is required
         rows = predict_all(batch[:2])
         assert rows[0].intermediates is not rows[len(CODE_IDS)].intermediates
+
+
+# ------------------------------------------------------- row-builder oracle
+# The list-building predict_all that CodeTable replaced, kept as the
+# reference: every row built up front, in C per code, with one dict display
+# per row.
+
+_INTERMEDIATES = {
+    "EC4": lambda lam, s_raw, c_raw, s, c: {"lambda_bar": lam, "eta_s_raw": s_raw,
+                                            "eta_c_raw": c_raw, "eta_s": s, "eta_c": c},
+    "GB50936": lambda theta, fck: {"theta": theta, "fck": fck},
+    "GEP": lambda lam: {"lambda": lam},
+    "HAN": lambda theta, fck: {"theta": theta, "fck": fck},
+    "WAN": lambda eta_a, eta_c: {"eta_a": eta_a, "eta_c": eta_c},
+}
+
+
+def _row_builder_predict_all(specimens, opts):
+    D, t, L, fy, fc = numeric_columns(specimens, 5).T
+    As, Ac, fck, theta = codes._confinement(D, t, fy,
+                                            fc / 0.8 if opts.fck_mode == "cube" else fc)
+    geometric = 4.0 * L / D
+    lam = (geometric if opts.ec4_slenderness == "literal"
+           else codes._ec4_slenderness(As, Ac, D, t, L, fy, fc))
+    eta_s_raw, eta_c_raw = 0.25 * (3.0 + 2.0 * lam), 4.9 - 18.5 * lam + 17.0 * lam * lam
+    eta_s, eta_c = np.minimum(eta_s_raw, 1.0), np.maximum(eta_c_raw, 0.0)
+    r1, r2 = 3.0 * fc - 9.596, Ac - 11.562
+    with np.errstate(invalid="ignore"):
+        gep = (As + 2.0 * fc - 4.0 * geometric + np.sqrt(fc) * (Ac + np.sqrt(r1))
+               + 0.169 * As * (fy - 2.0 * geometric) * np.sqrt(r2) / (D / t))
+    wan, wan_eta_a, wan_eta_c = codes._wan(As, Ac, D, t, fy, fc)
+    columns = {
+        "AIJ": (codes._aij(As, Ac, fy, fc), ()),
+        "EC4": ((eta_s * As * fy + eta_c * Ac * fc) / 1e3,
+                (lam, eta_s_raw, eta_c_raw, eta_s, eta_c)),
+        "ACI": (codes._aci(As, Ac, fy, fc), ()),
+        "GB50936": (codes._gb(As, Ac, fck, theta), (theta, fck)),
+        "GEP": (gep, (geometric,)),
+        "HAN": (codes._han(As, Ac, fck, theta), (theta, fck)),
+        "WAN": (wan, (wan_eta_a, wan_eta_c)),
+    }
+    invalid = {
+        "GEP": ((r1 < 0) | (r2 < 0),
+                lambda i: f"negative radicand (3fc-9.596={float(r1[i]):.3f}, "
+                          f"Ac-11.562={float(r2[i]):.3f})"),
+        "WAN": ((wan <= 0) | ~np.isfinite(wan),
+                lambda i: f"non-physical capacity {float(wan[i])!r}"),
+    }
+    out = [None] * (len(D) * len(CODE_IDS))
+    for k, code in enumerate(CODE_IDS):
+        cap, inter = columns[code]
+        if inter:
+            dicts = list(map(_INTERMEDIATES[code], *[v.tolist() for v in inter]))
+        else:
+            dicts = [{} for _ in range(len(D))]
+        preds = list(map(tuple.__new__, repeat(CodePrediction),
+                         zip(repeat(code), cap.tolist(), dicts, repeat(True), repeat(""))))
+        mask, message = invalid.get(code, ((), None))
+        for i in np.flatnonzero(mask).tolist():
+            preds[i] = CodePrediction(code, None, dicts[i], False, message(i))
+        out[k::len(CODE_IDS)] = preds
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_rows(oracle_specimens):
+    return {opts: _row_builder_predict_all(oracle_specimens, opts) for opts in ORACLE_OPTIONS}
+
+
+class TestCodeTable:
+    """The column table against the row builder it replaced: iteration,
+    every index and slices build equal rows, invalid ones included."""
+
+    @pytest.mark.parametrize("opts", ORACLE_OPTIONS, ids=repr)
+    def test_rows_equal_row_builder(self, oracle_specimens, oracle_rows, opts):
+        table, rows = predict_all(oracle_specimens, opts), oracle_rows[opts]
+        assert isinstance(table, CodeTable) and len(table) == len(rows)
+        assert list(table) == rows and table == rows
+        assert sum(not p.valid for p in rows) > 0
+        assert [table[j] for j in range(len(rows))] == rows
+        assert [table[j] for j in range(-len(rows), 0, 89)] == rows[::89]
+        assert [table[j] for j in np.arange(0, len(rows), 97)] == rows[::97]
+        per = len(CODE_IDS)
+        for k in range(per):
+            assert table[k::per] == rows[k::per]
+        assert table[::-1] == rows[::-1]
+        assert table[5:5] == [] and table[len(rows):] == []
+        assert table[ROW_BLOCK * per - 3:ROW_BLOCK * per + 3] \
+            == rows[ROW_BLOCK * per - 3:ROW_BLOCK * per + 3]
+
+    def test_index_past_either_end(self, oracle_specimens):
+        table = predict_all(oracle_specimens[:3])
+        assert table[-len(table)] == table[0]
+        for bad in (len(table), -len(table) - 1):
+            with pytest.raises(IndexError):
+                table[bad]
+        with pytest.raises(TypeError):
+            table[1.0]
+
+    def test_immutable(self, oracle_specimens):
+        table = predict_all(oracle_specimens[:3])
+        for name in ("capacity", "valid", "blocks", "messages"):
+            with pytest.raises(AttributeError):
+                setattr(table, name, None)
+        for array in (table.capacity, table.valid, *table.blocks):
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+    def test_fresh_dict_on_each_access(self, oracle_specimens):
+        table = predict_all(oracle_specimens[:3])
+        k = CODE_IDS.index("EC4")
+        first, again = table[k], table[k]
+        assert first.intermediates is not again.intermediates
+        assert next(iter(table[k:k + 1])).intermediates is not first.intermediates
+        iterated = [p.intermediates for p in table][k]
+        assert iterated is not first.intermediates and iterated == first.intermediates
+        first.intermediates["eta_c"] = -1.0
+        assert table[k].intermediates == again.intermediates != first.intermediates
+
+
+def test_held_memory():
+    """The table of 25,600 specimens holds under 8 MB by tracemalloc; the
+    rows and dicts the row builder kept held 53 MB."""
+    specimens = generate_synthetic(25_600, 9, 0.1).specimens
+    predict_all(specimens)  # imports and caches first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = predict_all(specimens)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 25_600 * len(CODE_IDS)
+    assert held < 8e6
