@@ -189,7 +189,8 @@ def predict_all(specimens, options: CodeOptions | None = None) -> CodeTable:
     lam = (geometric if opts.ec4_slenderness == "literal"
            else _ec4_slenderness(As, Ac, D, t, L, fy, fc))
     eta_s_raw, eta_c_raw = 0.25 * (3.0 + 2.0 * lam), 4.9 - 18.5 * lam + 17.0 * lam * lam
-    eta_s, eta_c = np.minimum(eta_s_raw, 1.0), np.maximum(eta_c_raw, 0.0)
+    # EN 1994-1-1 6.7.3.2(6): confinement only up to a relative slenderness of 0.5
+    eta_s, eta_c = np.minimum(eta_s_raw, 1.0), np.where(lam > 0.5, 0.0, np.maximum(eta_c_raw, 0.0))
     # GEP: the printed expression verbatim in (mm, MPa, kN), never clamped
     r1, r2 = 3.0 * fc - 9.596, Ac - 11.562
     with np.errstate(invalid="ignore"):
@@ -198,7 +199,7 @@ def predict_all(specimens, options: CodeOptions | None = None) -> CodeTable:
     wan, wan_eta_a, wan_eta_c = _wan(As, Ac, D, t, fy, fc)
     columns = {
         "AIJ": (_aij(As, Ac, fy, fc), ()),
-        "EC4": ((eta_s * As * fy + eta_c * Ac * fc) / 1e3,
+        "EC4": ((eta_s * As * fy + Ac * fc * (1.0 + eta_c * t / D * fy / fc)) / 1e3,
                 (lam, eta_s_raw, eta_c_raw, eta_s, eta_c)),
         "ACI": (_aci(As, Ac, fy, fc), ()),
         "GB50936": (_gb(As, Ac, fck, theta), (theta, fck)),

@@ -125,6 +125,20 @@ class TestEc4:
         assert clamped.valid and clamped.intermediates["eta_c"] == 0.0
 
 
+    def test_no_confinement_beyond_slenderness_limit(self):
+        # EN 1994-1-1 6.7.3.2(6): above lambda_bar = 0.5 eta_a = 1 and eta_c = 0,
+        # although the eta_c quadratic turns positive again above ~0.632
+        As = math.pi * (100**2 - 90**2) / 4
+        Ac = math.pi * 90**2 / 4
+        s = Specimen(D=100, t=5, L=2550, fy=300, fc=30, N=650)
+        assert 0.95 < ec4_relative_slenderness(100, 5, 2550, 300, 30) < 1.05
+        for spec, opts in ((s, None), (REF, CodeOptions(ec4_slenderness="literal"))):
+            pred = one_code("EC4", spec, opts)
+            assert pred.intermediates["eta_c_raw"] > 0
+            assert pred.intermediates["eta_c"] == 0.0 and pred.intermediates["eta_s"] == 1.0
+            assert pred.capacity_kn == pytest.approx((As * 300 + Ac * 30) / 1e3, rel=1e-12)
+
+
 class TestGep:
     def test_low_fc_flagged_invalid(self):
         s = Specimen(D=100, t=5, L=300, fy=300, fc=3.0, N=650)
@@ -201,8 +215,8 @@ def _scalar_predict(code, s, opts):
             lam = math.sqrt((As * s.fy + Ac * s.fc) / ncr)
         eta_s_raw = 0.25 * (3.0 + 2.0 * lam)
         eta_c_raw = 4.9 - 18.5 * lam + 17.0 * lam * lam
-        eta_s, eta_c = min(eta_s_raw, 1.0), max(eta_c_raw, 0.0)
-        return ((eta_s * As * s.fy + eta_c * Ac * s.fc) / 1e3,
+        eta_s, eta_c = min(eta_s_raw, 1.0), 0.0 if lam > 0.5 else max(eta_c_raw, 0.0)
+        return ((eta_s * As * s.fy + Ac * s.fc * (1.0 + eta_c * s.t / s.D * s.fy / s.fc)) / 1e3,
                 {"lambda_bar": lam, "eta_s_raw": eta_s_raw, "eta_c_raw": eta_c_raw,
                  "eta_s": eta_s, "eta_c": eta_c}, "")
     assert code == "GEP"
@@ -355,7 +369,7 @@ def _row_builder_predict_all(specimens, opts):
     lam = (geometric if opts.ec4_slenderness == "literal"
            else codes._ec4_slenderness(As, Ac, D, t, L, fy, fc))
     eta_s_raw, eta_c_raw = 0.25 * (3.0 + 2.0 * lam), 4.9 - 18.5 * lam + 17.0 * lam * lam
-    eta_s, eta_c = np.minimum(eta_s_raw, 1.0), np.maximum(eta_c_raw, 0.0)
+    eta_s, eta_c = np.minimum(eta_s_raw, 1.0), np.where(lam > 0.5, 0.0, np.maximum(eta_c_raw, 0.0))
     r1, r2 = 3.0 * fc - 9.596, Ac - 11.562
     with np.errstate(invalid="ignore"):
         gep = (As + 2.0 * fc - 4.0 * geometric + np.sqrt(fc) * (Ac + np.sqrt(r1))
@@ -363,7 +377,7 @@ def _row_builder_predict_all(specimens, opts):
     wan, wan_eta_a, wan_eta_c = codes._wan(As, Ac, D, t, fy, fc)
     columns = {
         "AIJ": (codes._aij(As, Ac, fy, fc), ()),
-        "EC4": ((eta_s * As * fy + eta_c * Ac * fc) / 1e3,
+        "EC4": ((eta_s * As * fy + Ac * fc * (1.0 + eta_c * t / D * fy / fc)) / 1e3,
                 (lam, eta_s_raw, eta_c_raw, eta_s, eta_c)),
         "ACI": (codes._aci(As, Ac, fy, fc), ()),
         "GB50936": (codes._gb(As, Ac, fck, theta), (theta, fck)),
