@@ -25,6 +25,8 @@ DEFAULT_MONOTONE = ("As", "Ac", "Asc", "D", "C", "Nu0", "Ns", "Vs", "Vc")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# cells of the dominance relation that dominance_relation compares at once
+DOMINANCE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -190,22 +192,35 @@ def loss_approx(pred, yl, yu):
     return float(np.mean(relu(yl - pred) + relu(pred - yu)))
 
 
-def dominance_pairs(F: np.ndarray) -> np.ndarray:
-    """Ordered index pairs (a, b) where row b Pareto-dominates row a.
-
-    Dominance: b >= a on every column and b > a on at least one.
-    Returns an (n_pairs, 2) array. The relation is accumulated one column
-    at a time, so no (n, n, columns) temporary is built.
-    """
-    F = np.atleast_2d(np.asarray(F, dtype=float))
+def dominance_relation(F) -> np.ndarray:
+    """(n, n) bool matrix, true at [a, b] where row b Pareto-dominates row a:
+    b >= a on every column and b > a on at least one. A 1-D F is one feature.
+    Blocks of rows, about DOMINANCE_BLOCK cells each, are compared in reused
+    buffers, so no (n, n) temporary and no pair list is built."""
+    F = np.asarray(F, dtype=float)
+    F = F[:, None] if F.ndim == 1 else F
+    if F.ndim != 2:
+        raise DataError(f"monotone features must be 1-D or 2-D, not {F.ndim}-D")
     n = len(F)
-    ge = np.ones((n, n), dtype=bool)
-    gt = np.zeros((n, n), dtype=bool)
-    for col in F.T:
-        ge &= col[None, :] >= col[:, None]
-        gt |= col[None, :] > col[:, None]
-    a, b = np.nonzero(ge & gt)
-    return np.column_stack([a, b])
+    relation = np.empty((n, n), dtype=bool)
+    rows = max(1, DOMINANCE_BLOCK // max(n, 1))
+    buffers = np.empty((3, min(rows, n), n), dtype=bool)
+    for a0 in range(0, n, rows):
+        block = F[a0:a0 + rows]
+        ge, gt, cmp = buffers[:, :len(block)]
+        ge.fill(True)
+        gt.fill(False)
+        for col, mine in zip(F.T, block.T):
+            ge &= np.greater_equal(col, mine[:, None], out=cmp)
+            gt |= np.greater(col, mine[:, None], out=cmp)
+        np.logical_and(ge, gt, out=relation[a0:a0 + rows])
+    return relation
+
+
+def dominance_pairs(F) -> np.ndarray:
+    """Ordered pairs (a, b) where row b Pareto-dominates row a, an (n_pairs, 2)
+    array in row-major order: the pair view of dominance_relation."""
+    return np.argwhere(dominance_relation(F))
 
 
 def _batch_pairs(F, spec: ConstraintSpec) -> np.ndarray:
@@ -217,14 +232,13 @@ def _batch_pairs(F, spec: ConstraintSpec) -> np.ndarray:
 
 
 def _dominance_relation(F, spec: ConstraintSpec) -> np.ndarray:
-    """(n, n) bool matrix, true at [a, b] where row b dominates row a.
-
-    The pairs of any batch of rows `pos` are np.argwhere(R[pos][:, pos]),
-    in the order _batch_pairs(F[pos]) gives them.
+    """dominance_relation(F), all false when there is no pair to compare or
+    the spec has no monotone features. The pairs of any batch of rows `pos`
+    are np.argwhere(R[pos][:, pos]), in the order _batch_pairs(F[pos]) gives.
     """
-    relation = np.zeros((len(F), len(F)), dtype=bool)
-    relation[tuple(_batch_pairs(F, spec).T)] = True
-    return relation
+    if len(F) < 2 or len(spec.monotone_features) == 0:
+        return np.zeros((len(F), len(F)), dtype=bool)
+    return dominance_relation(F)
 
 
 def _subsample(pairs, budget: int, rng):

@@ -42,6 +42,9 @@ UNREACHED = {
         "kept only for the tracer; the robustness sweep trains through train_many",
     "cfstcap.explain:build_dependence_grid":
         "cli calls it under its own name, cfstcap.cli:build_dependence_grid",
+    "cfstcap.network:dominance_pairs":
+        "the trainer builds the relation through dominance_relation; dominance_pairs "
+        "is its pair view for loss_monotone and loss_total",
 }
 
 
