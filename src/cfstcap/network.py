@@ -367,17 +367,19 @@ def _loss_and_grads(stack: _Stack, X, target, yl, yu, gamma, groups):
         # take keeps each model's violations contiguous, so they are
         # summed pairwise, as for one model (p[:, idx] would lay them out
         # column-major and sum them in sequence)
-        p = pred[rows]
+        # rows is sorted: a group of every row, all with gamma > 0, needs no selection
+        every = len(rows) == len(hinge) == len(gamma)
+        p = pred if every else pred[rows]
         gap = p.take(pairs[:, 0], axis=1) - p.take(pairs[:, 1], axis=1)
         mono[rows] = np.add.reduce(relu(gap), axis=1) / len(pairs)
         # np.add.at applies one model's updates in pair order, all
         # increments before all decrements, as for one model; gap > 0 is
         # exactly pred[a] > pred[b]. dpred is a fresh (K, n) array, so
         # its flat view indexes model * n + row.
-        live = np.flatnonzero(gamma[rows] > 0)
+        live = slice(None) if every else np.flatnonzero(gamma[rows] > 0)
         k, j = np.nonzero(gap[live] > 0)
-        if len(k):
-            model = rows[live][k]
+        model = k if every else rows[live][k]
+        if len(model):
             scale = gamma[model] / len(pairs)
             flat = dpred.reshape(-1)
             np.add.at(flat, model * n + pairs[j, 0], scale)
