@@ -220,5 +220,6 @@ def predict_all(specimens, options: CodeOptions | None = None) -> CodeTable:
         valid[:, k] = ~mask
         messages.update((i * per + k, message(i)) for i in np.flatnonzero(mask).tolist())
     capacity = np.where(valid, np.column_stack([columns[c][0] for c in CODE_IDS]), np.nan)
-    blocks = [np.array(columns[c][1]).reshape(-1, n) for c in CODE_IDS]
-    return CodeTable(capacity, valid, tuple(blocks), messages)
+    blocks = {c: np.array(columns[c][1]).reshape(-1, n) for c in CODE_IDS if c != "HAN"}
+    blocks["HAN"] = blocks["GB50936"]  # the same (theta, fck): one block serves both
+    return CodeTable(capacity, valid, tuple(map(blocks.get, CODE_IDS)), messages)

@@ -443,6 +443,13 @@ class TestCodeTable:
         with pytest.raises(TypeError):
             table[1.0]
 
+    def test_theta_fck_block_shared(self, oracle_specimens):
+        """GB50936 and HAN report the same (theta, fck): one read-only block."""
+        blocks = predict_all(oracle_specimens).blocks
+        gb, han = blocks[CODE_IDS.index("GB50936")], blocks[CODE_IDS.index("HAN")]
+        assert gb is han and gb.shape == (2, len(oracle_specimens))
+        assert not gb.flags.writeable
+
     def test_immutable(self, oracle_specimens):
         table = predict_all(oracle_specimens[:3])
         for name in ("capacity", "valid", "blocks", "messages"):
