@@ -364,12 +364,12 @@ def _loss_and_grads(stack: _Stack, X, target, yl, yu, gamma, groups):
     for rows, pairs in groups:
         if len(pairs) == 0:
             continue
-        # take keeps each model's violations contiguous, so they are
-        # summed pairwise, as for one model (p[:, idx] would lay them out
-        # column-major and sum them in sequence)
         # rows is sorted: a group of every row, all with gamma > 0, needs no selection
         every = len(rows) == len(hinge) == len(gamma)
         p = pred if every else pred[rows]
+        # take keeps each model's violations contiguous, so they are
+        # summed pairwise, as for one model (p[:, idx] would lay them out
+        # column-major and sum them in sequence)
         gap = p.take(pairs[:, 0], axis=1) - p.take(pairs[:, 1], axis=1)
         mono[rows] = np.add.reduce(relu(gap), axis=1) / len(pairs)
         # np.add.at applies one model's updates in pair order, all
