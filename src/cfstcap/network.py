@@ -231,16 +231,6 @@ def _batch_pairs(F, spec: ConstraintSpec) -> np.ndarray:
     return dominance_pairs(F)
 
 
-def _dominance_relation(F, spec: ConstraintSpec) -> np.ndarray:
-    """dominance_relation(F), all false when there is no pair to compare or
-    the spec has no monotone features. The pairs of any batch of rows `pos`
-    are np.argwhere(R[pos][:, pos]), in the order _batch_pairs(F[pos]) gives.
-    """
-    if len(F) < 2 or len(spec.monotone_features) == 0:
-        return np.zeros((len(F), len(F)), dtype=bool)
-    return dominance_relation(F)
-
-
 def _subsample(pairs, budget: int, rng):
     """At most budget of the pairs, drawn with rng, in their given order."""
     if len(pairs) > budget:
@@ -549,7 +539,7 @@ def train_many(dataset: Dataset, labels, specs, feature_order=PAPER_SELECTED,
         if s.monotone_features:
             if s.monotone_features not in relations:
                 F = frame.select(list(s.monotone_features)).X
-                relations[s.monotone_features] = _dominance_relation(F[tr], s)
+                relations[s.monotone_features] = dominance_relation(F[tr])
             group_of[k] = group_keys.setdefault(
                 (s.monotone_features, s.pair_budget), len(group_keys))
     pair_draws = [(relations[features], budget, child_rng(config.seed, 2))
@@ -557,93 +547,73 @@ def train_many(dataset: Dataset, labels, specs, feature_order=PAPER_SELECTED,
 
     shuffle_rng = child_rng(config.seed, 1)
     adam = _Adam(stack.theta.shape)
-    histories = [TrainingHistory() for _ in range(K)]
-    results = [None] * K
-    best_val = np.full(K, math.inf)
-    best_theta = [None] * K
-    stale = np.zeros(K, dtype=int)
-    active = np.arange(K)           # the model of each stack row
-
     targets = np.stack([y_log, yl, yu])     # (3, K, n): label and band per model
+    # per epoch and model: mean supervised, approx and monotone loss, validation loss
+    log = np.empty((config.epochs, 4, K))
+    results = [None] * K
+    # per stack row: its model, best validation loss and parameters so far,
+    # and the epochs since then
+    model, best_val, best, stale = (np.arange(K), np.full(K, math.inf),
+                                    np.empty_like(stack.theta), np.zeros(K, dtype=int))
+    row_targets = row_gamma = group_rows = None     # the rows' slices, set by keep
 
-    def per_row():
-        return (targets[:, active], gamma[active],
-                [np.flatnonzero(group_of[active] == g) for g in range(len(pair_draws))])
+    def keep(rows):
+        """Only the stack rows selected by rows go on training."""
+        nonlocal stack, model, best_val, best, stale, row_targets, row_gamma, group_rows
+        stack = _Stack(stack.theta[rows], sizes)
+        adam.take(rows)
+        model, best_val, best, stale = model[rows], best_val[rows], best[rows], stale[rows]
+        row_targets, row_gamma = targets[:, model], gamma[model]
+        group_rows = [np.flatnonzero(group_of[model] == g) for g in range(len(pair_draws))]
 
-    def drop(keep):
-        """Only the stack rows where keep is set go on training."""
-        nonlocal stack, active, rows_targets, rows_gamma, group_rows
-        stack = _Stack(stack.theta[keep], sizes)
-        adam.take(keep)
-        active = active[keep]
-        rows_targets, rows_gamma, group_rows = per_row()
-
-    def finish(rows):
-        for r in rows:
-            k = active[r]
-            theta = best_theta[k] if best_theta[k] is not None else stack.theta[r].copy()
-            weights, biases = _layer_views(theta, sizes)
-            results[k] = (NetworkParameters(
-                layer_sizes=sizes, weights=weights, biases=biases,
-                input_mean=mean.copy(), input_std=std.copy(),
-                feature_order=tuple(feature_order), constraint=specs[k],
-                seed=config.seed), histories[k])
-
-    rows_targets, rows_gamma, group_rows = per_row()
+    keep(slice(None))
+    starts = range(0, len(tr), config.batch_size)
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(tr))
-        ep_sup, ep_app, ep_mono = np.zeros((3, len(active)))
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
+        terms = np.zeros((3, len(model)))
+        for start in starts:
             pos = order[start:start + config.batch_size]
             batch = tr[pos]
             groups = [(rows, _subsample(np.argwhere(relation.take(pos, 0).take(pos, 1)),
                                         budget, pair_rng))
                       for rows, (relation, budget, pair_rng) in zip(group_rows, pair_draws)
                       if len(rows)]
-            total, sup, app, mono = _loss_and_grads(
-                stack, Xn[batch], *rows_targets[:, :, batch], rows_gamma, groups)
+            total, *batch_terms = _loss_and_grads(
+                stack, Xn[batch], *row_targets[:, :, batch], row_gamma, groups)
             adam.update(stack.theta, stack.grad, config.learning_rate)
-            ep_sup += sup
-            ep_app += app
-            ep_mono += mono
-            n_batches += 1
+            for term, batch_term in zip(terms, batch_terms):
+                term += batch_term
             finite = np.isfinite(total)
             if not finite.all():
                 for r in np.flatnonzero(~finite):
-                    results[active[r]] = NumericError(
+                    results[model[r]] = NumericError(
                         f"training diverged at epoch {epoch}: loss={float(total[r])}")
-                drop(finite)
-                ep_sup, ep_app, ep_mono = ep_sup[finite], ep_app[finite], ep_mono[finite]
-                if not len(active):
-                    break
-        if not len(active):
-            break
+                keep(finite)
+                terms = terms[:, finite]
+                if not len(model):
+                    return results
         val = loss_supervised(_output(stack.weights, stack.biases, Xn[va]),
-                              rows_targets[0][:, va])
-        stopped = np.zeros(len(active), dtype=bool)
-        for r, (k, sup_k, app_k, mono_k, val_k) in enumerate(zip(
-                active.tolist(), (ep_sup / n_batches).tolist(), (ep_app / n_batches).tolist(),
-                (ep_mono / n_batches).tolist(), val.tolist())):
-            h = histories[k]
-            h.epochs.append(epoch)
-            h.loss_supervised.append(sup_k)
-            h.loss_approx.append(app_k)
-            h.loss_monotone.append(mono_k)
-            h.val_loss.append(val_k)
-            if val_k < best_val[k] - 1e-12:
-                best_val[k] = val_k
-                best_theta[k] = stack.theta[r].copy()
-                stale[k] = 0
-            else:
-                stale[k] += 1
-                stopped[r] = stale[k] >= config.early_stop_patience
-        if stopped.any():
-            finish(np.flatnonzero(stopped))
-            drop(~stopped)
-            if not len(active):
+                              row_targets[0][:, va])
+        log[epoch][:, model] = np.vstack([terms / len(starts), val])
+        better = val < best_val - 1e-12
+        best_val[better], best[better] = val[better], stack.theta[better]
+        stale = np.where(better, 0, stale + 1)
+        done = (stale >= config.early_stop_patience) | (epoch == config.epochs - 1)
+        for r in np.flatnonzero(done):
+            k = model[r]
+            # a model that never improved keeps its current parameters
+            theta = (best if best_val[r] < math.inf else stack.theta)[r].copy()
+            weights, biases = _layer_views(theta, sizes)
+            results[k] = (NetworkParameters(
+                layer_sizes=sizes, weights=weights, biases=biases,
+                input_mean=mean.copy(), input_std=std.copy(),
+                feature_order=tuple(feature_order), constraint=specs[k],
+                seed=config.seed),
+                TrainingHistory(list(range(epoch + 1)), *log[:epoch + 1, :, k].T.tolist()))
+        if done.any():
+            keep(~done)
+            if not len(model):
                 break
-    finish(range(len(active)))
     return results
 
 

@@ -9,8 +9,8 @@ import cfstcap.network as net
 from cfstcap.data import generate_synthetic, split
 from cfstcap.errors import DataError
 from cfstcap.features import build_frame
-from cfstcap.network import (DEFAULT_MONOTONE, ConstraintSpec, _dominance_relation,
-                             dominance_pairs, dominance_relation, loss_monotone)
+from cfstcap.network import (DEFAULT_MONOTONE, ConstraintSpec, dominance_pairs,
+                             dominance_relation, loss_monotone)
 
 
 def former_dominance_pairs(F):
@@ -98,12 +98,12 @@ def test_relation_peak_memory():
     tr, _ = split(ds, ds.split_fraction, ds.split_seed)
     F = build_frame(ds.specimens).select(list(DEFAULT_MONOTONE)).X[tr]
     assert len(F) == 2097
-    _dominance_relation(F[:50], ConstraintSpec())  # imports and caches first
+    dominance_relation(F[:50])  # imports and caches first
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        relation = _dominance_relation(F, ConstraintSpec())
+        relation = dominance_relation(F)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

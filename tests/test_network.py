@@ -11,8 +11,8 @@ from cfstcap.errors import ConfigError, DataError, NumericError
 from cfstcap.features import PAPER_SELECTED, build_frame
 from cfstcap.network import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ConstraintSpec,
                              NetworkParameters, TrainConfig,
-                             TrainingHistory, _dominance_relation, _flatten,
-                             _layer_views, dominance_pairs,
+                             TrainingHistory, _flatten,
+                             _layer_views, dominance_pairs, dominance_relation,
                              forward,
                              init_parameters,
                              load_model, loss_approx, loss_monotone,
@@ -172,7 +172,7 @@ def former_train(dataset: Dataset, feature_order=PAPER_SELECTED,
 
     # dominance is a property of the training rows: find it once, then
     # read each batch's pairs from the relation
-    dominates = _dominance_relation(F[tr], spec)
+    dominates = dominance_relation(F[tr])
 
     shuffle_rng = child_rng(config.seed, 1)
     pair_rng = child_rng(config.seed, 2)
@@ -337,13 +337,13 @@ class TestLossTerms:
         # training rows; they must be the batch's own dominance pairs, in order
         rng = np.random.default_rng(0)
         F = rng.integers(0, 4, size=(150, 3)).astype(float)  # ties likely
-        relation = _dominance_relation(F, ConstraintSpec())
+        relation = dominance_relation(F)
         for _ in range(200):
             pos = rng.permutation(len(F))[:int(rng.integers(1, 65))]
             got = np.argwhere(relation[np.ix_(pos, pos)])
             want = dominance_pairs(F[pos])
             assert got.shape == want.shape and np.array_equal(got, want)
-        disabled = _dominance_relation(F, ConstraintSpec(monotone_features=()))
+        disabled = dominance_relation(F[:, :0])  # no monotone feature
         assert not disabled.any()
 
 
@@ -812,3 +812,28 @@ class TestLockstepOracle:
             train_many(ds, clean[None], specs, config=small_config(epochs=1))
         with pytest.raises(DataError, match="positive"):
             train_many(ds, np.array([clean, -clean]), specs, config=small_config(epochs=1))
+
+
+class TestNeverImproved:
+    def test_stops_at_patience_with_its_last_parameters(self):
+        # a NaN label on one validation row makes every validation loss NaN,
+        # so the model never improves: it stops after patience epochs and
+        # returns its current parameters, while the model beside it trains on
+        ds = generate_synthetic(120, 3, 0.05)
+        clean = np.array([s.N for s in ds.specimens])
+        _, va = split(ds, ds.split_fraction, ds.split_seed)
+        blind = clean.copy()
+        blind[va[0]] = math.nan
+        spec = variant_spec("ANNWT")
+        config = TrainConfig(epochs=8, batch_size=32, learning_rate=3e-3,
+                             early_stop_patience=3, hidden_layers=2, hidden_units=16)
+        got = train_many(ds, np.array([blind, clean]), [spec] * 2, PAPER_SELECTED, config)
+        (params, hist), (ref, ref_hist) = got[0], former_train(
+            relabelled(ds, blind), PAPER_SELECTED, spec, config)
+        assert hist.epochs == ref_hist.epochs == [0, 1, 2]
+        assert np.isnan(hist.val_loss).all() and np.isnan(ref_hist.val_loss).all()
+        for name in ("loss_supervised", "loss_approx", "loss_monotone"):
+            assert getattr(hist, name) == getattr(ref_hist, name), name
+        assert params_to_dict(params) == params_to_dict(ref)
+        assert len(got[1][1].epochs) > config.early_stop_patience
+        assert_same_fit(got[1], former_train(ds, PAPER_SELECTED, spec, config))
