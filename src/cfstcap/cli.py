@@ -54,7 +54,7 @@ DEFAULT_CONFIG = {
     "train": {"variant": "ANNWT", "epochs": 300, "batch_size": 64,
               "learning_rate": 1e-3, "patience": 50,
               "hidden_layers": 5, "hidden_units": 32},
-    "codes": {"fck_mode": "cylinder", "ec4_slenderness": "standard"},
+    "codes": {"fck_mode": "cylinder"},
     "evaluation": {"paper_literal_mape": False, "grid_points": 21},
     "robustness": {"variants": ["ANN", "ANNWT"], "sweep": "vary_p",
                    "levels": None, "fixed_d": 0.2, "fixed_p": 0.3},
@@ -208,6 +208,9 @@ def load_config(path: str | None, overrides) -> dict:
     message, fits = RANGES["robustness.fixed_" + sweep[-1]]  # what a level stands in for
     if not all(map(fits, levels)):
         raise ConfigError(message.format(f"robustness.levels entries under {sweep}", levels))
+    n, batch = cfg["data"]["synthetic"]["n"], cfg["train"]["batch_size"]
+    if cfg["data"]["source"] == "synthetic" and batch > n:
+        raise ConfigError(f"train.batch_size must be <= data.synthetic.n ({n}), got {batch}")
     CodeOptions(**cfg["codes"])
     _train_config(cfg)
     _ga_config(cfg)

@@ -27,19 +27,15 @@ class CodeOptions:
     """Conventions the source formulas leave ambiguous.
 
     fck_mode: 'cylinder' takes fck = fc as given; 'cube' converts fck = fc/0.8.
-    ec4_slenderness: 'standard' computes relative slenderness sqrt(Npl/Ncr);
-    'literal' feeds the geometric ratio 4L/D straight into the eta formulas.
     """
 
     fck_mode: str = "cylinder"
-    ec4_slenderness: str = "standard"
 
     def __post_init__(self):
-        for key, allowed in (("fck_mode", ("cylinder", "cube")),
-                             ("ec4_slenderness", ("standard", "literal"))):
-            if getattr(self, key) not in allowed:
-                raise ConfigError(f"codes.{key} must be one of {allowed}, "
-                                  f"got {getattr(self, key)!r}")
+        allowed = ("cylinder", "cube")
+        if self.fck_mode not in allowed:
+            raise ConfigError(f"codes.fck_mode must be one of {allowed}, "
+                              f"got {self.fck_mode!r}")
 
 
 class CodePrediction(NamedTuple):
@@ -186,8 +182,7 @@ def predict_all(specimens, options: CodeOptions | None = None) -> CodeTable:
     D, t, L, fy, fc = numeric_columns(specimens, 5).T
     As, Ac, fck, theta = _confinement(D, t, fy, fc / 0.8 if opts.fck_mode == "cube" else fc)
     geometric = 4.0 * L / D
-    lam = (geometric if opts.ec4_slenderness == "literal"
-           else _ec4_slenderness(As, Ac, D, t, L, fy, fc))
+    lam = _ec4_slenderness(As, Ac, D, t, L, fy, fc)
     eta_s_raw, eta_c_raw = 0.25 * (3.0 + 2.0 * lam), 4.9 - 18.5 * lam + 17.0 * lam * lam
     # EN 1994-1-1 6.7.3.2(6): confinement only up to a relative slenderness of 0.5
     eta_s, eta_c = np.minimum(eta_s_raw, 1.0), np.where(lam > 0.5, 0.0, np.maximum(eta_c_raw, 0.0))

@@ -107,6 +107,8 @@ STAGE_RANGES = [
     (["features.rf_trees=0"], "features.rf_trees must be >= 1, got 0"),
     (["features.shap_permutations=0"], "features.shap_permutations must be >= 1, got 0"),
     (["data.range_mode=foo"], "data.range_mode must be 'warn' or 'reject', got 'foo'"),
+    (["data.synthetic.n=60", "train.batch_size=64"],
+     "train.batch_size must be <= data.synthetic.n (60), got 64"),
 ]
 
 
@@ -298,9 +300,12 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     def test_unknown_override_key_rejected(self, tmp_path, capsys):
-        assert run("synth", tmp_path, extra=["train.epoch=1"]) == 1
-        assert "config error: unknown config key 'train.epoch'" in capsys.readouterr().err
-        assert not (tmp_path / "dataset.csv").exists()
+        # a misspelt key, and a deleted one
+        for setting in ("train.epoch=1", "codes.ec4_slenderness=literal"):
+            assert run("synth", tmp_path, extra=[setting]) == 1
+            key = setting.split("=")[0]
+            assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
+            assert not (tmp_path / "dataset.csv").exists()
 
     def test_override_into_leaf_rejected(self, tmp_path, capsys):
         assert run("synth", tmp_path, extra=["master_seed.x=1"]) == 1
@@ -443,7 +448,6 @@ class TestExitCodes:
         ("train", "features.selection_mode=paper-fixed"),
         ("robustness", "features.selection_mode=paper-fixed"),
         ("codes", "codes.fck_mode=cubes"),
-        ("codes", "codes.ec4_slenderness=literall"),
     ])
     def test_misspelt_choice_rejected(self, tmp_path, capsys, stage, setting):
         assert run("synth", tmp_path) == 0
@@ -545,7 +549,8 @@ class TestExitCodes:
         assert run("pipeline", tmp_path, extra=[f"{key}={json.dumps(outside)}"]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert list(tmp_path.iterdir()) == []
-        cfg = load_config(None, [f"{key}={json.dumps(inside)}"])
+        # a batch of one, so that the smallest data.synthetic.n holds a batch
+        cfg = load_config(None, ["train.batch_size=1", f"{key}={json.dumps(inside)}"])
         for part in key.split("."):
             cfg = cfg[part]
         assert cfg == inside

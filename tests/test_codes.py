@@ -111,10 +111,6 @@ class TestEc4:
         assert pred.intermediates["eta_c_raw"] == pytest.approx(
             4.9 - 18.5 * lam + 17 * lam * lam, rel=1e-12)
 
-    def test_literal_mode_uses_geometric_ratio(self):
-        pred = one_code("EC4", REF, CodeOptions(ec4_slenderness="literal"))
-        assert pred.intermediates["lambda_bar"] == pytest.approx(12.0)
-
     def test_negative_eta_c_clamped_to_zero(self):
         # mid-range slenderness drives the quadratic eta_c below zero
         s = Specimen(D=100, t=5, L=1400, fy=300, fc=30, N=650)
@@ -132,11 +128,10 @@ class TestEc4:
         Ac = math.pi * 90**2 / 4
         s = Specimen(D=100, t=5, L=2550, fy=300, fc=30, N=650)
         assert 0.95 < ec4_relative_slenderness(100, 5, 2550, 300, 30) < 1.05
-        for spec, opts in ((s, None), (REF, CodeOptions(ec4_slenderness="literal"))):
-            pred = one_code("EC4", spec, opts)
-            assert pred.intermediates["eta_c_raw"] > 0
-            assert pred.intermediates["eta_c"] == 0.0 and pred.intermediates["eta_s"] == 1.0
-            assert pred.capacity_kn == pytest.approx((As * 300 + Ac * 30) / 1e3, rel=1e-12)
+        pred = one_code("EC4", s)
+        assert pred.intermediates["eta_c_raw"] > 0
+        assert pred.intermediates["eta_c"] == 0.0 and pred.intermediates["eta_s"] == 1.0
+        assert pred.capacity_kn == pytest.approx((As * 300 + Ac * 30) / 1e3, rel=1e-12)
 
 
 class TestGep:
@@ -204,15 +199,12 @@ def _scalar_predict(code, s, opts):
             return None, inter, f"non-physical capacity {cap!r}"
         return cap, inter, ""
     if code == "EC4":
-        if opts.ec4_slenderness == "literal":
-            lam = 4.0 * s.L / s.D
-        else:
-            inner = s.D - 2 * s.t
-            Is = math.pi * (s.D**4 - inner**4) / 64.0
-            Ic = math.pi * inner**4 / 64.0
-            Ec = 22_000.0 * (s.fc / 10.0) ** 0.3
-            ncr = math.pi**2 * (210_000.0 * Is + 0.6 * Ec * Ic) / (s.L * s.L)
-            lam = math.sqrt((As * s.fy + Ac * s.fc) / ncr)
+        inner = s.D - 2 * s.t
+        Is = math.pi * (s.D**4 - inner**4) / 64.0
+        Ic = math.pi * inner**4 / 64.0
+        Ec = 22_000.0 * (s.fc / 10.0) ** 0.3
+        ncr = math.pi**2 * (210_000.0 * Is + 0.6 * Ec * Ic) / (s.L * s.L)
+        lam = math.sqrt((As * s.fy + Ac * s.fc) / ncr)
         eta_s_raw = 0.25 * (3.0 + 2.0 * lam)
         eta_c_raw = 4.9 - 18.5 * lam + 17.0 * lam * lam
         eta_s, eta_c = min(eta_s_raw, 1.0), 0.0 if lam > 0.5 else max(eta_c_raw, 0.0)
@@ -230,8 +222,7 @@ def _scalar_predict(code, s, opts):
             {"lambda": lam}, "")
 
 
-ORACLE_OPTIONS = [CodeOptions(), CodeOptions(fck_mode="cube"),
-                  CodeOptions(ec4_slenderness="literal")]
+ORACLE_OPTIONS = [CodeOptions(), CodeOptions(fck_mode="cube")]
 
 
 @pytest.fixture(scope="module")
@@ -270,9 +261,8 @@ class TestArrayPathOracle:
                 assert p.capacity_kn == cap and p.intermediates == inter, (k, code)
         assert "GEP" in invalid
         ec4 = preds[-len(CODE_IDS) + CODE_IDS.index("EC4")]
-        if opts.ec4_slenderness == "standard":
-            assert ec4.intermediates["eta_c_raw"] < 0
-            assert ec4.intermediates["eta_c"] == 0.0
+        assert ec4.intermediates["eta_c_raw"] < 0
+        assert ec4.intermediates["eta_c"] == 0.0
 
 
 class TestPredictAllRows:
@@ -366,8 +356,7 @@ def _row_builder_predict_all(specimens, opts):
     As, Ac, fck, theta = codes._confinement(D, t, fy,
                                             fc / 0.8 if opts.fck_mode == "cube" else fc)
     geometric = 4.0 * L / D
-    lam = (geometric if opts.ec4_slenderness == "literal"
-           else codes._ec4_slenderness(As, Ac, D, t, L, fy, fc))
+    lam = codes._ec4_slenderness(As, Ac, D, t, L, fy, fc)
     eta_s_raw, eta_c_raw = 0.25 * (3.0 + 2.0 * lam), 4.9 - 18.5 * lam + 17.0 * lam * lam
     eta_s, eta_c = np.minimum(eta_s_raw, 1.0), np.where(lam > 0.5, 0.0, np.maximum(eta_c_raw, 0.0))
     r1, r2 = 3.0 * fc - 9.596, Ac - 11.562

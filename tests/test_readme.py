@@ -1,9 +1,10 @@
 """Every python code block of README.md runs as written, its stage chain is
-the CLI's, and every `--set` of its shell examples is a valid config entry."""
+the CLI's, every `--set` of its shell examples is a valid config entry, and
+every knob it lists is a config leaf."""
 import re
 from pathlib import Path
 
-from cfstcap.cli import STAGES, load_config
+from cfstcap.cli import DEFAULT_CONFIG, STAGES, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +31,18 @@ def test_shell_overrides_load():
     assert overrides
     for override in overrides:
         load_config(None, [override])
+
+
+def _leaves(section, where=""):
+    for k, v in section.items():
+        key = f"{where}.{k}" if where else k
+        yield from _leaves(v, key) if isinstance(v, dict) else [key]
+
+
+def test_knobs_are_config_leaves():
+    knobs = re.search(r"### Key config knobs\n\n(.*?)\n\n", README.read_text(encoding="utf-8"),
+                      flags=re.S)
+    assert knobs
+    keys = re.findall(r"^- `([\w.]+)`", knobs.group(1), flags=re.M)
+    assert keys
+    assert set(keys) - set(_leaves(DEFAULT_CONFIG)) == set()
