@@ -217,10 +217,19 @@ def dominance_relation(F) -> np.ndarray:
     return relation
 
 
+def _pairs_of(relation) -> np.ndarray:
+    """np.argwhere of a 2-D bool matrix, read from its flat indices: the
+    same (n, 2) intp pairs in the same row-major order and layout."""
+    flat = np.flatnonzero(relation)
+    pairs = np.empty((2, len(flat)), dtype=np.intp).T
+    np.divmod(flat, relation.shape[1], out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
+
+
 def dominance_pairs(F) -> np.ndarray:
     """Ordered pairs (a, b) where row b Pareto-dominates row a, an (n_pairs, 2)
     array in row-major order: the pair view of dominance_relation."""
-    return np.argwhere(dominance_relation(F))
+    return _pairs_of(dominance_relation(F))
 
 
 def _batch_pairs(F, spec: ConstraintSpec) -> np.ndarray:
@@ -280,14 +289,17 @@ class _Stack:
 
     theta is (K, P); weights[l] (K, in, out) and biases[l] (K, out) are
     views into it, and grad_w / grad_b the same views into grad. The
-    activation and backprop buffers of each batch length are allocated
-    once, so a training step writes into existing memory.
+    activation and backprop buffers of each batch length, and the bias,
+    transposed weight and transposed activation views the step reads, are
+    made once, so a training step writes into existing memory.
     """
 
     def __init__(self, theta: np.ndarray, sizes):
         self.theta = theta
         self.sizes = sizes
         self.weights, self.biases = _layer_views(theta, sizes)
+        self._bias_rows = [b[:, None, :] for b in self.biases]
+        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
         self.grad = np.empty_like(theta)
         self.grad_w, self.grad_b = _layer_views(self.grad, sizes)
         self._buffers = {}
@@ -295,7 +307,8 @@ class _Stack:
     def _buffers_for(self, n: int):
         if n not in self._buffers:
             shapes = [(len(self.theta), n, out) for out in self.sizes[1:]]
-            self._buffers[n] = ([np.empty(s) for s in shapes],
+            acts = [np.empty(s) for s in shapes]
+            self._buffers[n] = (acts, [a.swapaxes(-1, -2) for a in acts],
                                 [np.empty(s) for s in shapes])
         return self._buffers[n]
 
@@ -303,59 +316,58 @@ class _Stack:
         """Every layer's activations relu(a @ w + b) for a batch X
         (n, in) shared by all models; each layer's buffer is rectified in
         place, so its positive entries mark the live units."""
-        acts, _ = self._buffers_for(len(X))
+        acts = self._buffers_for(len(X))[0]
         a = X
-        for w, b, z in zip(self.weights, self.biases, acts):
+        for w, b, z in zip(self.weights, self._bias_rows, acts):
             np.matmul(a, w, out=z)
-            z += b[:, None, :]
+            z += b
             np.maximum(z, 0.0, out=z)
             a = z
         return acts
 
     def backward(self, X, acts, dpred):
         """Gradients of each model's loss into grad, given dL/dpred (K, n)."""
-        _, deltas = self._buffers_for(len(X))
+        _, acts_t, deltas = self._buffers_for(len(X))
         delta = deltas[-1]
         np.multiply(dpred[:, :, None], acts[-1] > 0, out=delta)
         for l in range(len(self.weights) - 1, -1, -1):
-            inputs = acts[l - 1] if l else X
-            np.matmul(inputs.swapaxes(-1, -2), delta, out=self.grad_w[l])
+            np.matmul(acts_t[l - 1] if l else X.T, delta, out=self.grad_w[l])
             np.add.reduce(delta, axis=1, out=self.grad_b[l])
             if l:
-                np.matmul(delta, self.weights[l].swapaxes(-1, -2), out=deltas[l - 1])
+                np.matmul(delta, self._weights_t[l], out=deltas[l - 1])
                 delta = deltas[l - 1]
-                delta *= inputs > 0
+                delta *= acts[l - 1] > 0
 
 
-def _loss_and_grads(stack: _Stack, X, target, yl, yu, gamma, groups):
+def _loss_and_grads(stack: _Stack, X, target, yl, yu, gamma, hinge, groups):
     """Forward pass, the three loss terms and backpropagation for one
     batch X of every model in the stack; gradients land in stack.grad.
 
-    target, yl and yu are (K, n), gamma is (K,). groups lists (rows,
-    pairs): stack rows that share a monotone-feature set and the batch's
-    dominance pairs (batch row indices) under it. Returns (total,
-    supervised, approx, monotone), each (K,).
+    target, yl and yu are (K, n), gamma is (K,) and hinge holds the rows
+    with gamma > 0. groups lists (rows, live, pairs): stack rows that share
+    a monotone-feature set, the positions among them of rows with gamma > 0
+    and the batch's dominance pairs (batch row indices) under the set.
+    Returns (total, supervised, approx, monotone), each (K,).
     """
     acts = stack.forward(X)
     pred = acts[-1][:, :, 0]
     n = pred.shape[1]
     sup = loss_supervised(pred, target)
     dpred = 2.0 * (pred - target) / n
+    below, above = yl - pred, pred - yu
     # np.add.reduce(x, axis=1) / count is np.mean's own arithmetic
-    app = np.add.reduce(relu(yl - pred) + relu(pred - yu), axis=1) / n
-    hinge = np.flatnonzero(gamma > 0)
+    app = np.add.reduce(relu(below) + relu(above), axis=1) / n
     if len(hinge):
         h = slice(None) if len(hinge) == len(gamma) else hinge
-        p = pred[h]
-        # +1 above the band, -1 below it
-        d_app = np.subtract(p > yu[h], p < yl[h], dtype=float) / n
+        # +1 above the band, -1 below it: a - b > 0 exactly where a > b
+        d_app = np.subtract(above[h] > 0, below[h] > 0, dtype=float) / n
         dpred[h] += gamma[h, None] * d_app
     mono = np.zeros(len(gamma))
-    for rows, pairs in groups:
+    for rows, live, pairs in groups:
         if len(pairs) == 0:
             continue
         # rows is sorted: a group of every row, all with gamma > 0, needs no selection
-        every = len(rows) == len(hinge) == len(gamma)
+        every = len(rows) == len(live) == len(gamma)
         p = pred if every else pred[rows]
         # take keeps each model's violations contiguous, so they are
         # summed pairwise, as for one model (p[:, idx] would lay them out
@@ -366,14 +378,13 @@ def _loss_and_grads(stack: _Stack, X, target, yl, yu, gamma, groups):
         # increments before all decrements, as for one model; gap > 0 is
         # exactly pred[a] > pred[b]. dpred is a fresh (K, n) array, so
         # its flat view indexes model * n + row.
-        live = slice(None) if every else np.flatnonzero(gamma[rows] > 0)
-        k, j = np.nonzero(gap[live] > 0)
-        model = k if every else rows[live][k]
-        if len(model):
+        k, j = np.divmod(np.flatnonzero(gap[slice(None) if every else live] > 0), len(pairs))
+        if len(k):
+            model = k if every else rows[live[k]]
             scale = gamma[model] / len(pairs)
             flat = dpred.reshape(-1)
-            np.add.at(flat, model * n + pairs[j, 0], scale)
-            np.add.at(flat, model * n + pairs[j, 1], -scale)
+            np.add.at(flat, model * n + pairs[:, 0][j], scale)
+            np.add.at(flat, model * n + pairs[:, 1][j], -scale)
     total = sup + gamma * (app + mono)
     stack.backward(X, acts, dpred)
     return total, sup, app, mono
@@ -393,10 +404,11 @@ def loss_total(params: NetworkParameters, Xn, target, yl, yu, F,
     _check_band(yl, yu)
     stack = _Stack(_flatten(params.weights, params.biases)[None], params.layer_sizes)
     pairs = _subsample(_batch_pairs(F, spec), spec.pair_budget, rng)
+    live = np.flatnonzero([spec.gamma > 0])
     total, *_terms = _loss_and_grads(
         stack, np.atleast_2d(np.asarray(Xn, dtype=float)),
         np.asarray(target, dtype=float)[None], yl[None], yu[None],
-        np.array([spec.gamma]), [(np.array([0]), pairs)])
+        np.array([spec.gamma]), live, [(np.array([0]), live, pairs)])
     return (float(total[0]), [w[0] for w in stack.grad_w],
             [b[0] for b in stack.grad_b])
 
@@ -555,49 +567,57 @@ def train_many(dataset: Dataset, labels, specs, feature_order=PAPER_SELECTED,
     # and the epochs since then
     model, best_val, best, stale = (np.arange(K), np.full(K, math.inf),
                                     np.empty_like(stack.theta), np.zeros(K, dtype=int))
-    row_targets = row_gamma = group_rows = None     # the rows' slices, set by keep
+    row_targets = row_gamma = hinge = row_groups = None     # the rows' slices, set by keep
 
     def keep(rows):
         """Only the stack rows selected by rows go on training."""
-        nonlocal stack, model, best_val, best, stale, row_targets, row_gamma, group_rows
+        nonlocal stack, model, best_val, best, stale, row_targets, row_gamma, hinge, row_groups
         stack = _Stack(stack.theta[rows], sizes)
         adam.take(rows)
         model, best_val, best, stale = model[rows], best_val[rows], best[rows], stale[rows]
         row_targets, row_gamma = targets[:, model], gamma[model]
-        group_rows = [np.flatnonzero(group_of[model] == g) for g in range(len(pair_draws))]
+        hinge = np.flatnonzero(row_gamma > 0)
+        members = [np.flatnonzero(group_of[model] == g) for g in range(len(pair_draws))]
+        row_groups = [(rows, np.flatnonzero(row_gamma[rows] > 0), draw)
+                      for rows, draw in zip(members, pair_draws) if len(rows)]
 
     keep(slice(None))
     starts = range(0, len(tr), config.batch_size)
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(tr))
+        # the epoch's rows in shuffle order, so that each batch is a slice
+        epoch_X, epoch_targets = Xn[tr[order]], row_targets[:, :, tr[order]]
         terms = np.zeros((3, len(model)))
         for start in starts:
-            pos = order[start:start + config.batch_size]
-            batch = tr[pos]
-            groups = [(rows, _subsample(np.argwhere(relation.take(pos, 0).take(pos, 1)),
-                                        budget, pair_rng))
-                      for rows, (relation, budget, pair_rng) in zip(group_rows, pair_draws)
-                      if len(rows)]
-            total, *batch_terms = _loss_and_grads(
-                stack, Xn[batch], *row_targets[:, :, batch], row_gamma, groups)
+            stop = start + config.batch_size
+            pos = order[start:stop]
+            groups = [(rows, live, _subsample(_pairs_of(relation.take(pos, 0).take(pos, 1)),
+                                              budget, pair_rng))
+                      for rows, live, (relation, budget, pair_rng) in row_groups]
+            total, sup, app, mono = _loss_and_grads(
+                stack, epoch_X[start:stop], *epoch_targets[:, :, start:stop], row_gamma,
+                hinge, groups)
             adam.update(stack.theta, stack.grad, config.learning_rate)
-            for term, batch_term in zip(terms, batch_terms):
-                term += batch_term
+            terms[0] += sup
+            terms[1] += app
+            terms[2] += mono
             finite = np.isfinite(total)
             if not finite.all():
                 for r in np.flatnonzero(~finite):
                     results[model[r]] = NumericError(
                         f"training diverged at epoch {epoch}: loss={float(total[r])}")
                 keep(finite)
-                terms = terms[:, finite]
+                terms, epoch_targets = terms[:, finite], epoch_targets[:, finite]
                 if not len(model):
                     return results
         val = loss_supervised(_output(stack.weights, stack.biases, Xn[va]),
                               row_targets[0][:, va])
-        log[epoch][:, model] = np.vstack([terms / len(starts), val])
+        log[epoch][:3, model] = terms / len(starts)
+        log[epoch][3, model] = val
         better = val < best_val - 1e-12
         best_val[better], best[better] = val[better], stack.theta[better]
-        stale = np.where(better, 0, stale + 1)
+        stale += 1
+        stale[better] = 0
         done = (stale >= config.early_stop_patience) | (epoch == config.epochs - 1)
         for r in np.flatnonzero(done):
             k = model[r]

@@ -74,6 +74,30 @@ def test_pairs_equal_former_builder(F):
     assert np.array_equal(got, want)
 
 
+def _sub_blocks():
+    """(b, b) sub-blocks of relations over awkward features, taken as the
+    trainer takes a batch's: rows and columns at the same positions."""
+    rng = np.random.default_rng(6)
+    for n in (9, 150, 301):
+        relation = dominance_relation(awkward_features(n, n))
+        for b in (1, 2, 17, 64):
+            pos = rng.permutation(n)[:b]
+            yield relation.take(pos, 0).take(pos, 1)
+
+
+@pytest.mark.parametrize("relation", [np.zeros((0, 0), bool), np.ones((1, 1), bool),
+                                      np.zeros((1, 1), bool), np.zeros((6, 6), bool),
+                                      np.ones((7, 7), bool), *_sub_blocks()],
+                         ids=lambda r: f"{r.shape[0]}x{r.shape[1]}-{int(r.sum())}")
+def test_flat_index_pairs_equal_argwhere(relation):
+    """The trainer's batch pairs: the values, row-major order, dtype, layout
+    and (0, 2) empty shape of np.argwhere."""
+    got, want = net._pairs_of(relation), np.argwhere(relation)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides
+    assert np.array_equal(got, want)
+
+
 def test_one_feature_vector_is_a_column():
     """A 1-D F holds one feature's value per batch row, not one row."""
     col = [1.0, 2.0, 3.0]

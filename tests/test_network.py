@@ -787,6 +787,29 @@ class TestLockstepOracle:
         assert_same_fit(got[2], former_train(relabelled(ds, 1.1 * clean), PAPER_SELECTED,
                                            spec, config))
 
+    def test_model_diverging_mid_epoch(self):
+        # the broken label is in the second of three batches of epoch 0, so
+        # one model leaves after the first batch has updated the whole stack;
+        # the rest of the epoch reads the compacted rows of its gathered
+        # targets and the compacted monotone group, which mixes gamma 0 and > 0
+        ds = generate_synthetic(120, 3, 0.05)
+        clean = np.array([s.N for s in ds.specimens])
+        tr, _ = split(ds, ds.split_fraction, ds.split_seed)
+        config = small_config(epochs=6)
+        order = child_rng(config.seed, 1).permutation(len(tr))
+        assert len(tr) == 3 * config.batch_size
+        broken = clean.copy()
+        broken[tr[order[config.batch_size + 5]]] = math.nan
+        specs = [variant_spec(v) for v in ("ANN", "ANNWT", "ANNWT", "ANNWA")]
+        labels = np.array([clean, 1.1 * clean, broken, 0.9 * clean])
+        got = train_many(ds, labels, specs, PAPER_SELECTED, config)
+        with pytest.raises(NumericError, match="epoch 0") as raised:
+            former_train(relabelled(ds, broken), PAPER_SELECTED, specs[2], config)
+        assert isinstance(got[2], NumericError) and str(got[2]) == str(raised.value)
+        for result, y, spec in zip(got[:2] + got[3:], labels[[0, 1, 3]], specs[:2] + specs[3:]):
+            assert_same_fit(result, former_train(relabelled(ds, y), PAPER_SELECTED, spec,
+                                                 config))
+
     def test_loss_total_matches_oracle_step(self):
         rng = np.random.default_rng(2)
         spec = ConstraintSpec(gamma=0.4, pair_budget=15)
