@@ -277,15 +277,19 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write the canonical CSV schema; floats use shortest round-trip repr.
-    Rows are written from the columns, a block at a time."""
+    Rows are joined from the columns, a block at a time."""
     table = dataset.specimens
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        fh.write(",".join(CSV_HEADER) + "\n")
         for start in range(0, len(table), ROW_BLOCK):
             block = table[start:start + ROW_BLOCK]
-            writer.writerows(zip(*(map(repr, col) for col in block.values.T.tolist()),
-                                 block.ids))
+            ids = block.ids
+            if any(c in "".join(ids) for c in ',"\r\n'):
+                # an id holding a comma, a quote, CR or LF goes in double quotes
+                ids = ['"' + i.replace('"', '""') + '"' if any(c in i for c in ',"\r\n') else i
+                       for i in ids]
+            cells = zip(*(map(repr, col) for col in block.values.T.tolist()), ids)
+            fh.write("\n".join(map(",".join, cells)) + "\n")
 
 
 def split(dataset: Dataset, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -525,6 +525,41 @@ class TestSpecimenTable:
             _per_row_save_csv(ds.specimens, b)
             assert a.read_bytes() == b.read_bytes()
 
+    # ids that csv.writer quotes (a comma, a quote, LF) and ones it leaves bare
+    AWKWARD_IDS = ("a,b", 'say "hi"', '"', "two\nlines", '",\n"', ",", "plain",
+                   " padded ", "", "é-ü", "tab\there")
+
+    @staticmethod
+    def _with_ids(dataset, ids):
+        """The dataset with the ids of its second block onwards replaced,
+        in turn, by ids; its first block keeps its own."""
+        rows = [s if i < ROW_BLOCK else s._replace(source_id=ids[i % len(ids)])
+                for i, s in enumerate(dataset.specimens)]
+        return Dataset(tuple(rows))
+
+    @staticmethod
+    def _as_loaded(dataset):
+        """The rows as load_csv reads them back: ids stripped of whitespace."""
+        return [s._replace(source_id=s.source_id.strip()) for s in dataset.specimens]
+
+    def test_save_csv_quotes_ids_as_csv_writer(self, tmp_path):
+        ds = self._with_ids(generate_synthetic(ROW_BLOCK + 40, 12, 0.1), self.AWKWARD_IDS)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_csv(ds, a)
+        _per_row_save_csv(ds.specimens, b)
+        assert a.read_bytes() == b.read_bytes()
+        assert list(load_csv(a).specimens) == self._as_loaded(ds)
+
+    def test_save_csv_quotes_carriage_return(self, tmp_path):
+        # csv.writer leaves a CR bare under the "\n" line terminator, and
+        # the reader then ends the row there; a quoted CR reads back
+        ids = ("a\rb", "c\r\nd", '\r"')
+        ds = self._with_ids(generate_synthetic(ROW_BLOCK + 3, 13, 0.1), ids)
+        p = tmp_path / "cr.csv"
+        save_csv(ds, p)
+        assert b'"a\rb"' in p.read_bytes() and b'"\r"""' in p.read_bytes()
+        assert list(load_csv(p).specimens) == self._as_loaded(ds)
+
 
 def _held_bytes(make):
     """Bytes that make's result keeps allocated, by tracemalloc."""
