@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import hashlib
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ import yaml
 
 from . import __version__
 from .codes import CODE_IDS, CodeOptions, predict_all
-from .data import ENVELOPE, Dataset, generate_synthetic, load_csv, save_csv, split
+from .data import ENVELOPE, Dataset, csv_cell, generate_synthetic, load_csv, save_csv, split
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import (compute_metrics, interval_breakdown,
                          robustness_sweep, sensitivity)
@@ -250,16 +250,17 @@ def _cell(c) -> str:
     if isinstance(c, float):
         # float() first: numpy 2 reprs an np.float64 as "np.float64(...)"
         return "" if math.isnan(c) else repr(float(c))
-    return "" if c is None else str(c)
+    return "" if c is None else csv_cell(str(c))
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """One row per line; a cell holding a comma or a quote is quoted. None
-    and NaN, a value that could not be computed, write as an empty cell."""
+    """One row per line; a cell is quoted by data.csv_cell. None and NaN, a
+    value that could not be computed, write as an empty cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(list(map(_cell, row)) for row in rows)
+        for row in chain([header], rows):
+            cells = list(map(_cell, row))
+            # a row of one empty cell writes as "", so that it reads back
+            fh.write((",".join(cells) or '""' * len(cells)) + "\n")
 
 
 def _resolve_input(key: str, cfg: dict, outdir: Path) -> Path | None:

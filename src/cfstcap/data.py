@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -30,8 +30,10 @@ ENVELOPE = {
 CSV_HEADER = ["D_mm", "t_mm", "L_mm", "fy_MPa", "fc_MPa", "N_kN", "source_id"]
 NUMERIC_FIELDS = ("D", "t", "L", "fy", "fc", "N")
 
-# rows a table builds, and a CSV parses or writes, at a time
+# rows a table builds, and save_csv writes, at a time
 ROW_BLOCK = 256
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 class Specimen(NamedTuple):
@@ -170,48 +172,59 @@ def numeric_columns(specimens, width: int) -> np.ndarray:
                        float, n * width).reshape(n, width)
 
 
-def _parse_columns(rows):
-    """Six float arrays and the stripped source ids of rows of seven fields,
-    parsed by column; ValueError on a non-numeric cell."""
-    cols = list(zip(*rows)) or [()] * len(CSV_HEADER)
-    return [array("d", map(float, col)) for col in cols[:6]], list(map(str.strip, cols[6]))
+def _clean_table(fh, skip: int) -> SpecimenTable:
+    """The table of the rows left in fh after its first skip lines, parsed
+    in C: one line scan takes the stripped source ids, then np.loadtxt reads
+    the numbers. ValueError when there is no row, or a row needs checking
+    on its own: a line without exactly six commas (a blank line or a row of
+    the wrong width), a line holding a quote, or a cell loadtxt refuses."""
+    ids = []
+    for line in fh:
+        if line.count(",") != 6 or '"' in line:
+            raise ValueError
+        ids.append(line.rpartition(",")[2].strip())
+    if not ids:
+        raise ValueError
+    fh.seek(0)
+    return SpecimenTable(np.loadtxt(fh, delimiter=",", comments=None, skiprows=skip,
+                                    usecols=range(len(NUMERIC_FIELDS)), ndmin=2), ids)
 
 
-def _checked_rows(rows, first: int, problems: list):
-    """The rows of seven fields and six numbers, and their row numbers
-    counted from first; every other row but a blank line is a problem."""
+def _checked_rows(rows, problems: list):
+    """The numbers, stripped source ids and row numbers of the rows of seven
+    fields and six numbers, counted from row 2; every other row but a blank
+    line is a problem."""
     width = len(CSV_HEADER)
-    kept, rownums = [], []
-    for rownum, row in enumerate(rows, start=first):
+    values, ids, rownums = [], [], []
+    for rownum, row in enumerate(rows, start=2):
         if len(row) != width:
             if len(row) > 1 or (row and row[0].strip()):  # else a blank line
                 problems.append((rownum, f"expected {width} fields, got {len(row)}"))
             continue
-        numeric = True
+        numbers = []
         for name, cell in zip(NUMERIC_FIELDS, row):
             try:
-                float(cell)
+                numbers.append(float(cell))
             except ValueError:
                 problems.append((rownum, f"non-numeric {name} value {cell!r}"))
-                numeric = False
-        if numeric:
-            kept.append(row)
+        if len(numbers) == len(NUMERIC_FIELDS):
+            values += numbers
+            ids.append(row[6].strip())
             rownums.append(rownum)
-    return kept, rownums
+    return np.array(values).reshape(-1, len(NUMERIC_FIELDS)), ids, rownums
 
 
 def load_csv(path, range_mode: str = "warn") -> Dataset:
     """Parse the canonical CSV schema into a Dataset.
 
-    Rows violating hard invariants abort the load with row-numbered
-    diagnostics; envelope violations warn or reject per range_mode. The
-    checks run over arrays; only a flagged row builds its messages.
+    A file of clean one-line rows is parsed in C (_clean_table); any other
+    goes through csv.reader and is checked row by row. Rows violating hard
+    invariants abort the load with row-numbered diagnostics; envelope
+    violations warn or reject per range_mode. The checks run over arrays;
+    only a flagged row builds its messages.
     """
     if range_mode not in ("warn", "reject"):
         raise ConfigError(f"range_mode must be 'warn' or 'reject', got {range_mode!r}")
-    columns = [array("d") for _ in NUMERIC_FIELDS]
-    ids = []
-    rownums = array("q")
     problems = []  # (row number, message)
     try:
         # utf-8-sig also reads a file saved with a byte-order mark
@@ -228,24 +241,13 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
             raise DataError(
                 f"{path}: header {header!r} does not match required schema {CSV_HEADER!r}"
             )
-        # a block of clean rows parses by column; a block with a row of the
-        # wrong width or a non-numeric cell is checked row by row first
-        first = 2  # the row number of the block's first row
-        for block in iter(lambda: list(islice(reader, ROW_BLOCK)), []):
-            try:
-                if set(map(len, block)) != {len(CSV_HEADER)}:
-                    raise ValueError
-                parsed, block_ids = _parse_columns(block)
-                kept = range(first, first + len(block))
-            except ValueError:
-                rows, kept = _checked_rows(block, first, problems)
-                parsed, block_ids = _parse_columns(rows)
-            for column, values in zip(columns, parsed):
-                column.extend(values)
-            ids += block_ids
-            rownums.extend(kept)
-            first += len(block)
-    table = SpecimenTable(np.stack([np.frombuffer(c) for c in columns]).T, ids)
+        try:
+            table = _clean_table(fh, reader.line_num)
+            rownums = range(2, 2 + len(table))
+        except ValueError:
+            fh.seek(0)
+            values, ids, rownums = _checked_rows(islice(csv.reader(fh), 1, None), problems)
+            table = SpecimenTable(values, ids)
     # the conditions of invariant_violations and envelope_violations over
     # the numeric columns (ENVELOPE covers D..fc); a flagged row builds its
     # Specimen for the messages
@@ -253,8 +255,10 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
     D, t = values[:, 0], values[:, 1]
     lo, hi = np.array(list(ENVELOPE.values())).T
     env = values[:, :len(ENVELOPE)]
-    flagged = (~(np.isfinite(values) & (values > 0)).all(axis=1) | (D <= 2 * t)
-               | ~((env >= lo) & (env <= hi)).all(axis=1))
+    # 2 * t past 8.99e307 is inf, as in Python's float arithmetic, unwarned
+    with np.errstate(over="ignore"):
+        flagged = (~(np.isfinite(values) & (values > 0)).all(axis=1) | (D <= 2 * t)
+                   | ~((env >= lo) & (env <= hi)).all(axis=1))
     for i in np.flatnonzero(flagged).tolist():
         s, rownum = table[i], rownums[i]
         bad = s.invariant_violations()
@@ -275,6 +279,12 @@ def load_csv(path, range_mode: str = "warn") -> Dataset:
     return Dataset(specimens=table)
 
 
+def csv_cell(text: str) -> str:
+    """text as one CSV cell: in double quotes, with its quotes doubled, when
+    it holds a comma, a quote, CR or LF; else as it is."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Write the canonical CSV schema; floats use shortest round-trip repr.
     Rows are joined from the columns, a block at a time."""
@@ -283,12 +293,8 @@ def save_csv(dataset: Dataset, path) -> None:
         fh.write(",".join(CSV_HEADER) + "\n")
         for start in range(0, len(table), ROW_BLOCK):
             block = table[start:start + ROW_BLOCK]
-            ids = block.ids
-            if any(c in "".join(ids) for c in ',"\r\n'):
-                # an id holding a comma, a quote, CR or LF goes in double quotes
-                ids = ['"' + i.replace('"', '""') + '"' if any(c in i for c in ',"\r\n') else i
-                       for i in ids]
-            cells = zip(*(map(repr, col) for col in block.values.T.tolist()), ids)
+            cells = zip(*(map(repr, col) for col in block.values.T.tolist()),
+                        map(csv_cell, block.ids))
             fh.write("\n".join(map(",".join, cells)) + "\n")
 
 

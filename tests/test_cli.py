@@ -800,6 +800,29 @@ class TestWriteCsv:
                                     ',,,-inf,0.1,"x,y"\n'
                                     '1,2,2.5,1e-300,,-inf\n')
 
+    def test_bytes_of_csv_writer(self, tmp_path):
+        # cells without a CR write as csv.writer writes them, a row of one
+        # empty cell as "" and an empty row as an empty line
+        rows = [["a,b", 'say "hi"', "two\nlines"], ['"'], [""], [None], [float("nan")],
+                [], ["", ""], [" padded ", "é", "tab\there"], [1, np.int64(2), True, 0.5]]
+        text = [["a,b", 'say "hi"', "two\nlines"], ['"'], [""], [""], [""],
+                [], ["", ""], [" padded ", "é", "tab\there"], ["1", "2", "True", "0.5"]]
+        path, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli.write_csv(path, ["x", "y", "z"], rows)
+        with open(want, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([["x", "y", "z"]] + text)
+        assert path.read_bytes() == want.read_bytes()
+
+    def test_carriage_return_is_quoted(self, tmp_path):
+        # csv.writer left a CR bare, and a reader then ended the row there
+        path = tmp_path / "cr.csv"
+        rows = [["a\rb", 1.5], ['\r"', None], ["c\r\nd", "e"]]
+        cli.write_csv(path, ["id", "v"], rows)
+        assert path.read_bytes() == (b'id,v\n"a\rb",1.5\n"\r""",\n"c\r\nd",e\n')
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [["id", "v"], ["a\rb", "1.5"], ['\r"', ""],
+                                             ["c\r\nd", "e"]]
+
     def test_np_float64_writes_as_its_repr(self, tmp_path):
         path = tmp_path / "one.csv"
         value = np.float64(1) / 3

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cfstcap.codes import han_capacity_kn
 from cfstcap.data import (CSV_HEADER, ENVELOPE, ROW_BLOCK, Dataset, Specimen,
@@ -268,6 +270,89 @@ class TestArrayCheckedLoad:
             loaded = load_csv(p)
         assert loaded.specimens == ds.specimens
         assert _per_row_load_csv(p).specimens == loaded.specimens
+
+
+# rows of every kind the two parses tell apart: clean ones, ones of the
+# wrong width, blank ones, ids that loadtxt's defaults would cut or that
+# need quotes, numeric cells only float() takes, and flagged rows
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False)
+_CLEAN_ROW = st.builds(
+    lambda nums, source_id: ",".join(map(repr, nums)) + "," + source_id,
+    st.tuples(st.floats(50, 1000), st.floats(1, 20), st.floats(200, 5000),
+              st.floats(200, 1100), st.floats(10, 190), st.floats(100, 1e4)),
+    st.text(alphabet="ab -_#é0\t", max_size=6))
+_QUOTED_ID = st.text(alphabet='ab,"\r\n#', min_size=1, max_size=6).map(
+    lambda i: '"' + i.replace('"', '""') + '"')
+# rows that pass load_csv's line scan, for loadtxt to take or refuse
+_ONE_LINE_ROW = st.one_of(
+    _CLEAN_ROW,
+    st.sampled_from([
+        "100,5,300,300,30,650,#lab#",
+        "1_00,5,300,300,30,650,underscore",   # float() takes these; loadtxt does not
+        "100,5,٣٠٠,300,30,650,arabic-indic",
+        "１００,5,300,300,30,650,fullwidth",
+        "nan,5,300,300,30,650,nan-D",
+        "100,5,300,300,30,1e400,huge-N",
+        "100,5,300,300,30,-1e400,huge-negative-N",
+        "2000,5,3000,300,30,50000,big",
+        "100,5,300,1200,250,650,strong",
+        "100,60,300,300,30,650,thick",
+        "100,five,300,300,30,650,text",
+        " 100 ,5,300,300,30,650,padded",
+    ]),
+    st.builds(lambda nums: ",".join(map(repr, nums)) + ",any", st.tuples(*[_NUMBER] * 6)),
+)
+_ROW = st.one_of(
+    _ONE_LINE_ROW,
+    _CLEAN_ROW.map(lambda r: r.rpartition(",")[0]),                  # 6 fields
+    _CLEAN_ROW.map(lambda r: r + ",extra"),                          # 8 fields
+    st.sampled_from(["", " ", "\t", "  ", ",", ",,,,,,"]),            # blank or empty
+    st.builds(lambda r, i: r.rpartition(",")[0] + "," + i, _CLEAN_ROW, _QUOTED_ID),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """(text, whether it starts with a byte-order mark) of a specimen CSV
+    holding at least one clean row, so that the per-row loader, which takes
+    a file of no rows, agrees with load_csv."""
+    rows = draw(st.lists(draw(st.sampled_from([_ROW, _ONE_LINE_ROW])), max_size=12))
+    rows.insert(draw(st.integers(0, len(rows))), draw(_CLEAN_ROW))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([",".join(CSV_HEADER)] + rows) + draw(st.sampled_from([eol, ""]))
+    return text, draw(st.booleans())
+
+
+class TestCheckedAndFastParse:
+    """load_csv reads a clean file in C and checks any other row by row;
+    either way it agrees with the per-row loader."""
+
+    @given(_csv_files())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_agrees_with_per_row_loader(self, tmp_path, file):
+        text, bom = file
+        p = tmp_path / "data.csv"
+        for range_mode in ("warn", "reject"):
+            # the per-row loader reads no byte-order mark: it gets the same
+            # text, at the same path, without one
+            p.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+            got = _outcome(load_csv, p, range_mode)
+            p.write_bytes(text.encode())
+            assert got == _outcome(_per_row_load_csv, p, range_mode)
+
+    @pytest.mark.parametrize("eol, bom", [("\n", b""), ("\r\n", b"\xef\xbb\xbf")])
+    def test_clean_file_skips_the_checked_path(self, tmp_path, monkeypatch, eol, bom):
+        ds = generate_synthetic(ROW_BLOCK + 7, 14, 0.1)
+        p = tmp_path / "clean.csv"
+        save_csv(ds, p)
+        p.write_bytes(bom + p.read_bytes().replace(b"\n", eol.encode()))
+
+        def refuse(*args):
+            raise AssertionError("a clean file was checked row by row")
+
+        monkeypatch.setattr("cfstcap.data._checked_rows", refuse)
+        assert load_csv(p).specimens == ds.specimens
 
 
 class TestSpecimenRecord:
@@ -587,3 +672,20 @@ class TestHeldMemory:
         p = tmp_path / "large.csv"
         save_csv(generate_synthetic(25_600, 9, 0.1), p)
         assert _held_bytes(lambda: load_csv(p)) < 7.8e6 / 2
+
+    def test_load_csv_peak(self, tmp_path):
+        """Loading the 25,600 specimens peaks at most 4.5 MB by tracemalloc;
+        csv.reader's blocks and a float object per cell peaked at 5.3 MB."""
+        p = tmp_path / "large.csv"
+        save_csv(generate_synthetic(25_600, 9, 0.1), p)
+        load_csv(p)  # imports and caches first
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_csv(p)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 25_600
+        assert peak <= 4.5e6
