@@ -523,6 +523,9 @@ def train_many(dataset: Dataset, labels, specs, feature_order=PAPER_SELECTED,
     nu0 = frame.column("Nu0")
     yl, yu = (np.array(b) for b in zip(*(_band(nu0, s) for s in specs)))
     tr, va = split_dataset(dataset, dataset.split_fraction, dataset.split_seed)
+    if len(tr) < 2:
+        # one row normalizes to zeros and its gradients are all 0
+        raise DataError(f"need at least 2 training specimens, have {len(tr)}")
     # the band is fixed per row, so one check covers every batch
     _check_band(yl[:, tr], yu[:, tr])
 

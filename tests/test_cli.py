@@ -364,6 +364,12 @@ class TestExitCodes:
         assert run("evaluate", tmp_path) == 2
         assert "model.json" in capsys.readouterr().err
 
+    def test_one_row_training_split_rejected(self, tmp_path, capsys):
+        # 1% of 80 specimens is one training row, which trains nothing
+        assert run("pipeline", tmp_path, extra=["split.fraction=0.01"]) == 2
+        assert "need at least 2 training specimens, have 1" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_model_from_another_dataset_rejected(self, tmp_path, capsys):
         small, large = ["data.synthetic.n=60"], ["data.synthetic.n=200"]
         assert run("synth", tmp_path, extra=small) == 0

@@ -836,6 +836,14 @@ class TestLockstepOracle:
         with pytest.raises(DataError, match="positive"):
             train_many(ds, np.array([clean, -clean]), specs, config=small_config(epochs=1))
 
+    def test_one_row_training_split_rejected(self):
+        # one training row normalizes to zeros, so every gradient is 0
+        ds = generate_synthetic(80, 1, 0.05)
+        ds = Dataset(ds.specimens, split_fraction=0.01)
+        with pytest.raises(DataError, match="at least 2 training specimens, have 1"):
+            train_many(ds, ds.specimens.column("N")[None], [variant_spec("ANN")],
+                       config=small_config(epochs=1))
+
 
 class TestNeverImproved:
     def test_stops_at_patience_with_its_last_parameters(self):
