@@ -172,6 +172,29 @@ def best_split(X, y, order, features):
     return int(features[j]), float(a if thr == b else thr), float(score[i, j])
 
 
+def dense_ranks(X) -> np.ndarray:
+    """Each entry's count of smaller distinct values in its column, as
+    int64: ranks order a column as its values do, equal values equal
+    (-0.0 and 0.0 too). X must hold no NaN, which would share the largest
+    value's rank."""
+    order = np.argsort(X, axis=0, kind="stable")
+    sorted_x = np.take_along_axis(X, order, axis=0)
+    steps = np.zeros(X.shape, dtype=np.int64)
+    steps[1:] = sorted_x[1:] > sorted_x[:-1]
+    ranks = np.empty(X.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, steps.cumsum(axis=0), axis=0)
+    return ranks
+
+
+def key_order(keys, rows, features) -> np.ndarray:
+    """order[:, j]: rows (ascending) by ascending column features[j], ties
+    by ascending row, read off keys = ranks * n + row of an (n, m) matrix.
+    The keys are unique, so any sort gives this one order."""
+    order = keys.take(rows[:, None] * keys.shape[1] + features)
+    order.sort(axis=0)
+    return np.remainder(order, len(keys), out=order)
+
+
 def mean_var(y) -> tuple[float, float]:
     """y.mean() and y.var() of a 1-D float array, bit for bit: the same sums
     and divisions those wrappers make, without their per-call overhead."""
@@ -189,19 +212,26 @@ class _Builder:
     order and the child's rows of every sorted column, compressed out of
     its own in order, so no node sorts again. A node whose children are
     leaves at max_depth hands them only their rows. A feature-subsampled
-    tree carries no presort: each splitting node stable-argsorts just its
-    candidate columns over its rows, which are in ascending order, so ties
-    fall to ascending row id as in the compressed presort. Each node writes
+    tree carries no presort but one unique int64 key per cell, rank * n +
+    row, its ranks ordering each column as its values do: each splitting
+    node sorts its candidate columns' keys over its rows (key_order), which
+    gives the order a stable argsort of the values would, ties by
+    ascending row id as in the compressed presort. Each node writes
     its mean to its rows of leaf_out, when given, and its children then
     overwrite theirs, so every row ends on its leaf's value.
     """
 
-    def __init__(self, X, y, max_depth, max_features, rng, leaf_out):
+    def __init__(self, X, y, max_depth, max_features, rng, leaf_out, ranks):
         self.X = np.ascontiguousarray(X, dtype=float)
         self.y = np.ascontiguousarray(y, dtype=float)
         self.max_depth = max_depth
         self.max_features = max_features
         self.subsampled = max_features is not None and max_features < self.X.shape[1]
+        if self.subsampled:
+            ranks = dense_ranks(self.X) if ranks is None else np.asarray(ranks, dtype=np.int64)
+            if ranks.shape != self.X.shape:
+                raise DataError(f"ranks of shape {ranks.shape} for X of shape {self.X.shape}")
+            self.keys = ranks * len(ranks) + np.arange(len(ranks))[:, None]
         self.rng = rng
         self.leaf_out = leaf_out
         self.goes_left = np.zeros(len(self.y), dtype=bool)
@@ -235,8 +265,7 @@ class _Builder:
             return idx
         features = self._candidate_features()
         if order is None:
-            at_x = rows[:, None] * self.X.shape[1] + features
-            order = rows[np.argsort(self.X.take(at_x), axis=0, kind="stable")]
+            order = key_order(self.keys, rows, features)
         split = best_split(self.X, self.y, order, features)
         if split is None:
             return idx
@@ -263,24 +292,37 @@ class _Builder:
                     n_features=self.X.shape[1], depth=self.depth)
 
 
+def training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float arrays; DataError unless X is a non-empty matrix
+    and y holds one label per row, all finite."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise DataError("empty or non-matrix training input")
+    if y.shape != X.shape[:1]:
+        raise DataError("row count mismatch between X and y")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DataError("non-finite value in training input")
+    return X, y
+
+
 def fit_regression_tree(X, y, max_depth: int = 8, max_features=None,
-                        rng=None, order=None, leaf_out=None) -> Tree:
+                        rng=None, order=None, leaf_out=None, ranks=None) -> Tree:
     """Greedy variance-minimizing regression tree.
 
     max_features limits the candidate features per split (random forest
     column subsampling); rng (a Generator or a seed) only matters when set.
     order, when given, is np.argsort(X, axis=0, kind="stable"), shared by
     callers that fit many trees on one X; a feature-subsampled tree does
-    not use it. leaf_out, when given, a float array of one entry per row
-    of X, receives each training row's leaf value.
+    not use it. ranks, used only by a feature-subsampled tree, are integers
+    of X's shape that order each column as X does, equal where X is equal,
+    such as a forest's dense_ranks of its whole X at a bootstrap's rows;
+    such a tree ranks X itself without them. leaf_out, when given, a float
+    array of one entry per row of X, receives each training row's leaf value.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise DataError("empty or non-matrix training input")
-    if X.shape[0] != y.shape[0]:
-        raise DataError("row count mismatch between X and y")
-    b = _Builder(X, y, max_depth, max_features, np.random.default_rng(rng), leaf_out)
+    X, y = training_arrays(X, y)
+    b = _Builder(X, y, max_depth, max_features, np.random.default_rng(rng), leaf_out,
+                 ranks)
     if b.subsampled:
         order = None
     elif order is None:

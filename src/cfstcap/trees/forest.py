@@ -9,7 +9,8 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from ..seeding import child_rng
-from .cart import LEAF, NodeTable, Tree, fit_regression_tree
+from .cart import (LEAF, NodeTable, Tree, dense_ranks, fit_regression_tree,
+                   training_arrays)
 
 
 @dataclass
@@ -27,21 +28,22 @@ class RandomForest:
 
 def fit_random_forest(X, y, n_trees: int = 100, max_depth: int = 12,
                       seed: int = 0, max_features="sqrt") -> RandomForest:
-    """Bagged variance-splitting trees with sqrt(M) feature subsampling."""
+    """Bagged variance-splitting trees with sqrt(M) feature subsampling.
+
+    X is ranked once (dense_ranks); each tree takes its bootstrap rows'
+    ranks, from which its splitting nodes sort their candidate columns."""
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise DataError("empty training input")
+    X, y = training_arrays(X, y)
     n, m = X.shape
     mf = max(1, int(math.sqrt(m))) if max_features == "sqrt" else max_features
+    ranks = dense_ranks(X)
     trees = []
     for i in range(n_trees):
         rng = child_rng(seed, i)
         rows = rng.integers(0, n, size=n)
         trees.append(fit_regression_tree(X[rows], y[rows], max_depth=max_depth,
-                                         max_features=mf, rng=rng))
+                                         max_features=mf, rng=rng, ranks=ranks[rows]))
     return RandomForest(trees=trees, n_features=m)
 
 

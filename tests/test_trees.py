@@ -150,10 +150,11 @@ def reference_split(X, y, rows, features, min_leaf):
 
 
 def reference_tree(X, y, max_depth=8, min_leaf=1, seed=None, max_features=None,
-                   rng=None, order=None, leaf_out=None):
+                   rng=None, order=None, leaf_out=None, ranks=None):
     """Recursive builder calling reference_split at every node, with the
     same rng draws as fit_regression_tree. order, the presort a caller of
-    fit_regression_tree may share, is ignored: every node sorts its own rows.
+    fit_regression_tree may share, and ranks, the rank keys a forest
+    shares, are ignored: every node sorts its own rows by value.
     leaf_out, when given, gets each row's leaf value by a walk of the tree."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
