@@ -224,32 +224,35 @@ class _Builder:
     def __init__(self, X, y, max_depth, max_features, rng, leaf_out, ranks):
         self.X = np.ascontiguousarray(X, dtype=float)
         self.y = np.ascontiguousarray(y, dtype=float)
+        n, m = self.X.shape
         self.max_depth = max_depth
-        self.max_features = max_features
-        self.subsampled = max_features is not None and max_features < self.X.shape[1]
-        if self.subsampled:
-            ranks = dense_ranks(self.X) if ranks is None else np.asarray(ranks, dtype=np.int64)
-            if ranks.shape != self.X.shape:
-                raise DataError(f"ranks of shape {ranks.shape} for X of shape {self.X.shape}")
-            self.keys = ranks * len(ranks) + np.arange(len(ranks))[:, None]
-        self.rng = rng
         self.leaf_out = leaf_out
-        self.goes_left = np.zeros(len(self.y), dtype=bool)
+        self.goes_left = np.zeros(n, dtype=bool)
         # room for the most nodes the tree can have: a full tree of
         # max_depth levels, or one with every row in its own leaf
-        width = min(2 * len(self.y), 2 ** (max(max_depth, 0) + 1)) - 1
+        width = min(2 * n, 2 ** (max(max_depth, 0) + 1)) - 1
         self.feature, self.left, self.right = np.full((3, width), LEAF, dtype=np.int64)
         self.threshold, self.value, self.impurity = np.zeros((3, width))
         self.n_samples = np.zeros(width, dtype=np.int64)
         self.size = 0   # nodes so far
         self.depth = 0  # of the deepest node so far
+        self.subsampled = max_features is not None and max_features < m
+        if self.subsampled:
+            ranks = dense_ranks(self.X) if ranks is None else np.asarray(ranks, dtype=np.int64)
+            if ranks.shape != self.X.shape:
+                raise DataError(f"ranks of shape {ranks.shape} for X of shape {self.X.shape}")
+            self.keys = ranks * n + np.arange(n)[:, None]
+            # one draw per tree: the j-th node to draw, in preorder, takes
+            # the first max_features of row j's argsort, sorted
+            draw = np.argsort(rng.random((width, m)), axis=1, kind="stable")
+            self.candidates = np.sort(draw[:, :max_features], axis=1)
+            self.draws = 0
 
     def _candidate_features(self):
-        m = self.X.shape[1]
         if not self.subsampled:
-            return np.arange(m)
-        chosen = self.rng.choice(m, size=self.max_features, replace=False)
-        return np.sort(chosen)
+            return np.arange(self.X.shape[1])
+        self.draws += 1
+        return self.candidates[self.draws - 1]
 
     def build(self, rows, order, depth):
         """Node over rows (ascending); order is None when the node sorts

@@ -152,15 +152,21 @@ def reference_split(X, y, rows, features, min_leaf):
 def reference_tree(X, y, max_depth=8, min_leaf=1, seed=None, max_features=None,
                    rng=None, order=None, leaf_out=None, ranks=None):
     """Recursive builder calling reference_split at every node, with the
-    same rng draws as fit_regression_tree. order, the presort a caller of
-    fit_regression_tree may share, and ranks, the rank keys a forest
-    shares, are ignored: every node sorts its own rows by value.
-    leaf_out, when given, gets each row's leaf value by a walk of the tree."""
+    same rng draws as fit_regression_tree: a feature-subsampled tree draws
+    one uniform row of m per node it has room for, up front, and its j-th
+    node to draw takes the max_features smallest of row j. order, the
+    presort a caller of fit_regression_tree may share, and ranks, the rank
+    keys a forest shares, are ignored: every node sorts its own rows by
+    value. leaf_out, when given, gets each row's leaf value by a walk of
+    the tree."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed) if rng is None else rng
     m = X.shape[1]
     nodes = []
+    if max_features is not None and max_features < m:
+        room = min(2 * len(y), 2 ** (max(max_depth, 0) + 1)) - 1
+        draws = iter(rng.random((room, m)))
 
     def build(rows, depth):
         yr = y[rows]
@@ -171,7 +177,9 @@ def reference_tree(X, y, max_depth=8, min_leaf=1, seed=None, max_features=None,
         if max_features is None or max_features >= m:
             features = np.arange(m)
         else:
-            features = np.sort(rng.choice(m, size=max_features, replace=False))
+            u = next(draws)
+            features = np.array(sorted(range(m), key=lambda f: (u[f], f))[:max_features])
+            features.sort()
         split = reference_split(X, y, rows, features, min_leaf)
         if split is None:
             return idx
