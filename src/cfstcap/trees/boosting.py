@@ -6,9 +6,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError
 from ..seeding import child_rng
-from .cart import NodeTable, Tree, fit_regression_tree
+from .cart import NodeTable, Tree, check_count, fit_regression_tree, training_arrays
 
 
 @dataclass
@@ -29,14 +29,10 @@ class GradientBoosting:
 def fit_gradient_boosting(X, y, n_trees: int = 100, max_depth: int = 3,
                           learning_rate: float = 0.1, seed: int = 0) -> GradientBoosting:
     """Stagewise fit to squared-loss residuals from a mean base score."""
-    if n_trees < 1:
-        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
+    check_count("n_trees", n_trees)
     if not 0 < learning_rate <= 1:
         raise ConfigError("learning_rate must be in (0, 1]")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise DataError("empty training input")
+    X, y = training_arrays(X, y)
     order = np.argsort(X, axis=0, kind="stable")  # shared by every stage
     base = float(y.mean())
     pred = np.full(len(y), base)

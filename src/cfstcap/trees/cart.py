@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 
 LEAF = -1
 # (tree, row) pairs that NodeTable.leaf_values walks at once
@@ -173,23 +173,18 @@ def best_split(X, y, order, features):
 
 
 def dense_ranks(X) -> np.ndarray:
-    """Each entry's count of smaller distinct values in its column, as
-    int64: ranks order a column as its values do, equal values equal
-    (-0.0 and 0.0 too). X must hold no NaN, which would share the largest
-    value's rank."""
+    """Each entry's count of smaller distinct values in its column (int64),
+    so -0.0 ranks as 0.0; X must hold no NaN, which ranks as its maximum."""
     order = np.argsort(X, axis=0, kind="stable")
     sorted_x = np.take_along_axis(X, order, axis=0)
-    steps = np.zeros(X.shape, dtype=np.int64)
-    steps[1:] = sorted_x[1:] > sorted_x[:-1]
-    ranks = np.empty(X.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, steps.cumsum(axis=0), axis=0)
+    ranks = np.zeros(X.shape, dtype=np.int64)
+    ranks[1:] = sorted_x[1:] > sorted_x[:-1]  # where a sorted column steps up
+    np.put_along_axis(ranks, order, ranks.cumsum(axis=0), axis=0)
     return ranks
 
 
 def key_order(keys, rows, features) -> np.ndarray:
-    """order[:, j]: rows (ascending) by ascending column features[j], ties
-    by ascending row, read off keys = ranks * n + row of an (n, m) matrix.
-    The keys are unique, so any sort gives this one order."""
+    """order[:, j]: rows by column features[j], ties by row, off unique keys rank * n + row."""
     order = keys.take(rows[:, None] * keys.shape[1] + features)
     order.sort(axis=0)
     return np.remainder(order, len(keys), out=order)
@@ -212,11 +207,9 @@ class _Builder:
     order and the child's rows of every sorted column, compressed out of
     its own in order, so no node sorts again. A node whose children are
     leaves at max_depth hands them only their rows. A feature-subsampled
-    tree carries no presort but one unique int64 key per cell, rank * n +
-    row, its ranks ordering each column as its values do: each splitting
-    node sorts its candidate columns' keys over its rows (key_order), which
-    gives the order a stable argsort of the values would, ties by
-    ascending row id as in the compressed presort. Each node writes
+    tree draws all its nodes' candidates at once; a node sorts its rows'
+    int64 keys rank * n + row of them (key_order): a stable argsort's
+    order, ties by ascending row id as in the compressed presort. Each node writes
     its mean to its rows of leaf_out, when given, and its children then
     overwrite theirs, so every row ends on its leaf's value.
     """
@@ -236,23 +229,16 @@ class _Builder:
         self.n_samples = np.zeros(width, dtype=np.int64)
         self.size = 0   # nodes so far
         self.depth = 0  # of the deepest node so far
+        self.draws = 0  # candidate sets taken; the j-th node to draw, in preorder, takes row j
+        self.candidates = np.broadcast_to(np.arange(m), (width, m))
         self.subsampled = max_features is not None and max_features < m
         if self.subsampled:
             ranks = dense_ranks(self.X) if ranks is None else np.asarray(ranks, dtype=np.int64)
             if ranks.shape != self.X.shape:
                 raise DataError(f"ranks of shape {ranks.shape} for X of shape {self.X.shape}")
             self.keys = ranks * n + np.arange(n)[:, None]
-            # one draw per tree: the j-th node to draw, in preorder, takes
-            # the first max_features of row j's argsort, sorted
             draw = np.argsort(rng.random((width, m)), axis=1, kind="stable")
             self.candidates = np.sort(draw[:, :max_features], axis=1)
-            self.draws = 0
-
-    def _candidate_features(self):
-        if not self.subsampled:
-            return np.arange(self.X.shape[1])
-        self.draws += 1
-        return self.candidates[self.draws - 1]
 
     def build(self, rows, order, depth):
         """Node over rows (ascending); order is None when the node sorts
@@ -266,7 +252,8 @@ class _Builder:
             self.leaf_out[rows] = mean
         if depth >= self.max_depth or var == 0.0 or len(rows) < 2:
             return idx
-        features = self._candidate_features()
+        features = self.candidates[self.draws]
+        self.draws += 1
         if order is None:
             order = key_order(self.keys, rows, features)
         split = best_split(self.X, self.y, order, features)
@@ -295,9 +282,14 @@ class _Builder:
                     n_features=self.X.shape[1], depth=self.depth)
 
 
+def check_count(name, v) -> None:
+    """ConfigError unless v is an integer >= 1; a bool is not one."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+
+
 def training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """X and y as float arrays; DataError unless X is a non-empty matrix
-    and y holds one label per row, all finite."""
+    """X, y as float arrays; DataError unless a non-empty matrix, a label a row, all finite."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -317,15 +309,12 @@ def fit_regression_tree(X, y, max_depth: int = 8, max_features=None,
     column subsampling); rng (a Generator or a seed) only matters when set.
     order, when given, is np.argsort(X, axis=0, kind="stable"), shared by
     callers that fit many trees on one X; a feature-subsampled tree does
-    not use it. ranks, used only by a feature-subsampled tree, are integers
-    of X's shape that order each column as X does, equal where X is equal,
-    such as a forest's dense_ranks of its whole X at a bootstrap's rows;
-    such a tree ranks X itself without them. leaf_out, when given, a float
-    array of one entry per row of X, receives each training row's leaf value.
+    not use it; it ranks X (dense_ranks) unless given ranks that order X's
+    columns as dense_ranks(X) does. leaf_out, when given, a float array of
+    one entry per row of X, receives each training row's leaf value.
     """
     X, y = training_arrays(X, y)
-    b = _Builder(X, y, max_depth, max_features, np.random.default_rng(rng), leaf_out,
-                 ranks)
+    b = _Builder(X, y, max_depth, max_features, np.random.default_rng(rng), leaf_out, ranks)
     if b.subsampled:
         order = None
     elif order is None:

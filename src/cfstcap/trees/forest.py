@@ -7,9 +7,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import DataError
 from ..seeding import child_rng
-from .cart import (LEAF, NodeTable, Tree, dense_ranks, fit_regression_tree,
+from .cart import (LEAF, NodeTable, Tree, check_count, dense_ranks, fit_regression_tree,
                    training_arrays)
 
 
@@ -28,12 +28,10 @@ class RandomForest:
 
 def fit_random_forest(X, y, n_trees: int = 100, max_depth: int = 12,
                       seed: int = 0, max_features="sqrt") -> RandomForest:
-    """Bagged variance-splitting trees with sqrt(M) feature subsampling.
-
-    X is ranked once (dense_ranks); each tree takes its bootstrap rows'
-    ranks, from which its splitting nodes sort their candidate columns."""
-    if n_trees < 1:
-        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
+    """Bagged variance-splitting trees with sqrt(M) feature subsampling."""
+    check_count("n_trees", n_trees)
+    if max_features not in ("sqrt", None):
+        check_count("max_features", max_features)
     X, y = training_arrays(X, y)
     n, m = X.shape
     mf = max(1, int(math.sqrt(m))) if max_features == "sqrt" else max_features

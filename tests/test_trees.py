@@ -8,10 +8,10 @@ from cfstcap.trees import (RandomForest, Tree, average_path_length,
                            fit_isolation_forest, fit_random_forest,
                            fit_regression_tree, mdi_importance)
 from cfstcap.trees import cart, isolation
-from cfstcap.trees.cart import NodeTable, best_split, mean_var
+from cfstcap.trees.cart import NodeTable, best_split, dense_ranks, key_order, mean_var
 from cfstcap.trees.forest import tree_mdi
 from cfstcap.trees.isolation import _scores
-from cfstcap.errors import DataError
+from cfstcap.errors import ConfigError, DataError
 from cfstcap.seeding import child_rng
 
 
@@ -308,6 +308,81 @@ class TestPresortedKernel:
         own = rows[np.argsort(X[rows][:, features], axis=0, kind="stable")]
         assert np.array_equal(own, full[:, features])
         assert best_split(X, y, own, features) == best_split(X, y, full, features)
+
+
+def key_order_data(kind, seed=0):
+    """(X, ranks) for the key-order oracle: X is the matrix a tree is grown
+    on and ranks are the ranks it is given (a forest's ranks of its whole
+    X at a bootstrap's rows for "bootstrap", X's own dense ranks else)."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.uniform(-1, 1, size=(50, 4)), 1)
+    if kind == "duplicate_rows":
+        X[25:] = X[:25]
+    elif kind == "bootstrap":
+        whole = rng.uniform(size=(50, 4))
+        whole[:, 1] = np.round(whole[:, 1], 1)
+        boot = rng.integers(0, 50, size=50)
+        return whole[boot], dense_ranks(whole)[boot]
+    elif kind == "constant_column":
+        X[:, 2] = 3.25
+    elif kind == "infinities":
+        X[rng.uniform(size=X.shape) < 0.2] = np.inf
+        X[rng.uniform(size=X.shape) < 0.2] = -np.inf
+    elif kind == "signed_zeros":
+        X[rng.uniform(size=X.shape) < 0.5] = 0.0
+        X[rng.uniform(size=X.shape) < 0.3] = -0.0
+    return X, dense_ranks(X)
+
+
+KEY_ORDER_KINDS = ["ties", "duplicate_rows", "bootstrap", "constant_column",
+                   "infinities", "signed_zeros"]
+
+
+class TestKeyOrder:
+    """A feature-subsampled node's order, read off its sorted rank keys,
+    against a stable argsort of its candidate columns' values."""
+
+    @pytest.mark.parametrize("kind", KEY_ORDER_KINDS)
+    def test_dense_ranks_order_values(self, kind):
+        X, _ = key_order_data(kind)
+        ranks = dense_ranks(X)
+        for f in range(X.shape[1]):
+            assert np.array_equal(np.unique(ranks[:, f]), np.arange(len(np.unique(X[:, f]))))
+            a, b = np.meshgrid(X[:, f], X[:, f])
+            ra, rb = np.meshgrid(ranks[:, f], ranks[:, f])
+            assert np.array_equal(a < b, ra < rb) and np.array_equal(a == b, ra == rb)
+
+    @pytest.mark.parametrize("kind", KEY_ORDER_KINDS)
+    def test_node_order_is_stable_argsort(self, kind):
+        X, ranks = key_order_data(kind, seed=1)
+        n, m = X.shape
+        # the keys a forest tree builds from its ranks
+        keys = cart._Builder(X, np.zeros(n), 6, 2, np.random.default_rng(0), None, ranks).keys
+        assert all(len(np.unique(col)) == n for col in keys.T)
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            rows = np.flatnonzero(rng.uniform(size=n) < rng.uniform(0.05, 1.0))
+            f = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+            want = rows[np.argsort(X[rows][:, f], axis=0, kind="stable")]
+            assert np.array_equal(key_order(keys, rows, f), want)
+
+    @pytest.mark.parametrize("kind", ["ties", "duplicate_rows", "constant_column"])
+    def test_forest_ranks_match_own(self, kind):
+        # a tree given the ranks of a larger X at its rows grows as one
+        # that ranks its own rows
+        X, y = oracle_data(kind, seed=12)
+        rows = np.random.default_rng(3).integers(0, len(y), size=len(y))
+        got = fit_regression_tree(X[rows], y[rows], max_depth=8, max_features=2,
+                                  rng=child_rng(4, 0), ranks=dense_ranks(X)[rows])
+        own = fit_regression_tree(X[rows], y[rows], max_depth=8, max_features=2,
+                                  rng=child_rng(4, 0))
+        assert len(got) > 1
+        assert_same_trees([got], [own])
+
+    def test_ranks_of_another_shape_rejected(self):
+        X, y = oracle_data("uniform")
+        with pytest.raises(DataError, match="ranks of shape"):
+            fit_regression_tree(X, y, max_features=2, ranks=dense_ranks(X[1:]))
 
 
 def adjacent_float_data(n=120, seed=0, odd=False):
@@ -674,6 +749,54 @@ class TestGradientBoosting:
             fit_gradient_boosting(X, y, n_trees=0)
         with pytest.raises(ValueError):
             fit_gradient_boosting(X, y, learning_rate=0.0)
+
+
+def _fit_entry(entry, X, y):
+    if entry == "tree":
+        return fit_regression_tree(X, y, max_depth=3, max_features=2, rng=0)
+    if entry == "gradient_boosting":
+        return fit_gradient_boosting(X, y, n_trees=2)
+    return fit_random_forest(X, y, n_trees=2)
+
+
+class TestTrainingInputChecks:
+    ENTRIES = ["tree", "gradient_boosting", "random_forest"]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, entry, where, bad):
+        X, y = oracle_data("uniform", n=30)
+        if where == "X":
+            X[7, 1] = bad
+        else:
+            y[7] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            _fit_entry(entry, X, y)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_row_count_mismatch_rejected(self, entry):
+        X, y = oracle_data("uniform", n=50)
+        with pytest.raises(DataError, match="row count mismatch"):
+            _fit_entry(entry, X, y[:49])
+
+    @pytest.mark.parametrize("max_features", [0, -1, 2.5, True, False, "log2", np.float64(2.0)])
+    def test_bad_max_features_rejected(self, max_features):
+        X, y = oracle_data("uniform", n=30)
+        with pytest.raises(ConfigError, match="max_features"):
+            fit_random_forest(X, y, n_trees=2, max_features=max_features)
+
+    @pytest.mark.parametrize("max_features", ["sqrt", None, 1, np.int64(3), 6, 50])
+    def test_good_max_features_accepted(self, max_features):
+        X, y = oracle_data("uniform", n=30)
+        assert len(fit_random_forest(X, y, n_trees=2, max_features=max_features).trees) == 2
+
+    @pytest.mark.parametrize("fit", [fit_gradient_boosting, fit_random_forest])
+    @pytest.mark.parametrize("n_trees", [True, 0, -2, 2.0])
+    def test_bad_n_trees_rejected(self, fit, n_trees):
+        X, y = oracle_data("uniform", n=30)
+        with pytest.raises(ConfigError, match="n_trees"):
+            fit(X, y, n_trees=n_trees)
 
 
 class TestIsolationForest:
