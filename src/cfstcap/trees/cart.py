@@ -207,9 +207,9 @@ class _Builder:
     order and the child's rows of every sorted column, compressed out of
     its own in order, so no node sorts again. A node whose children are
     leaves at max_depth hands them only their rows. A feature-subsampled
-    tree draws all its nodes' candidates at once; a node sorts its rows'
-    int64 keys rank * n + row of them (key_order): a stable argsort's
-    order, ties by ascending row id as in the compressed presort. Each node writes
+    tree draws all its nodes' candidates at once; a node sorts the int64
+    keys rank * n + row of its candidate columns over its rows (key_order),
+    the stable argsort's order, ties by row as in the presort. Each node writes
     its mean to its rows of leaf_out, when given, and its children then
     overwrite theirs, so every row ends on its leaf's value.
     """
@@ -289,7 +289,7 @@ def check_count(name, v) -> None:
 
 
 def training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """X, y as float arrays; DataError unless a non-empty matrix, a label a row, all finite."""
+    """X, y as float arrays; DataError unless a non-empty matrix, one label per row, all finite."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
