@@ -130,30 +130,16 @@ def init_parameters(feature_order, config: TrainConfig,
                              constraint=constraint, seed=config.seed)
 
 
-def _output(weights, biases, X):
-    """Output column for rows X: (n,) for one network's (in, out) weights,
-    (K, n) for K networks' stacked (K, in, out) weights."""
+def _layers(weights, biases, X, acts=None) -> np.ndarray:
+    """Output of relu(a @ w + b) layer by layer for rows X (n, in): (n, out) for
+    (in, out) weights, (K, n, out) for K stacked ones. Each layer is written into
+    its buffer in acts if given, else a fresh array, and rectified in place."""
     a = X
-    for w, b in zip(weights, biases):
-        a = a @ w
+    for w, b, z in zip(weights, biases, acts or [None] * len(weights)):
+        a = np.matmul(a, w, out=z)
         a += b[..., None, :]
         np.maximum(a, 0.0, out=a)
-    return a[..., 0]
-
-
-def _forward_cached(weights, biases, X):
-    """One network's activations [X, a1, ..., aL] and pre-activations
-    [z1, ..., zL] in fresh arrays. Gradient checks read the
-    pre-activations to keep their probes away from the ReLU kinks."""
-    a = X
-    acts = [X]
-    zs = []
-    for w, b in zip(weights, biases):
-        z = a @ w + b
-        a = relu(z)
-        zs.append(z)
-        acts.append(a)
-    return acts, zs
+    return a
 
 
 def forward(params: NetworkParameters, X: np.ndarray) -> np.ndarray:
@@ -161,7 +147,7 @@ def forward(params: NetworkParameters, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != params.layer_sizes[0]:
         raise DataError(f"input width {X.shape[1]} != {params.layer_sizes[0]}")
-    return _output(params.weights, params.biases, X)
+    return _layers(params.weights, params.biases, X)[..., 0]
 
 
 def loss_supervised(pred, target):
@@ -178,18 +164,26 @@ def loss_supervised(pred, target):
     return float(loss) if loss.ndim == 0 else loss
 
 
-def _check_band(yl, yu):
+def _check_band(yl, yu, shape):
+    if yl.shape != shape or yu.shape != shape:
+        raise DataError(f"band {yl.shape}, {yu.shape} for predictions {shape}")
     if np.any(yl >= yu):
         raise DataError("approximate bounds must satisfy yl < yu")
 
 
+def _approx_term(pred, yl, yu):
+    """Mean rectified distance of pred outside the band [yl, yu] over the
+    last axis, with below = yl - pred and above = pred - yu."""
+    below, above = yl - pred, pred - yu
+    # np.add.reduce(x, axis=-1) / count is np.mean's own arithmetic
+    return np.add.reduce(relu(below) + relu(above), axis=-1) / pred.shape[-1], below, above
+
+
 def loss_approx(pred, yl, yu):
     """Mean rectified distance outside the per-row band [yl, yu]."""
-    pred = np.asarray(pred, dtype=float)
-    yl = np.asarray(yl, dtype=float)
-    yu = np.asarray(yu, dtype=float)
-    _check_band(yl, yu)
-    return float(np.mean(relu(yl - pred) + relu(pred - yu)))
+    pred, yl, yu = (np.asarray(a, dtype=float) for a in (pred, yl, yu))
+    _check_band(yl, yu, pred.shape)
+    return float(_approx_term(pred, yl, yu)[0])
 
 
 def dominance_relation(F) -> np.ndarray:
@@ -232,10 +226,12 @@ def dominance_pairs(F) -> np.ndarray:
     return _pairs_of(dominance_relation(F))
 
 
-def _batch_pairs(F, spec: ConstraintSpec) -> np.ndarray:
-    """Dominance pairs of the rows of F; none when there is no pair to
-    compare or the spec has no monotone features."""
-    if len(F) < 2 or len(spec.monotone_features) == 0:
+def _batch_pairs(F, spec: ConstraintSpec, n: int) -> np.ndarray:
+    """Dominance pairs of the rows of F, one row for each of n predictions;
+    none when the spec has no monotone features."""
+    if len(F) != n:
+        raise DataError(f"{len(F)} monotone-feature rows for {n} predictions")
+    if len(spec.monotone_features) == 0:
         return np.empty((0, 2), dtype=int)
     return dominance_pairs(F)
 
@@ -255,14 +251,20 @@ def loss_monotone(pred, F, spec: ConstraintSpec, rng=None):
 
     F holds the raw monotone-feature values per batch row. Beyond
     pair_budget, pairs are subsampled with the given rng (seeded by the
-    trainer); zero when no dominated pair exists. Returns (value, pairs
-    used).
+    trainer); zero when no dominated pair exists. Returns (value, pairs).
     """
     pred = np.asarray(pred, dtype=float)
-    pairs = _subsample(_batch_pairs(F, spec), spec.pair_budget, rng)
-    if len(pairs) == 0:
-        return 0.0, pairs
-    return float(np.mean(relu(pred[pairs[:, 0]] - pred[pairs[:, 1]]))), pairs
+    pairs = _subsample(_batch_pairs(F, spec, len(pred)), spec.pair_budget, rng)
+    return float(_monotone_term(pred, pairs)[0]), pairs
+
+
+def _monotone_term(pred, pairs):
+    """Mean rectified violation over the (a, b) pairs along the last axis,
+    0 without pairs, with gap = pred[..., a] - pred[..., b]."""
+    # take keeps each model's gaps contiguous, so they are summed pairwise as
+    # for one model (pred[:, idx] would lay them out column-major)
+    gap = pred.take(pairs[:, 0], axis=-1) - pred.take(pairs[:, 1], axis=-1)
+    return np.add.reduce(relu(gap), axis=-1) / max(len(pairs), 1), gap
 
 
 def _flatten(weights, biases) -> np.ndarray:
@@ -289,16 +291,16 @@ class _Stack:
 
     theta is (K, P); weights[l] (K, in, out) and biases[l] (K, out) are
     views into it, and grad_w / grad_b the same views into grad. The
-    activation and backprop buffers of each batch length, and the bias,
+    activation and backprop buffers of each batch length, and the
     transposed weight and transposed activation views the step reads, are
-    made once, so a training step writes into existing memory.
+    made once, so a training step writes into existing memory. Its forward
+    pass is _layers, the layer loop that prediction and validation run.
     """
 
     def __init__(self, theta: np.ndarray, sizes):
         self.theta = theta
         self.sizes = sizes
         self.weights, self.biases = _layer_views(theta, sizes)
-        self._bias_rows = [b[:, None, :] for b in self.biases]
         self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
         self.grad = np.empty_like(theta)
         self.grad_w, self.grad_b = _layer_views(self.grad, sizes)
@@ -313,16 +315,9 @@ class _Stack:
         return self._buffers[n]
 
     def forward(self, X):
-        """Every layer's activations relu(a @ w + b) for a batch X
-        (n, in) shared by all models; each layer's buffer is rectified in
-        place, so its positive entries mark the live units."""
+        """Every layer's activations for a batch X shared by all models."""
         acts = self._buffers_for(len(X))[0]
-        a = X
-        for w, b, z in zip(self.weights, self._bias_rows, acts):
-            np.matmul(a, w, out=z)
-            z += b
-            np.maximum(z, 0.0, out=z)
-            a = z
+        _layers(self.weights, self.biases, X, acts)
         return acts
 
     def backward(self, X, acts, dpred):
@@ -354,9 +349,7 @@ def _loss_and_grads(stack: _Stack, X, target, yl, yu, gamma, hinge, groups):
     n = pred.shape[1]
     sup = loss_supervised(pred, target)
     dpred = 2.0 * (pred - target) / n
-    below, above = yl - pred, pred - yu
-    # np.add.reduce(x, axis=1) / count is np.mean's own arithmetic
-    app = np.add.reduce(relu(below) + relu(above), axis=1) / n
+    app, below, above = _approx_term(pred, yl, yu)
     if len(hinge):
         h = slice(None) if len(hinge) == len(gamma) else hinge
         # +1 above the band, -1 below it: a - b > 0 exactly where a > b
@@ -364,16 +357,9 @@ def _loss_and_grads(stack: _Stack, X, target, yl, yu, gamma, hinge, groups):
         dpred[h] += gamma[h, None] * d_app
     mono = np.zeros(len(gamma))
     for rows, live, pairs in groups:
-        if len(pairs) == 0:
-            continue
         # rows is sorted: a group of every row, all with gamma > 0, needs no selection
         every = len(rows) == len(live) == len(gamma)
-        p = pred if every else pred[rows]
-        # take keeps each model's violations contiguous, so they are
-        # summed pairwise, as for one model (p[:, idx] would lay them out
-        # column-major and sum them in sequence)
-        gap = p.take(pairs[:, 0], axis=1) - p.take(pairs[:, 1], axis=1)
-        mono[rows] = np.add.reduce(relu(gap), axis=1) / len(pairs)
+        mono[rows], gap = _monotone_term(pred if every else pred[rows], pairs)
         # np.add.at applies one model's updates in pair order, all
         # increments before all decrements, as for one model; gap > 0 is
         # exactly pred[a] > pred[b]. dpred is a fresh (K, n) array, so
@@ -399,15 +385,14 @@ def loss_total(params: NetworkParameters, Xn, target, yl, yu, F,
     the same code, as the one-model stack.
     """
     spec = spec or params.constraint
-    yl = np.asarray(yl, dtype=float)
-    yu = np.asarray(yu, dtype=float)
-    _check_band(yl, yu)
+    Xn = np.atleast_2d(np.asarray(Xn, dtype=float))
+    yl, yu = np.asarray(yl, dtype=float), np.asarray(yu, dtype=float)
+    _check_band(yl, yu, Xn.shape[:1])
     stack = _Stack(_flatten(params.weights, params.biases)[None], params.layer_sizes)
-    pairs = _subsample(_batch_pairs(F, spec), spec.pair_budget, rng)
+    pairs = _subsample(_batch_pairs(F, spec, len(Xn)), spec.pair_budget, rng)
     live = np.flatnonzero([spec.gamma > 0])
     total, *_terms = _loss_and_grads(
-        stack, np.atleast_2d(np.asarray(Xn, dtype=float)),
-        np.asarray(target, dtype=float)[None], yl[None], yu[None],
+        stack, Xn, np.asarray(target, dtype=float)[None], yl[None], yu[None],
         np.array([spec.gamma]), live, [(np.array([0]), live, pairs)])
     return (float(total[0]), [w[0] for w in stack.grad_w],
             [b[0] for b in stack.grad_b])
@@ -527,7 +512,7 @@ def train_many(dataset: Dataset, labels, specs, feature_order=PAPER_SELECTED,
         # one row normalizes to zeros and its gradients are all 0
         raise DataError(f"need at least 2 training specimens, have {len(tr)}")
     # the band is fixed per row, so one check covers every batch
-    _check_band(yl[:, tr], yu[:, tr])
+    _check_band(yl[:, tr], yu[:, tr], labels[:, tr].shape)
 
     Xf = np.log(X)
     mean = Xf[tr].mean(axis=0)
@@ -613,7 +598,7 @@ def train_many(dataset: Dataset, labels, specs, feature_order=PAPER_SELECTED,
                 terms, epoch_targets = terms[:, finite], epoch_targets[:, finite]
                 if not len(model):
                     return results
-        val = loss_supervised(_output(stack.weights, stack.biases, Xn[va]),
+        val = loss_supervised(_layers(stack.weights, stack.biases, Xn[va])[..., 0],
                               row_targets[0][:, va])
         log[epoch][:3, model] = terms / len(starts)
         log[epoch][3, model] = val

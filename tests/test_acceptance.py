@@ -16,7 +16,7 @@ from cfstcap.network import (ConstraintSpec, TrainConfig, dominance_pairs,
                              init_parameters, loss_approx,
                              loss_monotone, loss_total, predict_rows,
                              predict_specimens, train, variant_spec)
-from cfstcap.network import _forward_cached
+from cfstcap.network import _layers
 from cfstcap.codes import (aci_capacity_kn, aij_capacity_kn, gb_capacity_kn,
                            han_capacity_kn)
 from cfstcap.trees import (average_path_length, detect_anomalies,
@@ -50,7 +50,10 @@ def _kink_free_case(seed, n_inputs=10, hidden=4, rows=8):
         params.weights[-1] = np.abs(params.weights[-1])
         Xn = rng.normal(size=(rows, n_inputs))
         F = rng.integers(0, 3, size=(rows, 2)).astype(float)
-        acts, zs = _forward_cached(params.weights, params.biases, Xn)
+        # the trainer's layer loop, and the pre-activations from its inputs
+        acts = [Xn] + [np.empty((rows, len(b))) for b in params.biases]
+        _layers(params.weights, params.biases, Xn, acts[1:])
+        zs = [a @ w + b for a, w, b in zip(acts, params.weights, params.biases)]
         pred = acts[-1][:, 0]
         pairs = dominance_pairs(F)
         gap = (np.abs(pred[pairs[:, 0]] - pred[pairs[:, 1]]).min()

@@ -11,8 +11,8 @@ from cfstcap.errors import ConfigError, DataError, NumericError
 from cfstcap.features import PAPER_SELECTED, build_frame
 from cfstcap.network import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ConstraintSpec,
                              NetworkParameters, TrainConfig,
-                             TrainingHistory, _flatten,
-                             _layer_views, dominance_pairs, dominance_relation,
+                             TrainingHistory, _flatten, _layers,
+                             _layer_views, _Stack, dominance_pairs, dominance_relation,
                              forward,
                              init_parameters,
                              load_model, loss_approx, loss_monotone,
@@ -263,6 +263,62 @@ class TestForward:
             forward(net, np.ones((1, 3)))
 
 
+def _random_models(K, sizes, rng):
+    """(K, P) parameter rows of live random networks: He-scaled weights,
+    small biases and an output bias of 5, about a log capacity."""
+    models = []
+    for _ in range(K):
+        weights = [rng.normal(scale=math.sqrt(2.0 / a), size=(a, b))
+                   for a, b in zip(sizes[:-1], sizes[1:])]
+        biases = [rng.normal(scale=0.1, size=b) for b in sizes[1:]]
+        biases[-1] += 5.0
+        models.append(_flatten(weights, biases))
+    return np.array(models)
+
+
+class TestLayers:
+    """_layers, the one layer loop of the step, prediction and validation,
+    against former_forward and the former per-layer loop, bit for bit."""
+
+    SIZES = [len(PAPER_SELECTED)] + [32] * 5 + [1]     # the default network
+
+    @pytest.mark.parametrize("rows", [7, 64, 400, 28_800])
+    @pytest.mark.parametrize("into", ["fresh", "buffers"])
+    def test_one_network(self, rows, into):
+        rng = np.random.default_rng(rows)
+        net = tiny_net(*_layer_views(_random_models(1, self.SIZES, rng)[0], self.SIZES))
+        X = rng.normal(size=(rows, self.SIZES[0]))
+        want, _ = _forward_cached(net.weights, net.biases, X)
+        acts = None if into == "fresh" else [np.empty((rows, k)) for k in self.SIZES[1:]]
+        got = _layers(net.weights, net.biases, X, acts)
+        if acts is not None:
+            assert got is acts[-1]
+            for a, w in zip(acts, want[1:]):
+                assert np.array_equal(a, w)
+        assert np.array_equal(got, want[-1])
+        assert np.array_equal(got[:, 0], former_forward(net, X))
+        assert np.array_equal(forward(net, X), former_forward(net, X))
+        assert (got > 0).mean() > 0.9
+
+    @pytest.mark.parametrize("rows", [7, 64, 400, 28_800])
+    @pytest.mark.parametrize("into", ["fresh", "buffers"])
+    def test_stack_of_three(self, rows, into):
+        # K = 3 networks in one stack against each network on its own
+        sizes = self.SIZES[:3] + [1]
+        rng = np.random.default_rng(rows)
+        stack = _Stack(_random_models(3, sizes, rng), sizes)
+        X = rng.normal(size=(rows, sizes[0]))
+        got = ([_layers(stack.weights, stack.biases, X)] if into == "fresh"
+               else stack.forward(X))
+        assert got[-1].shape == (3, rows, 1)
+        for k, theta in enumerate(stack.theta):
+            net = tiny_net(*_layer_views(theta, sizes))
+            want, _ = _forward_cached(net.weights, net.biases, X)
+            for g, w in zip(got[::-1], want[::-1]):
+                assert np.array_equal(g[k], w)
+            assert np.array_equal(got[-1][k, :, 0], former_forward(net, X))
+
+
 class TestLossTerms:
     def test_supervised_hand_value(self):
         assert loss_supervised([1.0, 2.0], [0.0, 0.0]) == pytest.approx(2.5)
@@ -332,6 +388,30 @@ class TestLossTerms:
                                    np.zeros((2, 0)), spec)
         assert val == 0.0 and len(pairs) == 0
 
+    @pytest.mark.parametrize("call", [
+        # the band would broadcast against the predictions
+        lambda: loss_approx([1.0, 3.0, 10.0], [2.0], [8.0]),
+        lambda: loss_approx([1.0], [2.0, 2.0, 2.0], [8.0, 8.0, 8.0]),
+        lambda: loss_approx([1.0, 3.0], [2.0, 2.0], [8.0]),
+        # one monotone-feature row per prediction
+        lambda: loss_monotone(np.zeros(4), np.eye(3), ConstraintSpec()),
+        lambda: loss_monotone(np.zeros(2), np.eye(3), ConstraintSpec()),
+        lambda: loss_monotone(np.zeros(2), np.zeros((3, 0)), ConstraintSpec(monotone_features=())),
+        lambda: _loss_total_case(yl=np.array([-1.0]), yu=np.array([1.0])),
+        lambda: _loss_total_case(yu=np.ones(5)),
+        lambda: _loss_total_case(F=np.ones((3, 2))),
+        lambda: _loss_total_case(F=np.ones((6, 2))),
+    ], ids=["approx-short-band", "approx-short-pred", "approx-short-yu", "monotone-more-pred",
+            "monotone-fewer-pred", "monotone-disabled", "total-short-band", "total-long-yu",
+            "total-fewer-F", "total-more-F"])
+    def test_mismatched_inputs_rejected(self, call):
+        with pytest.raises(DataError, match="band|monotone-feature rows"):
+            call()
+
+    def test_matched_loss_total_case(self):
+        loss, gw, gb = _loss_total_case()
+        assert math.isfinite(loss) and len(gw) == len(gb) == 2
+
     def test_relation_matches_per_batch_pairs(self):
         # the trainer reads each batch's pairs from one relation over the
         # training rows; they must be the batch's own dominance pairs, in order
@@ -345,6 +425,16 @@ class TestLossTerms:
             assert got.shape == want.shape and np.array_equal(got, want)
         disabled = dominance_relation(F[:, :0])  # no monotone feature
         assert not disabled.any()
+
+
+def _loss_total_case(**change):
+    """loss_total on a 4-row batch with the given inputs replaced."""
+    rng = np.random.default_rng(0)
+    params = init_parameters(("f0", "f1"), TrainConfig(hidden_layers=1, hidden_units=3),
+                             ConstraintSpec())
+    args = dict(Xn=rng.normal(size=(4, 2)), target=np.zeros(4), yl=np.full(4, -1.0),
+                yu=np.full(4, 1.0), F=rng.uniform(size=(4, 2)))
+    return loss_total(params, **{**args, **change})
 
 
 class TestGradients:
