@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from ..seeding import child_rng
-from .cart import LEAF, NodeTable, Tree
+from .cart import LEAF, NodeTable, Tree, check_count
 
 EULER_GAMMA = 0.5772156649
 # (tree, row) pairs that grow together: 16 trees of 256-row subsamples.
@@ -151,11 +151,15 @@ def fit_isolation_forest(X, n_trees: int = 100, subsample: int = 256,
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataError("empty training input")
+    if not np.isfinite(X).all():
+        raise DataError("non-finite value in training input")
+    check_count("n_trees", n_trees)
+    check_count("subsample", subsample)
     n = X.shape[0]
     if subsample > n:
         raise ConfigError(f"subsample {subsample} exceeds dataset size {n}")
-    if subsample < 2 or n_trees < 1:
-        raise ConfigError("need subsample >= 2 and n_trees >= 1")
+    if subsample < 2:
+        raise ConfigError(f"subsample must be >= 2, got {subsample}")
     depth_cap = math.ceil(math.log2(subsample))
     c_table = np.array([average_path_length(k) for k in range(subsample + 1)])
     block = max(1, GROW_BLOCK // subsample)

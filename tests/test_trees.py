@@ -838,6 +838,30 @@ class TestIsolationForest:
         with pytest.raises(ValueError):
             fit_isolation_forest(X, subsample=50)
 
+    @pytest.mark.parametrize("entry", [fit_isolation_forest, detect_anomalies])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, entry, bad):
+        # a NaN row was scored as an ordinary one
+        X = np.random.default_rng(12).uniform(size=(50, 3))
+        X[3, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            entry(X, n_trees=10, subsample=16)
+
+    @pytest.mark.parametrize("entry", [fit_isolation_forest, detect_anomalies])
+    @pytest.mark.parametrize("name, value", [
+        ("n_trees", True), ("n_trees", 2.5), ("n_trees", 0), ("n_trees", -1),
+        ("subsample", True), ("subsample", 2.5), ("subsample", 1), ("subsample", 0)])
+    def test_bad_counts_rejected(self, entry, name, value):
+        X = np.random.default_rng(12).uniform(size=(50, 3))
+        with pytest.raises(ConfigError, match=name):
+            entry(X, **{"n_trees": 10, "subsample": 16, name: value})
+
+    @pytest.mark.parametrize("n_trees, subsample", [(1, 2), (np.int64(3), np.int64(16))])
+    def test_good_counts_accepted(self, n_trees, subsample):
+        X = np.random.default_rng(12).uniform(size=(50, 3))
+        forest = fit_isolation_forest(X, n_trees=n_trees, subsample=subsample)
+        assert len(forest.trees) == n_trees and forest.subsample_size == subsample
+
 
 def grow_isolation_reference(X, n_trees, subsample, seed):
     """Isolation trees grown one node at a time from a FIFO queue, tree by
