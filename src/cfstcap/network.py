@@ -181,7 +181,7 @@ def _approx_term(pred, yl, yu):
 
 def loss_approx(pred, yl, yu):
     """Mean rectified distance outside the per-row band [yl, yu]."""
-    pred, yl, yu = (np.asarray(a, dtype=float) for a in (pred, yl, yu))
+    pred, yl, yu = (np.array(a, dtype=float, ndmin=1) for a in (pred, yl, yu))
     _check_band(yl, yu, pred.shape)
     return float(_approx_term(pred, yl, yu)[0])
 

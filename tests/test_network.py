@@ -335,6 +335,10 @@ class TestLossTerms:
     def test_approx_zero_inside_band(self):
         assert loss_approx([3.0, 4.0], [2.0, 2.0], [8.0, 8.0]) == 0.0
 
+    def test_approx_scalar_is_one_row(self):
+        assert loss_approx(1.0, 2.0, 8.0) == 1.0
+        assert loss_approx(5.0, [2.0], [8.0]) == 0.0
+
     def test_approx_invalid_band(self):
         with pytest.raises(DataError):
             loss_approx([1.0], [5.0], [2.0])
