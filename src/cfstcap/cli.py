@@ -505,7 +505,7 @@ def stage_robustness(cfg, outdir: Path, inputs: dict) -> list[Path]:
 def stage_sensitivity(cfg, outdir: Path, inputs: dict) -> list[Path]:
     params = _model(inputs["model.json"])
     ds = _dataset(cfg, inputs["dataset"])
-    frame = build_frame(ds.specimens).select(list(params.feature_order))
+    frame = build_frame(ds.specimens, params.feature_order)
     values = sensitivity(lambda rows: predict_rows(params, rows), frame.X,
                          cfg["evaluation"]["grid_points"])
     path = outdir / "sensitivity.csv"

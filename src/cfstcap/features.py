@@ -51,6 +51,9 @@ def engineer_arrays(D, t, L, fy, fc) -> dict[str, np.ndarray]:
 
 def design_matrix(D, t, L, fy, fc, names) -> np.ndarray:
     """Feature matrix with the given column order from raw value arrays."""
+    unknown = [n for n in names if n not in FEATURE_VOCAB]
+    if unknown:
+        raise DataError(f"unknown features {unknown}; known are {FEATURE_VOCAB}")
     vals = engineer_arrays(D, t, L, fy, fc)
     return np.column_stack([vals[n] for n in names])
 

@@ -334,14 +334,14 @@ class _Stack:
                 delta *= acts[l - 1] > 0
 
 
-def _loss_and_grads(stack: _Stack, X, target, yl, yu, gamma, hinge, groups):
+def _loss_and_grads(stack: _Stack, X, target, yl, yu, gamma, groups):
     """Forward pass, the three loss terms and backpropagation for one
     batch X of every model in the stack; gradients land in stack.grad.
 
-    target, yl and yu are (K, n), gamma is (K,) and hinge holds the rows
-    with gamma > 0. groups lists (rows, live, pairs): stack rows that share
-    a monotone-feature set, the positions among them of rows with gamma > 0
-    and the batch's dominance pairs (batch row indices) under the set.
+    target, yl and yu are (K, n) and gamma is (K,); each model's penalty
+    gradients are scaled by its gamma, so gamma = 0 adds only zeros.
+    groups lists (rows, pairs): stack rows that share a monotone-feature
+    set and the batch's dominance pairs (batch row indices) under the set.
     Returns (total, supervised, approx, monotone), each (K,).
     """
     acts = stack.forward(X)
@@ -350,27 +350,23 @@ def _loss_and_grads(stack: _Stack, X, target, yl, yu, gamma, hinge, groups):
     sup = loss_supervised(pred, target)
     dpred = 2.0 * (pred - target) / n
     app, below, above = _approx_term(pred, yl, yu)
-    if len(hinge):
-        h = slice(None) if len(hinge) == len(gamma) else hinge
-        # +1 above the band, -1 below it: a - b > 0 exactly where a > b
-        d_app = np.subtract(above[h] > 0, below[h] > 0, dtype=float) / n
-        dpred[h] += gamma[h, None] * d_app
+    # +1 above the band, -1 below it: a - b > 0 exactly where a > b
+    dpred += gamma[:, None] * (np.subtract(above > 0, below > 0, dtype=float) / n)
     mono = np.zeros(len(gamma))
-    for rows, live, pairs in groups:
-        # rows is sorted: a group of every row, all with gamma > 0, needs no selection
-        every = len(rows) == len(live) == len(gamma)
+    for rows, pairs in groups:
+        # rows is sorted: a group of every row needs no selection
+        every = len(rows) == len(gamma)
         mono[rows], gap = _monotone_term(pred if every else pred[rows], pairs)
         # np.add.at applies one model's updates in pair order, all
         # increments before all decrements, as for one model; gap > 0 is
         # exactly pred[a] > pred[b]. dpred is a fresh (K, n) array, so
         # its flat view indexes model * n + row.
-        k, j = np.divmod(np.flatnonzero(gap[slice(None) if every else live] > 0), len(pairs))
-        if len(k):
-            model = k if every else rows[live[k]]
-            scale = gamma[model] / len(pairs)
-            flat = dpred.reshape(-1)
-            np.add.at(flat, model * n + pairs[:, 0][j], scale)
-            np.add.at(flat, model * n + pairs[:, 1][j], -scale)
+        k, j = np.divmod(np.flatnonzero(gap > 0), len(pairs))
+        model = k if every else rows[k]
+        scale = gamma[model] / len(pairs)
+        flat = dpred.reshape(-1)
+        np.add.at(flat, model * n + pairs[:, 0][j], scale)
+        np.add.at(flat, model * n + pairs[:, 1][j], -scale)
     total = sup + gamma * (app + mono)
     stack.backward(X, acts, dpred)
     return total, sup, app, mono
@@ -390,10 +386,9 @@ def loss_total(params: NetworkParameters, Xn, target, yl, yu, F,
     _check_band(yl, yu, Xn.shape[:1])
     stack = _Stack(_flatten(params.weights, params.biases)[None], params.layer_sizes)
     pairs = _subsample(_batch_pairs(F, spec, len(Xn)), spec.pair_budget, rng)
-    live = np.flatnonzero([spec.gamma > 0])
     total, *_terms = _loss_and_grads(
         stack, Xn, np.asarray(target, dtype=float)[None], yl[None], yu[None],
-        np.array([spec.gamma]), live, [(np.array([0]), live, pairs)])
+        np.array([spec.gamma]), [(np.array([0]), pairs)])
     return (float(total[0]), [w[0] for w in stack.grad_w],
             [b[0] for b in stack.grad_b])
 
@@ -555,19 +550,17 @@ def train_many(dataset: Dataset, labels, specs, feature_order=PAPER_SELECTED,
     # and the epochs since then
     model, best_val, best, stale = (np.arange(K), np.full(K, math.inf),
                                     np.empty_like(stack.theta), np.zeros(K, dtype=int))
-    row_targets = row_gamma = hinge = row_groups = None     # the rows' slices, set by keep
+    row_targets = row_gamma = row_groups = None     # the rows' slices, set by keep
 
     def keep(rows):
         """Only the stack rows selected by rows go on training."""
-        nonlocal stack, model, best_val, best, stale, row_targets, row_gamma, hinge, row_groups
+        nonlocal stack, model, best_val, best, stale, row_targets, row_gamma, row_groups
         stack = _Stack(stack.theta[rows], sizes)
         adam.take(rows)
         model, best_val, best, stale = model[rows], best_val[rows], best[rows], stale[rows]
         row_targets, row_gamma = targets[:, model], gamma[model]
-        hinge = np.flatnonzero(row_gamma > 0)
         members = [np.flatnonzero(group_of[model] == g) for g in range(len(pair_draws))]
-        row_groups = [(rows, np.flatnonzero(row_gamma[rows] > 0), draw)
-                      for rows, draw in zip(members, pair_draws) if len(rows)]
+        row_groups = [(rows, draw) for rows, draw in zip(members, pair_draws) if len(rows)]
 
     keep(slice(None))
     starts = range(0, len(tr), config.batch_size)
@@ -579,12 +572,12 @@ def train_many(dataset: Dataset, labels, specs, feature_order=PAPER_SELECTED,
         for start in starts:
             stop = start + config.batch_size
             pos = order[start:stop]
-            groups = [(rows, live, _subsample(_pairs_of(relation.take(pos, 0).take(pos, 1)),
-                                              budget, pair_rng))
-                      for rows, live, (relation, budget, pair_rng) in row_groups]
+            groups = [(rows, _subsample(_pairs_of(relation.take(pos, 0).take(pos, 1)),
+                                        budget, pair_rng))
+                      for rows, (relation, budget, pair_rng) in row_groups]
             total, sup, app, mono = _loss_and_grads(
                 stack, epoch_X[start:stop], *epoch_targets[:, :, start:stop], row_gamma,
-                hinge, groups)
+                groups)
             adam.update(stack.theta, stack.grad, config.learning_rate)
             terms[0] += sup
             terms[1] += app
@@ -631,15 +624,13 @@ def predict_rows(params: NetworkParameters, X_raw) -> np.ndarray:
 
 
 def predict(params: NetworkParameters, specimen) -> float:
-    """Capacity in kN for one specimen (engineer, order, normalize, invert)."""
-    frame = build_frame([specimen])
-    row = frame.select(list(params.feature_order)).X
-    return float(predict_rows(params, row)[0])
+    """Capacity in kN for one specimen: the one-row view of predict_specimens."""
+    return float(predict_specimens(params, [specimen])[0])
 
 
 def predict_specimens(params: NetworkParameters, specimens) -> np.ndarray:
-    frame = build_frame(specimens)
-    return predict_rows(params, frame.select(list(params.feature_order)).X)
+    """Capacity in kN per specimen (engineer the model's columns, normalize, invert)."""
+    return predict_rows(params, build_frame(specimens, params.feature_order).X)
 
 
 def params_to_dict(params: NetworkParameters) -> dict:
