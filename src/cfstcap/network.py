@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset, split as split_dataset
 from .errors import ConfigError, DataError, NumericError
-from .features import PAPER_SELECTED, build_frame
+from .features import FEATURE_VOCAB, PAPER_SELECTED, build_frame
 from .seeding import child_rng
 
 MODEL_FORMAT_VERSION = 1
@@ -656,28 +656,95 @@ def params_to_dict(params: NetworkParameters) -> dict:
     }
 
 
+def _doc_array(value, shape, what) -> np.ndarray:
+    """A model document's value as a float array, refused unless it has the
+    given shape and every entry is finite."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"model {what} is not an array of numbers") from None
+    if a.shape != shape:
+        raise DataError(f"model {what} has shape {a.shape}, not {shape}")
+    if not np.isfinite(a).all():
+        raise DataError(f"model {what} holds a non-finite number")
+    return a
+
+
+def _doc_names(value, what) -> tuple[str, ...]:
+    """A model document's feature names, refused unless distinct and known."""
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise DataError(f"model {what} is not a list of feature names")
+    unknown = [n for n in value if n not in FEATURE_VOCAB]
+    if unknown:
+        raise DataError(f"model {what} names unknown features {unknown}")
+    if len(set(value)) != len(value):
+        raise DataError(f"model {what} repeats a feature: {value}")
+    return tuple(value)
+
+
 def params_from_dict(doc: dict) -> NetworkParameters:
+    """The parameters of a model document as params_to_dict writes it.
+
+    A document that train could not have written is refused with DataError:
+    a missing key, a weight or bias whose shape disagrees with layer_sizes,
+    input statistics or feature names of another width, an unknown or
+    repeated feature, a non-finite number or a constraint that
+    ConstraintSpec refuses.
+    """
+    if not isinstance(doc, dict):
+        raise DataError(f"model document is a {type(doc).__name__}, not an object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {doc.get('format_version')!r}")
     for key in ("label_transform", "input_transform"):
         if doc.get(key) != "log":
             raise DataError(f"unsupported {key} {doc.get(key)!r}; only 'log' is trained")
-    c = doc["constraint"]
-    upper = math.inf if c["upper_factor"] == "inf" else float(c["upper_factor"])
-    spec = ConstraintSpec(gamma=c["gamma"], lower_factor=c["lower_factor"],
-                          upper_factor=upper,
-                          monotone_features=tuple(c["monotone_features"]),
-                          pair_budget=c["pair_budget"])
-    return NetworkParameters(
-        layer_sizes=list(doc["layer_sizes"]),
-        weights=[np.array(w, dtype=float) for w in doc["weights"]],
-        biases=[np.array(b, dtype=float) for b in doc["biases"]],
-        input_mean=np.array(doc["input_mean"], dtype=float),
-        input_std=np.array(doc["input_std"], dtype=float),
-        feature_order=tuple(doc["feature_order"]),
-        constraint=spec,
-        seed=doc["seed"],
-    )
+    missing = [k for k in ("layer_sizes", "weights", "biases", "input_mean", "input_std",
+                           "feature_order", "constraint", "seed") if k not in doc]
+    c = doc.get("constraint")
+    if isinstance(c, dict):
+        missing += [f"constraint.{k}" for k in ("gamma", "lower_factor", "upper_factor",
+                                                "monotone_features", "pair_budget")
+                    if k not in c]
+    if missing:
+        raise DataError(f"model lacks {missing}")
+    sizes = doc["layer_sizes"]
+    if not (isinstance(sizes, list) and len(sizes) > 1 and sizes[-1] == 1
+            and all(type(s) is int and s > 0 for s in sizes)):
+        raise DataError(f"model layer_sizes {sizes!r} are not positive integers ending in 1")
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    for key in ("weights", "biases"):
+        if not isinstance(doc[key], list) or len(doc[key]) != len(shapes):
+            raise DataError(f"model {key} is not {len(shapes)} arrays for layer_sizes {sizes}")
+    weights = [_doc_array(w, shape, f"weights[{l}]")
+               for l, (w, shape) in enumerate(zip(doc["weights"], shapes))]
+    biases = [_doc_array(b, shape[1:], f"biases[{l}]")
+              for l, (b, shape) in enumerate(zip(doc["biases"], shapes))]
+    mean, std = (_doc_array(doc[k], (sizes[0],), k) for k in ("input_mean", "input_std"))
+    if np.any(std <= 0):
+        raise DataError("model input_std holds a value <= 0")
+    order = _doc_names(doc["feature_order"], "feature_order")
+    if len(order) != sizes[0]:
+        raise DataError(f"model feature_order names {len(order)} features "
+                        f"for input width {sizes[0]}")
+    if not isinstance(c, dict):
+        raise DataError(f"model constraint {c!r} is not an object")
+    numbers = [c[k] for k in ("gamma", "lower_factor", "pair_budget")]
+    if c["upper_factor"] != "inf":
+        numbers.append(c["upper_factor"])
+    if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in numbers):
+        raise DataError(f"model constraint {c} holds a value that is not a finite number")
+    try:
+        spec = ConstraintSpec(
+            gamma=c["gamma"], lower_factor=c["lower_factor"],
+            upper_factor=math.inf if c["upper_factor"] == "inf" else float(c["upper_factor"]),
+            monotone_features=_doc_names(c["monotone_features"],
+                                         "constraint.monotone_features"),
+            pair_budget=c["pair_budget"])
+    except ConfigError as exc:
+        raise DataError(f"model constraint: {exc}") from None
+    return NetworkParameters(layer_sizes=sizes, weights=weights, biases=biases,
+                             input_mean=mean, input_std=std, feature_order=order,
+                             constraint=spec, seed=doc["seed"])
 
 
 def save_model(params: NetworkParameters, path) -> None:
@@ -688,4 +755,8 @@ def save_model(params: NetworkParameters, path) -> None:
 
 def load_model(path) -> NetworkParameters:
     with open(path, encoding="utf-8") as fh:
-        return params_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:   # not JSON, or not UTF-8
+            raise DataError(f"{path} is not a model document: {exc}") from None
+    return params_from_dict(doc)

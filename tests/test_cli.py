@@ -449,6 +449,25 @@ class TestExitCodes:
         assert "model.json" in err and "rerun the train stage" in err
         assert not (tmp_path / "metrics.json").exists()
 
+    @pytest.mark.parametrize("stage", ["evaluate", "sensitivity", "explain"])
+    def test_malformed_model_rejected(self, tmp_path, capsys, stage):
+        # an edit whose digest is refreshed in manifest_train.json passes the
+        # freshness rule; the model is refused when it is loaded
+        assert run("synth", tmp_path) == 0
+        assert run("train", tmp_path) == 0
+        model = tmp_path / "model.json"
+        doc = json.loads(model.read_text())
+        doc["feature_order"][0] = "nosuch"
+        model.write_text(json.dumps(doc))
+        manifest = tmp_path / "manifest_train.json"
+        record = json.loads(manifest.read_text())
+        record["artifact_list"]["model.json"] = hashlib.sha256(model.read_bytes()).hexdigest()
+        manifest.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run(stage, tmp_path) == 2
+        assert "feature_order names unknown features ['nosuch']" in capsys.readouterr().err
+        assert not (tmp_path / f"manifest_{stage}.json").exists()
+
     @pytest.mark.parametrize("stage, setting", [
         ("select", "features.selection_mode=paper-fixed"),
         ("train", "features.selection_mode=paper-fixed"),

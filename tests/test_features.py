@@ -111,6 +111,14 @@ class TestEngineer:
         with pytest.raises(DataError, match="no specimens"):
             build_frame([])
 
+    @pytest.mark.parametrize("call", [
+        lambda: design_matrix([100.0], [5.0], [300.0], [300.0], [30.0], ["D", "nosuch"]),
+        lambda: build_frame([REF], ["nosuch"]),
+    ], ids=["design_matrix", "build_frame"])
+    def test_unknown_name_rejected(self, call):
+        with pytest.raises(DataError, match=r"unknown features \['nosuch'\]"):
+            call()
+
 
 class TestPearson:
     def test_perfect_linear(self):

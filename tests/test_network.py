@@ -629,6 +629,24 @@ class TestTraining:
         singles = [predict(params, s) for s in ds.specimens[:3]]
         assert np.allclose(batch, singles, rtol=1e-12)
 
+    @pytest.mark.parametrize("order", [PAPER_SELECTED, PAPER_SELECTED[::-1], ["fc", "D", "Ns"]],
+                             ids=["paper", "reversed", "three"])
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    def test_predict_specimens_matches_selected_frame(self, order, rows):
+        # the one scoring path builds only the model's columns; the oracle
+        # builds every column and selects the model's
+        specimens = generate_synthetic(rows, 5, 0.1).specimens
+        params = init_parameters(order, TrainConfig(hidden_layers=2, hidden_units=8, seed=4),
+                                 ConstraintSpec())
+        logs = np.log(build_frame(generate_synthetic(300, 6, 0.1).specimens).select(order).X)
+        params.input_mean, params.input_std = logs.mean(axis=0), logs.std(axis=0)
+        params.biases[-1][:] = 7.0     # the rectified output stays live
+        got = predict_specimens(params, specimens)
+        assert np.array_equal(got, net.predict_rows(params, build_frame(specimens).select(order).X))
+        assert rows == 1 or len(np.unique(got)) > 1
+        for s in specimens[:3]:
+            assert predict(params, s) == predict_specimens(params, [s])[0]
+
 
 def reference_batch_loss_and_dpred(pred, target, yl, yu, F, spec, rng):
     """The former per-batch loss terms and dTotal/dpred of the trainer."""
@@ -753,6 +771,51 @@ class TestFlatAdamOracle:
             assert len(hist.epochs) < config.epochs
 
 
+def malformed(edit):
+    """A valid model document of a two-hidden-layer net with edit applied."""
+    config = TrainConfig(hidden_layers=2, hidden_units=4)
+    doc = json.loads(json.dumps(params_to_dict(
+        init_parameters(("D", "t", "fc"), config, ConstraintSpec()))))
+    edit(doc)
+    return doc
+
+
+def _set(path, value):
+    """An edit that sets the entry at path (keys and indices) to value."""
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value(doc[last]) if callable(value) else value
+    return edit
+
+
+MALFORMED_MODELS = {
+    "weights-short-row": (_set(["weights", 1], lambda w: w[:-1]), r"weights\[1\] has shape"),
+    "input-mean-short": (_set(["input_mean"], lambda m: m[:-1]), "input_mean has shape"),
+    "biases-missing": (lambda doc: doc.pop("biases"), r"lacks \['biases'\]"),
+    "constraint-key-missing": (lambda doc: doc["constraint"].pop("gamma"),
+                               r"lacks \['constraint.gamma'\]"),
+    "weights-not-a-list": (_set(["weights"], 3), "weights is not 3 arrays"),
+    "weights-ragged": (_set(["weights", 0, 1], [1.0]), r"weights\[0\] is not an array"),
+    "bias-text": (_set(["biases", 2], "x"), r"biases\[2\] is not an array"),
+    "unknown-feature": (_set(["feature_order", 1], "nosuch"), r"unknown features \['nosuch'\]"),
+    "repeated-feature": (_set(["feature_order", 1], "D"), "repeats a feature"),
+    "feature-width": (_set(["feature_order"], ["D", "t"]), "names 2 features for input width 3"),
+    "unknown-monotone": (_set(["constraint", "monotone_features"], ["D", "nosuch"]),
+                         r"monotone_features names unknown features \['nosuch'\]"),
+    "negative-gamma": (_set(["constraint", "gamma"], -1), "gamma must be >= 0"),
+    "nan-gamma": (_set(["constraint", "gamma"], math.nan), "not a finite number"),
+    "text-upper": (_set(["constraint", "upper_factor"], "big"), "not a finite number"),
+    "constraint-not-object": (_set(["constraint"], [0.1]), "constraint .* is not an object"),
+    "layer-sizes-disagree": (_set(["layer_sizes", 1], 99), r"weights\[0\] has shape"),
+    "output-width": (_set(["layer_sizes"], [3, 4, 4, 2]), "ending in 1"),
+    "nan-weight": (_set(["weights", 0, 0, 0], math.nan), r"weights\[0\] holds a non-finite"),
+    "inf-bias": (_set(["biases", 0, 0], math.inf), r"biases\[0\] holds a non-finite"),
+    "zero-std": (_set(["input_std", 2], 0.0), "input_std holds a value <= 0"),
+}
+
+
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
         ds = generate_synthetic(80, 12, 0.05)
@@ -790,7 +853,7 @@ class TestSerialization:
         # training always works in the log domain, so a model file naming
         # another transform cannot be predicted with
         config = TrainConfig(hidden_layers=1, hidden_units=2)
-        doc = params_to_dict(init_parameters(("f0",), config, ConstraintSpec()))
+        doc = params_to_dict(init_parameters(("D",), config, ConstraintSpec()))
         assert doc[key] == "log"
         params_from_dict(doc)
         doc[key] = "none"
@@ -799,6 +862,19 @@ class TestSerialization:
         del doc[key]
         with pytest.raises(DataError, match=key):
             params_from_dict(doc)
+
+    @pytest.mark.parametrize("edit, message", MALFORMED_MODELS.values(),
+                             ids=MALFORMED_MODELS.keys())
+    def test_malformed_document_rejected(self, edit, message):
+        params_from_dict(malformed(lambda doc: None))
+        with pytest.raises(DataError, match=message):
+            params_from_dict(malformed(edit))
+
+    def test_non_json_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"format_version": 1,')
+        with pytest.raises(DataError, match="not a model document"):
+            load_model(path)
 
 
 def relabelled(dataset, labels):
@@ -904,9 +980,10 @@ class TestLockstepOracle:
             assert_same_fit(result, former_train(relabelled(ds, y), PAPER_SELECTED, spec,
                                                  config))
 
-    def test_loss_total_matches_oracle_step(self):
+    @pytest.mark.parametrize("gamma", [0.0, 0.4])
+    def test_loss_total_matches_oracle_step(self, gamma):
         rng = np.random.default_rng(2)
-        spec = ConstraintSpec(gamma=0.4, pair_budget=15)
+        spec = ConstraintSpec(gamma=gamma, pair_budget=15)
         params = init_parameters(("f0", "f1", "f2"), TrainConfig(hidden_layers=2,
                                                                  hidden_units=6), spec)
         Xn = rng.normal(size=(24, 3))
