@@ -92,7 +92,7 @@ class FeatureFrame:
 
 
 def build_frame(specimens, names=None) -> FeatureFrame:
-    """Assemble the full raw + engineered frame from specimens."""
+    """The frame of the named features (every feature by default) of specimens."""
     if not specimens:
         raise DataError("no specimens")
     names = tuple(names) if names is not None else tuple(FEATURE_VOCAB)

@@ -688,8 +688,8 @@ def params_from_dict(doc: dict) -> NetworkParameters:
     A document that train could not have written is refused with DataError:
     a missing key, a weight or bias whose shape disagrees with layer_sizes,
     input statistics or feature names of another width, an unknown or
-    repeated feature, a non-finite number or a constraint that
-    ConstraintSpec refuses.
+    repeated feature, a non-finite number, a seed or pair_budget that is
+    not an integer or a constraint that ConstraintSpec refuses.
     """
     if not isinstance(doc, dict):
         raise DataError(f"model document is a {type(doc).__name__}, not an object")
@@ -728,11 +728,15 @@ def params_from_dict(doc: dict) -> NetworkParameters:
                         f"for input width {sizes[0]}")
     if not isinstance(c, dict):
         raise DataError(f"model constraint {c!r} is not an object")
-    numbers = [c[k] for k in ("gamma", "lower_factor", "pair_budget")]
+    numbers = [c[k] for k in ("gamma", "lower_factor")]
     if c["upper_factor"] != "inf":
         numbers.append(c["upper_factor"])
-    if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in numbers):
+    # type(), not isinstance: a JSON true is not a number
+    if not all(type(x) in (int, float) and math.isfinite(x) for x in numbers):
         raise DataError(f"model constraint {c} holds a value that is not a finite number")
+    for what, v in (("seed", doc["seed"]), ("constraint.pair_budget", c["pair_budget"])):
+        if type(v) is not int:
+            raise DataError(f"model {what} {v!r} is not an integer")
     try:
         spec = ConstraintSpec(
             gamma=c["gamma"], lower_factor=c["lower_factor"],

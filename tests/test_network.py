@@ -813,6 +813,10 @@ MALFORMED_MODELS = {
     "nan-weight": (_set(["weights", 0, 0, 0], math.nan), r"weights\[0\] holds a non-finite"),
     "inf-bias": (_set(["biases", 0, 0], math.inf), r"biases\[0\] holds a non-finite"),
     "zero-std": (_set(["input_std", 2], 0.0), "input_std holds a value <= 0"),
+    "bool-gamma": (_set(["constraint", "gamma"], True), "not a finite number"),
+    "text-seed": (_set(["seed"], "x"), "seed 'x' is not an integer"),
+    "fractional-pair-budget": (_set(["constraint", "pair_budget"], 2.5),
+                               "pair_budget 2.5 is not an integer"),
 }
 
 
