@@ -21,6 +21,9 @@ MUTATION_SCALE = 0.1
 ELITE_COUNT = 2
 # an fc column of the guidance curve needs this many valid cells
 MIN_VALID_CELLS = 3
+# GA cells that one model call scores; a multiple of 4, as OpenBLAS gives a
+# row the same output only while its position in the batch keeps its remainder mod 4
+GA_CELL_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -168,11 +171,15 @@ def _realize(design, target, fc, alpha, d_lo, d_hi, config, background_size):
     highs = np.column_stack([d_hi, np.full(n, ENVELOPE["L"][1]), np.full(n, ENVELOPE["fy"][1])])
 
     def fitness(genes):
-        """|capacity - target| of (cells, pop, 3) D/L/fy genes."""
-        D, L, fy = (genes[..., k] for k in range(3))
-        a, f = (np.broadcast_to(v[:, None], D.shape) for v in (alpha, fc))
-        pred, _t = design(*(x.ravel() for x in (D, a, L, fy, f)))
-        return np.abs(pred.reshape(D.shape) - target)
+        """|capacity - target| of (cells, pop, 3) D/L/fy genes, GA_CELL_BLOCK cells a call."""
+        out = np.empty(genes.shape[:2])
+        for lo in range(0, n, GA_CELL_BLOCK):
+            cells = slice(lo, lo + GA_CELL_BLOCK)
+            D, L, fy = (genes[cells, :, k] for k in range(3))
+            a, f = (np.broadcast_to(v[cells, None], D.shape) for v in (alpha, fc))
+            pred, _t = design(*(x.ravel() for x in (D, a, L, fy, f)))
+            np.abs(pred.reshape(D.shape) - target, out=out[cells])
+        return out
 
     rng = np.random.default_rng(child_rng(config.seed, 1).integers(2**63))
     best, _fit, _history = _run_ga(fitness, lows, highs, config, rng)

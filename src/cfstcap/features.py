@@ -54,6 +54,8 @@ def design_matrix(D, t, L, fy, fc, names) -> np.ndarray:
     unknown = [n for n in names if n not in FEATURE_VOCAB]
     if unknown:
         raise DataError(f"unknown features {unknown}; known are {FEATURE_VOCAB}")
+    if len(set(names)) != len(names):
+        raise DataError(f"repeated feature names in {list(names)}")
     vals = engineer_arrays(D, t, L, fy, fc)
     return np.column_stack([vals[n] for n in names])
 
@@ -72,10 +74,10 @@ class FeatureFrame:
         if self.y.shape != (self.X.shape[0],):
             raise ValueError("label length does not match rows")
         if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate feature names")
+            raise DataError(f"repeated feature names in {list(self.names)}")
         unknown = set(self.names) - set(FEATURE_VOCAB)
         if unknown:
-            raise ValueError(f"names outside canonical vocabulary: {sorted(unknown)}")
+            raise DataError(f"names outside canonical vocabulary: {sorted(unknown)}")
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -147,6 +149,8 @@ def correlation_matrix(frame: FeatureFrame) -> CorrelationMatrix:
 
 def rank_by_abs_correlation(frame: FeatureFrame) -> list[str]:
     """Feature ranking by |rho| against the label, best first."""
+    if len(frame) < 2:
+        raise DataError(f"correlations need at least two rows, got {len(frame)}")
     scores = {}
     for n in frame.names:
         try:

@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import ConfigError, DataError
 
 LEAF = -1
-# (tree, row) pairs that NodeTable.leaf_values walks at once
+# (tree, row) pairs that NodeTable walks at once
 LEAF_BLOCK = 1 << 14
 
 
@@ -75,21 +75,20 @@ class NodeTable:
             n_features=trees[0].n_features,
         )
 
-    def leaf_values(self, X) -> np.ndarray:
-        """Leaf value reached by every (tree, row) pair, shape (trees, rows).
+    def _walk(self, X):
+        """Yield (first row, leaf values (trees, rows)) of each row block.
 
         One numpy step per depth level walks all pairs of a block of rows
         (about LEAF_BLOCK pairs) together; a row goes left when its feature
         value is <= the node's threshold. Each block walks in place in a
         few (trees, block) buffers, so the walk's memory does not grow
-        with the row count.
+        with the row count. The values are valid until the next block.
         """
         X = np.asarray(X, dtype=float)
         n, m = X.shape
         if m != self.n_features:
             raise DataError(f"input width {m} != training width {self.n_features}")
         flat = X.ravel()
-        out = np.empty((len(self.roots), n))
         block = max(1, LEAF_BLOCK // len(self.roots))
         for lo in range(0, n, block):
             rows = min(block, n - lo)
@@ -109,17 +108,25 @@ class NodeTable:
                 np.multiply(idx, 2, out=pos)
                 pos += go_left
                 self.children.take(pos, out=idx, mode="clip")
-            self.value.take(idx, out=out[:, lo:lo + rows], mode="clip")
+            yield lo, self.value.take(idx, out=x, mode="clip")
+
+    def leaf_values(self, X) -> np.ndarray:
+        """Leaf value reached by every (tree, row) pair, shape (trees, rows)."""
+        out = np.empty((len(self.roots), len(X)))
+        for lo, values in self._walk(X):
+            out[:, lo:lo + values.shape[1]] = values
         return out
 
-    def sum_leaf_values(self, X, start: float = 0.0, scale: float = 1.0) -> np.ndarray:
+    def sum_leaf_values(self, X, start=0.0, scale: float = 1.0) -> np.ndarray:
         """start + scale * v_0 + scale * v_1 + ... for every row, v_k being
-        tree k's leaf value, added in tree order as a loop over trees would."""
-        steps = self.leaf_values(X)
-        steps *= scale
-        acc = np.full(steps.shape[1], start)
-        for step in steps:
-            acc += step
+        tree k's leaf value, added in tree order as a loop over trees would;
+        start may be one value per row, such as an earlier sum."""
+        acc = np.full(len(X), start, dtype=float)
+        for lo, values in self._walk(X):
+            values *= scale
+            part = acc[lo:lo + values.shape[1]]
+            for step in values:
+                part += step
         return acc
 
 

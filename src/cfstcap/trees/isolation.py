@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -12,7 +11,7 @@ from ..seeding import child_rng
 from .cart import LEAF, NodeTable, Tree, check_count
 
 EULER_GAMMA = 0.5772156649
-# (tree, row) pairs that grow together: 16 trees of 256-row subsamples.
+# (tree, row) pairs grown, then scored, together: 16 trees of 256-row subsamples.
 # Blocks of 64 trees (cart.LEAF_BLOCK pairs) were no faster and raised the
 # fit benchmark's peak RSS by about 0.5 MB.
 GROW_BLOCK = 1 << 12
@@ -33,13 +32,21 @@ class IsolationForest:
     trees: list[Tree]       # leaf value: depth + c(leaf size)
     subsample_size: int
 
-    @cached_property
-    def _table(self) -> NodeTable:
-        return NodeTable.stack(self.trees)
-
     def mean_path_length(self, X) -> np.ndarray:
         """Mean adjusted isolation depth of every row across all trees."""
-        return self._table.sum_leaf_values(X) / len(self.trees)
+        block = max(1, GROW_BLOCK // self.subsample_size)
+        # NodeTable.stack refuses the one empty block of a forest of no trees
+        blocks = [self.trees[i:i + block] for i in range(0, len(self.trees), block)] or [[]]
+        return _path_length_sum(blocks, X) / len(self.trees)
+
+
+def _path_length_sum(blocks, X) -> np.ndarray:
+    """Every row's adjusted depth summed over the trees of each block of
+    blocks in turn, in tree order; one block's node table at a time."""
+    total = 0.0
+    for trees in blocks:
+        total = NodeTable.stack(trees).sum_leaf_values(X, total)
+    return total
 
 
 def _grow_block(X, seed, first, count, subsample, depth_cap, c_table) -> list[Tree]:
@@ -141,13 +148,8 @@ def _grow_block(X, seed, first, count, subsample, depth_cap, c_table) -> list[Tr
                  depth=d) for t, (k, d) in enumerate(zip(size.tolist(), deepest.tolist()))]
 
 
-def fit_isolation_forest(X, n_trees: int = 100, subsample: int = 256,
-                         seed: int = 0) -> IsolationForest:
-    """Random trees over psi-subsamples, depth-capped at ceil(log2 psi).
-
-    The trees grow level by level, a block of about GROW_BLOCK
-    (tree, row) pairs at once.
-    """
+def _grow_blocks(X, n_trees: int, subsample: int, seed: int):
+    """Yield the forest's trees a block of about GROW_BLOCK (tree, row) pairs at a time."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataError("empty training input")
@@ -163,19 +165,33 @@ def fit_isolation_forest(X, n_trees: int = 100, subsample: int = 256,
     depth_cap = math.ceil(math.log2(subsample))
     c_table = np.array([average_path_length(k) for k in range(subsample + 1)])
     block = max(1, GROW_BLOCK // subsample)
-    trees = []
     for first in range(0, n_trees, block):
-        trees += _grow_block(X, seed, first, min(block, n_trees - first),
-                             subsample, depth_cap, c_table)
+        yield _grow_block(X, seed, first, min(block, n_trees - first),
+                          subsample, depth_cap, c_table)
+
+
+def fit_isolation_forest(X, n_trees: int = 100, subsample: int = 256,
+                         seed: int = 0) -> IsolationForest:
+    """Random trees over psi-subsamples, depth-capped at ceil(log2 psi).
+
+    The trees grow level by level, a block of about GROW_BLOCK
+    (tree, row) pairs at once.
+    """
+    trees = [t for block in _grow_blocks(X, n_trees, subsample, seed) for t in block]
     return IsolationForest(trees=trees, subsample_size=subsample)
 
 
 def _scores(forest: IsolationForest, X) -> np.ndarray:
     """S(x, n) = 2^(-E(h(x)) / c(n)) of every row of X."""
-    c = average_path_length(forest.subsample_size)
+    return _score_lengths(forest.mean_path_length(X), forest.subsample_size)
+
+
+def _score_lengths(mean_path_length, subsample: int) -> np.ndarray:
+    """S(x, n) of each row's mean adjusted depth E(h(x)), for psi = subsample."""
+    c = average_path_length(subsample)
     # Python's scalar pow, once per row: np.power and np.exp2 round some
     # inputs differently in the last bit
-    return np.array([2.0 ** (-e_h / c) for e_h in forest.mean_path_length(X).tolist()])
+    return np.array([2.0 ** (-e_h / c) for e_h in mean_path_length.tolist()])
 
 
 def detect_anomalies(X, contamination: float = 0.02, n_trees: int = 100,
@@ -191,9 +207,10 @@ def detect_anomalies(X, contamination: float = 0.02, n_trees: int = 100,
     n = X.shape[0]
     if n < 2:
         raise DataError(f"anomaly screening needs at least two rows, got {n}")
-    forest = fit_isolation_forest(X, n_trees=n_trees,
-                                  subsample=min(subsample, n), seed=seed)
-    scores = _scores(forest, X)
+    subsample = min(subsample, n)
+    # each block of trees is scored as it is grown, then dropped
+    lengths = _path_length_sum(_grow_blocks(X, n_trees, subsample, seed), X)
+    scores = _score_lengths(lengths / n_trees, subsample)
     k = math.ceil(contamination * n)
     if k == 0:
         return np.array([], dtype=int), scores

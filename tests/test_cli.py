@@ -611,6 +611,15 @@ class TestExitCodes:
                                            "two rows, got 1\n")
         assert not (tmp_path / "manifest_features.json").exists()
 
+    def test_one_row_select_is_data_error(self, tmp_path, capsys):
+        one = ["data.synthetic.n=1", "train.batch_size=1"]
+        assert run("synth", tmp_path, extra=one) == 0
+        capsys.readouterr()
+        assert run("select", tmp_path, extra=one) == 2
+        assert capsys.readouterr().err == ("data error: correlations need at least "
+                                           "two rows, got 1\n")
+        assert not (tmp_path / "manifest_select.json").exists()
+
     def test_one_row_csv_screen_is_data_error(self, tmp_path, capsys):
         source = tmp_path / "one.csv"
         save_csv(Dataset(specimens=generate_synthetic(1, 0).specimens), source)

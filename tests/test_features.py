@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from cfstcap.data import Specimen, generate_synthetic
 from cfstcap.errors import DataError
-from cfstcap.features import (FEATURE_VOCAB, PAPER_SELECTED, RAW_NAMES,
+from cfstcap.features import (FEATURE_VOCAB, PAPER_SELECTED, RAW_NAMES, FeatureFrame,
                               build_frame, correlation_matrix, design_matrix,
-                              pearson, select_features)
+                              pearson, rank_by_abs_correlation, select_features)
+from cfstcap.network import TrainConfig, train
 
 REF = Specimen(D=100, t=5, L=300, fy=300, fc=30, N=650)
 
@@ -118,6 +119,27 @@ class TestEngineer:
     def test_unknown_name_rejected(self, call):
         with pytest.raises(DataError, match=r"unknown features \['nosuch'\]"):
             call()
+
+
+    @pytest.mark.parametrize("call", [
+        lambda: design_matrix([100.0], [5.0], [300.0], [300.0], [30.0], ["D", "fc", "D"]),
+        lambda: build_frame([REF], ["D", "D"]),
+        lambda: build_frame([REF]).select(["D", "D"]),
+        lambda: FeatureFrame(("D", "D"), np.ones((1, 2)), np.ones(1)),
+        lambda: train(generate_synthetic(40, 0, 0.1), ["D", "D", "fc"],
+                      config=TrainConfig(epochs=1, batch_size=8)),
+    ], ids=["design_matrix", "build_frame", "select", "frame", "train"])
+    def test_repeated_name_rejected(self, call):
+        with pytest.raises(DataError, match="repeated feature names"):
+            call()
+
+    def test_frame_outside_vocabulary_rejected(self):
+        with pytest.raises(DataError, match=r"outside canonical vocabulary: \['nosuch'\]"):
+            FeatureFrame(("D", "nosuch"), np.ones((1, 2)), np.ones(1))
+
+    def test_one_row_ranking_rejected(self):
+        with pytest.raises(DataError, match="at least two rows, got 1"):
+            rank_by_abs_correlation(build_frame([REF]))
 
 
 class TestPearson:
